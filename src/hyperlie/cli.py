@@ -34,6 +34,7 @@ from .generators import (
     make_s3,
     normalize_constants,
 )
+from .gf import factor_prime_power
 from .interchange import parse_structure, serialize_structure
 from .quotients import (
     derived_dims,
@@ -49,6 +50,7 @@ from .relations import (
     Partition,
     RelationStatus,
     closed_relation,
+    relation_json,
     relation_with_escalation,
 )
 from .sets import iter_bits
@@ -143,10 +145,6 @@ def _compute_partition(structure, rel: str, n: int, bounds: ExpressionBounds,
     )
 
 
-def _names_of(structure):
-    return structure.names
-
-
 def _emit(args, payload: dict, text_lines):
     if args.json:
         print(json.dumps(payload, indent=1, ensure_ascii=False))
@@ -173,15 +171,6 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _partition_payload(part: Partition, status: RelationStatus, names,
-                       rel: str) -> dict:
-    return {
-        "classes": part.classes_as_names(names),
-        "mode": status.mode,
-        "bounds": list(status.bounds_used.astuple()),
-    }
-
-
 def _partition_lines(part: Partition, status: RelationStatus, names, rel: str,
                      n: int):
     label = f"Sn n={n}" if rel == "Sn" else rel
@@ -204,9 +193,8 @@ def cmd_relation(args) -> int:
     if rel == "alpha" and not isinstance(x, FiniteHyperfield):
         raise ParseError("--rel alpha needs a hyperfield (or an algebra's field)")
     part, status = _compute_partition(x, rel, n, bounds, args.oracle)
-    names = _names_of(x)
-    _emit(args, _partition_payload(part, status, names, rel),
-          _partition_lines(part, status, names, rel, n))
+    _emit(args, relation_json(part, x.names, status),
+          _partition_lines(part, status, x.names, rel, n))
     return 0
 
 
@@ -326,6 +314,15 @@ def _parse_subgroup(text: str):
     return out
 
 
+def _int_tuple(text: str):
+    """Integers of "(a,b,...)" or "a,b,..."; ValueError on anything else,
+    an unbalanced parenthesis included."""
+    text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1]
+    return tuple(int(v) for v in text.split(","))
+
+
 def _parse_inline_constants(text: str):
     """(i,j):(c0,c1,...);(k,l):(...) inline structure constants."""
     out = {}
@@ -335,8 +332,8 @@ def _parse_inline_constants(text: str):
             continue
         try:
             key, _, val = chunk.partition(":")
-            i, j = (int(v) for v in key.strip().strip("()").split(","))
-            vec = tuple(int(v) for v in val.strip().strip("()").split(","))
+            i, j = _int_tuple(key)
+            vec = _int_tuple(val)
         except ValueError:
             raise ParseError(f"--constants: cannot parse {chunk!r}") from None
         out[(i, j)] = vec
@@ -347,6 +344,10 @@ def cmd_gen(args) -> int:
     if args.generator == "trivial":
         if args.q is None or args.dim is None:
             raise ParseError("gen trivial needs --q and --dim")
+        try:
+            factor_prime_power(args.q)
+        except HyperlieError as e:
+            raise ParseError(f"--q: {e}") from None
         if args.constants in CONSTANT_PRESETS:
             q, dim, constants = CONSTANT_PRESETS[args.constants]
             if (args.q, args.dim) != (q, dim):
@@ -360,7 +361,10 @@ def cmd_gen(args) -> int:
     elif args.generator == "qhyperfield":
         if args.q is None or args.subgroup is None:
             raise ParseError("gen qhyperfield needs --q and --subgroup")
-        subgroup = [int(v) for v in _parse_subgroup(args.subgroup)]
+        try:
+            subgroup = [int(v) for v in _parse_subgroup(args.subgroup)]
+        except ValueError:
+            raise ParseError(f"--subgroup: expected integers, got {args.subgroup!r}") from None
         structure = gen_quotient_hyperfield(args.q, subgroup)
     elif args.generator == "coset":
         if args.group is None or args.subgroup is None:

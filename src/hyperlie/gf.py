@@ -237,16 +237,6 @@ def random_invertible(gf: GF, n: int, rng):
             return m
 
 
-def mat_vec(gf: GF, m, v):
-    out = []
-    for row in m:
-        acc = 0
-        for a, b in zip(row, v):
-            acc = gf.add[acc][gf.mul[a][b]]
-        out.append(acc)
-    return out
-
-
 def mat_inverse(gf: GF, m):
     n = len(m)
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m)]

@@ -18,7 +18,7 @@ from .errors import (
 from .generators import check_constants_lie, constants_table
 from .gf import digits_to_int, get_gf, int_to_digits, row_reduce, span_indices
 from .relations import Partition
-from .sets import iter_bits, singleton_index
+from .sets import iter_bits
 from .structures import FiniteHyperfield, FiniteLieHyperalgebra
 
 
@@ -50,9 +50,7 @@ class FiniteField:
     def from_trivial_hyperfield(cls, F: FiniteHyperfield) -> "FiniteField":
         if not F.is_trivial:
             raise NotAField("single-valued", None, "hyperfield tables are multivalued")
-        add = [[singleton_index(c) for c in row] for row in F.add]
-        mul = [[singleton_index(c) for c in row] for row in F.mul]
-        return cls(F.names, add, mul)
+        return cls(F.names, F.add_elt, F.mul_elt)
 
     def validate(self):
         """Field axioms with first witness; raises NotAField."""

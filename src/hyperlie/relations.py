@@ -198,6 +198,21 @@ def transitive_closure(rel: BinaryRelation) -> Partition:
     return Partition(list(groups.values()))
 
 
+def _product_pairs(F: FiniteHyperfield, q: int):
+    """Sorted (written order, permuted order) values of products of at most
+    q scalars."""
+    pairs = set()
+    for ln in range(1, q + 1):
+        for tup in product(range(F.size), repeat=ln):
+            left = F.mul_ops.fold(1 << e for e in tup)
+            if ln == 1:
+                pairs.add((left, left))
+                continue
+            for perm in permutations(tup):
+                pairs.add((left, F.mul_ops.fold(1 << e for e in perm)))
+    return sorted(pairs)
+
+
 def coefficient_pair_family(F: FiniteHyperfield, bounds: ExpressionBounds):
     """Deduplicated (unpermuted value, permuted value) scalar-set pairs.
 
@@ -206,21 +221,7 @@ def coefficient_pair_family(F: FiniteHyperfield, bounds: ExpressionBounds):
     entry a permuted order. The family is closed under swapping.
     """
     validate_bounds(bounds)
-    n = F.size
-    elems = range(n)
-
-    prod_pairs = set()
-    for ln in range(1, bounds.q + 1):
-        for tup in product(elems, repeat=ln):
-            left = F.mul_ops.fold(1 << e for e in tup)
-            if ln == 1:
-                prod_pairs.add((left, left))
-                continue
-            for perm in permutations(tup):
-                right = F.mul_ops.fold(1 << e for e in perm)
-                prod_pairs.add((left, right))
-    prod_pairs = sorted(prod_pairs)
-
+    prod_pairs = _product_pairs(F, bounds.q)
     family = set()
     for ln in range(1, bounds.p + 1):
         for tup in product(prod_pairs, repeat=ln):
@@ -351,18 +352,12 @@ def combine_levels(pairs, add_apply, t_max: int, commutative: bool):
     return levels
 
 
-def _combine_sum_pairs(pairs, add_apply, t_max: int, commutative: bool):
-    total = set()
-    for lvl in combine_levels(pairs, add_apply, t_max, commutative):
-        total.update(lvl)
-    return total
-
-
-def _rows_from_pairs(pair_set, n: int):
+def _rows_from_levels(levels, n: int):
     rows = [0] * n
-    for X, Y in pair_set:
-        for x in iter_bits(X):
-            rows[x] |= Y
+    for lvl in levels:
+        for X, Y in lvl:
+            for x in iter_bits(X):
+                rows[x] |= Y
     return rows
 
 
@@ -373,24 +368,18 @@ def _finish_relation(rows, n) -> BinaryRelation:
     return rel
 
 
-def relation_Sn(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds,
-                gate_mask=None) -> BinaryRelation:
+def relation_Sn(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds) -> BinaryRelation:
     """Depth-gated swap relation: permutations allowed only at leaf
     positions whose element lies in the (n-1)-th hyper-derived set."""
     validate_bounds(bounds)
     if n < 1:
         raise BoundsExceeded(f"depth index must be >= 1, got {n}")
-    if gate_mask is None:
-        combined = [p for lvl in sn_pair_levels(L, n, bounds) for p in lvl]
-    else:
-        pairs = summand_pair_family(L, bounds, gate_mask)
-        combined = _combine_sum_pairs(pairs, L.set_add, bounds.t, L.commutative_add)
-    return _finish_relation(_rows_from_pairs(combined, L.size), L.size)
+    return _finish_relation(_rows_from_levels(sn_pair_levels(L, n, bounds), L.size), L.size)
 
 
 def relation_A(L: FiniteLieHyperalgebra, bounds: ExpressionBounds) -> BinaryRelation:
-    """Unrestricted swap relation; identical to depth 1 by construction."""
-    return relation_Sn(L, 1, bounds, gate_mask=full_mask(L.size))
+    """Unrestricted swap relation: Sn at depth 1, whose gate is the whole carrier."""
+    return relation_Sn(L, 1, bounds)
 
 
 def relation_L_values(L: FiniteLieHyperalgebra, bounds: ExpressionBounds):
@@ -433,25 +422,9 @@ def relation_alpha(F: FiniteHyperfield, bounds: ExpressionBounds) -> BinaryRelat
     length <= q; m and p are inert here.
     """
     validate_bounds(bounds)
-    n = F.size
-    elems = range(n)
-    prod_pairs = set()
-    for ln in range(1, bounds.q + 1):
-        for tup in product(elems, repeat=ln):
-            left = F.mul_ops.fold(1 << e for e in tup)
-            if ln == 1:
-                prod_pairs.add((left, left))
-                continue
-            for perm in permutations(tup):
-                prod_pairs.add((left, F.mul_ops.fold(1 << e for e in perm)))
-    combined = _combine_sum_pairs(sorted(prod_pairs), F.add_ops.apply, bounds.t,
-                                  F.commutative_add)
-    return _finish_relation(_rows_from_pairs(combined, n), n)
-
-
-_SR_LIE_CONDITIONS = (
-    "add-left", "add-right", "scalar-left", "scalar-right", "bracket-left", "bracket-right",
-)
+    levels = combine_levels(_product_pairs(F, bounds.q), F.add_ops.apply, bounds.t,
+                            F.commutative_add)
+    return _finish_relation(_rows_from_levels(levels, F.size), F.size)
 
 
 def _lift_ok(partition: Partition, mask: int) -> bool:
@@ -479,12 +452,11 @@ def is_strongly_regular(L: FiniteLieHyperalgebra, partition: Partition):
                     if not _lift_ok(partition, L.add[x][a] | L.add[y][a]):
                         return False, ("add-right", a, x, y)
                 for lam in range(F.size):
+                    # scalars act on one side only; the right condition reads
+                    # x * lam and evaluates to the same sets, so it is
+                    # decided here too and can never fail on its own
                     if not _lift_ok(partition, L.smul[lam][x] | L.smul[lam][y]):
                         return False, ("scalar-left", lam, x, y)
-                    # scalars act on one side only; the right condition reads
-                    # x * lam and evaluates to the same sets
-                    if not _lift_ok(partition, L.smul[lam][x] | L.smul[lam][y]):
-                        return False, ("scalar-right", lam, x, y)
                 for a in range(n):
                     if not _lift_ok(partition, L.bracket[a][x] | L.bracket[a][y]):
                         return False, ("bracket-left", a, x, y)
@@ -522,16 +494,17 @@ def clear_relation_cache():
 def closed_relation(obj, kind: str, n: int, bounds: ExpressionBounds):
     """Cached (BinaryRelation, Partition) for one relation at fixed bounds.
 
-    kind: "L" | "A" | "Sn" | "alpha". n is ignored unless kind == "Sn".
+    kind: "L" | "A" | "Sn" | "alpha". n is ignored unless kind == "Sn";
+    "A" is Sn at depth 1 and shares its cache entry.
     """
+    if kind == "A":
+        kind, n = "Sn", 1
     key = (obj.fingerprint, kind, n if kind == "Sn" else 0, bounds.astuple())
     hit = _REL_CACHE.get(key)
     if hit is not None:
         return hit
     if kind == "L":
         rel = relation_L(obj, bounds)
-    elif kind == "A":
-        rel = relation_A(obj, bounds)
     elif kind == "Sn":
         rel = relation_Sn(obj, n, bounds)
     elif kind == "alpha":

@@ -47,13 +47,21 @@ class SetOps:
     table[x][y] is the mask of the hyperoperation value at elements x, y.
     apply(A, B) is the union of table[x][y] over x in A, y in B. Results
     are cached per (A, B) mask pair; singleton arguments short-circuit to
-    direct table lookups.
+    direct table lookups. ops[A][B] is the same value through memoized
+    rows, for loops that index it like a list-of-lists table.
     """
 
     def __init__(self, table):
         self.table = table
-        self.n = len(table)
         self._cache = {}
+        self._rows = {}
+
+    def __getitem__(self, a_mask: int) -> "_Row":
+        """Memoized row: ops[A][B] == ops.apply(A, B)."""
+        row = self._rows.get(a_mask)
+        if row is None:
+            row = self._rows[a_mask] = _Row(self.table, a_mask)
+        return row
 
     def apply(self, a_mask: int, b_mask: int) -> int:
         if is_singleton(a_mask) and is_singleton(b_mask):
@@ -62,13 +70,7 @@ class SetOps:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        out = 0
-        table = self.table
-        for x in iter_bits(a_mask):
-            row = table[x]
-            for y in iter_bits(b_mask):
-                out |= row[y]
-        self._cache[key] = out
+        out = self._cache[key] = _union(self.table, a_mask, b_mask)
         return out
 
     def fold(self, masks) -> int:
@@ -80,7 +82,30 @@ class SetOps:
         return acc
 
 
-def masks_to_sorted_sets(masks):
-    """Canonical list-of-lists form: each mask as sorted indices, rows sorted."""
-    rows = sorted(tuple(iter_bits(m)) for m in masks)
-    return [list(r) for r in rows]
+def _union(table, a_mask: int, b_mask: int) -> int:
+    """Union of table[x][y] over x in a_mask, y in b_mask."""
+    out = 0
+    for x in iter_bits(a_mask):
+        row = table[x]
+        for y in iter_bits(b_mask):
+            out |= row[y]
+    return out
+
+
+class _Row(dict):
+    """Row A of a SetOps table; a missing B is filled in with the union.
+
+    It holds the table, not the SetOps, so the row cache forms no
+    reference cycle and is freed with its structure.
+    """
+
+    __slots__ = ("table", "a_mask")
+
+    def __init__(self, table, a_mask: int):
+        super().__init__()
+        self.table = table
+        self.a_mask = a_mask
+
+    def __missing__(self, b_mask: int) -> int:
+        out = self[b_mask] = _union(self.table, self.a_mask, b_mask)
+        return out

@@ -4,6 +4,8 @@ failure, 2 input error, 3 resource limit, 4 internal)."""
 
 import json
 
+import pytest
+
 from hyperlie.cli import main
 
 
@@ -214,3 +216,15 @@ def test_threads_and_seed_accepted(capsys, fixture_files):
     code, out, _ = run(capsys, "--threads", "4", "--seed", "9", "relation",
                        fixture_files["ex1"], "--rel", "L")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "qhyperfield", "--q", "7", "--subgroup", "x"),
+    ("gen", "trivial", "--q", "6", "--dim", "1"),
+    ("gen", "trivial", "--q", "3", "--dim", "2", "--constants", "(0,1):(0,1"),
+])
+def test_gen_bad_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("input error")
+    assert out == ""
