@@ -247,6 +247,8 @@ def cmd_analyze(args) -> int:
     bounds = _parse_bounds(args.bounds)
     names = x.names
     sub = args.analysis
+    if sub in ("snpart", "transitivity") and args.n < 1:
+        raise ParseError(f"{sub} needs --n at least 1")
     if sub == "snpart":
         if args.set is None:
             raise ParseError("snpart needs --set")
@@ -410,7 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--threads", type=int, default=0,
                     help="worker hint; results are identical at any count")
-    ap.add_argument("--seed", type=int, default=0, help="seed for sampled searches")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="accepted for interface stability and ignored")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, with_rel=True):

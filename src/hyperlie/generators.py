@@ -259,7 +259,7 @@ def gen_quotient_hyperfield(q: int, subgroup) -> FiniteHyperfield:
     sum; class product is single-valued. Output must pass check_hyperfield.
     """
     if not is_prime(q):
-        raise HyperlieError(f"quotient hyperfield needs prime q, got {q}")
+        raise MalformedTable(f"quotient hyperfield needs prime q, got {q}")
     H = sorted(set(int(h) % q for h in subgroup))
     if 0 in H or 1 not in H:
         raise NotASubgroup("subgroup must be a subset of units containing 1")

@@ -1,9 +1,13 @@
 """Bounded enumeration of the fundamental relations and their closures.
 
 The relations are defined by unbounded families of expressions; this engine
-enumerates all expressions within ExpressionBounds, dedupes by evaluated
-value sets at every stage, and reports how the finite run should be read
-(exact against an oracle, stabilized, or bound-limited) via RelationStatus.
+covers every expression within ExpressionBounds without evaluating them one
+by one. Bracket trees are built bottom-up from the distinct values of their
+subtrees (for the swap relations, together with the gated values a leaf
+permutation still owes), sums are folded over distinct values, and every
+stage dedupes by evaluated value sets. RelationStatus reports how the
+finite run should be read (exact against an oracle, stabilized, or
+bound-limited).
 """
 
 from __future__ import annotations
@@ -248,31 +252,6 @@ def hyper_derived_sets(L: FiniteLieHyperalgebra, depth: int):
     return out
 
 
-_LEAF = None
-
-
-def _tree_shapes(m: int):
-    if m == 1:
-        return [_LEAF]
-    out = []
-    for k in range(1, m):
-        for left in _tree_shapes(k):
-            for right in _tree_shapes(m - k):
-                out.append((left, right))
-    return out
-
-
-def _eval_shape(shape, values, bracket_apply):
-    it = iter(values)
-
-    def ev(s):
-        if s is _LEAF:
-            return next(it)
-        return bracket_apply(ev(s[0]), ev(s[1]))
-
-    return ev(shape)
-
-
 def _leaf_pool(L: FiniteLieHyperalgebra, coeff_pairs, gate_mask: int):
     """Dedup (left value, right value) leaf pairs; swap flag is OR-ed over
     the witnesses h, sound because eligibility depends only on h."""
@@ -286,6 +265,81 @@ def _leaf_pool(L: FiniteLieHyperalgebra, coeff_pairs, gate_mask: int):
     return [(vl, vr, sw) for (vl, vr), sw in sorted(pool.items())]
 
 
+class _Owed:
+    """Owed multisets of gated values, packed into ints.
+
+    A subtree owes the gated values its unpermuted side has placed and its
+    permuted side has not yet shown (positive), and the reverse (negative).
+    Gated value number v counts (1 << width * v) per copy, each count a
+    balanced digit of width bits, so adding two multisets is integer
+    addition and matching values cancel by themselves.
+    """
+
+    def __init__(self, gated_values, m: int):
+        # a subtree of k <= m leaves holds every count in [-m, m]
+        self.width = m.bit_length() + 1
+        self.unit = {w: 1 << self.width * v for v, w in enumerate(gated_values)}
+        self._tokens = {}
+
+    def tokens(self, owed: int):
+        """(size, values owed, values owed to) of one multiset, where size
+        is the number of values owed."""
+        hit = self._tokens.get(owed)
+        if hit is not None:
+            return hit
+        width, rest = self.width, owed
+        half = 1 << (width - 1)
+        size, plus, minus = 0, [], []
+        while rest:
+            v = ((rest & -rest).bit_length() - 1) // width
+            d = ((rest >> width * v) + half) % (half << 1) - half
+            if d > 0:
+                size += d
+                plus.append(v)
+            else:
+                minus.append(v)
+            rest -= d << width * v
+        out = self._tokens[owed] = (size, plus, minus)
+        return out
+
+
+class _Layer:
+    """Distinct (owed, U, V) states of the subtrees of one leaf count, kept
+    only if they owe at most budget values, grouped by owed."""
+
+    def __init__(self, states, codec: _Owed, budget: int):
+        groups = {}
+        for state in states:
+            groups.setdefault(state[0], []).append(state)
+        self.codec = codec
+        self.groups = {o: g for o, g in groups.items() if codec.tokens(o)[0] <= budget}
+        self._index = None
+
+    def sources(self, owed: int, budget: int):
+        """State lists a subtree owing owed may pair with so that the sum
+        owes at most budget values: at budget 0 the exact negation; else
+        those small enough not to need cancelling and those that cancel at
+        least one value. A state may be listed twice."""
+        if budget == 0:
+            return [self.groups.get(-owed, ())]
+        if self._index is None:
+            by_size, by_plus, by_minus = {}, {}, {}
+            for key, group in self.groups.items():
+                size, plus, minus = self.codec.tokens(key)
+                by_size.setdefault(size, []).extend(group)
+                for v in plus:
+                    by_plus.setdefault(v, []).extend(group)
+                for v in minus:
+                    by_minus.setdefault(v, []).extend(group)
+            self._index = by_size, by_plus, by_minus
+        by_size, by_plus, by_minus = self._index
+        size, plus, minus = self.codec.tokens(owed)
+        out = [by_size[r] for r in range(budget - size + 1) if r in by_size]
+        out += [by_minus[v] for v in plus if v in by_minus]
+        out += [by_plus[v] for v in minus if v in by_plus]
+        return out
+
+
 def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate_mask: int):
     """All (unpermuted, permuted) value-set pairs of single summands.
 
@@ -293,37 +347,52 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     side applies a leaf permutation fixing every position whose element lies
     outside the gate, and each moved position receives the permuted
     coefficient partner of the leaf it takes.
+
+    Trees are built bottom-up over distinct subtree states (owed, U, V). A
+    gated leaf may show any gated value w on its permuted side and then
+    owes its own right value in exchange for w; some gate-preserving
+    permutation exists exactly when the owed multiset of the whole tree
+    cancels to empty. A subtree of k leaves that owes more values than the
+    m - k leaves still to come can settle is dropped.
     """
     coeff_pairs = coefficient_pair_family(L.field, bounds)
     pool = _leaf_pool(L, coeff_pairs, gate_mask)
-    bracket = L.set_bracket
+    m = bounds.m
+    br = L.bracket_ops
+    gated = sorted({vr for _, vr, sw in pool if sw})
+    codec = _Owed(gated, m)
+    unit = codec.unit
+    leaves = {(0, vl, vr) for vl, vr, _ in pool}
+    leaves.update((unit[vr] - unit[w], vl, w)
+                  for vl, vr, sw in pool if sw for w in gated if w != vr)
+    layers = [None, _Layer(leaves, codec, m - 1)]
     pairs = set()
-    for m in range(1, bounds.m + 1):
-        for shape in _tree_shapes(m):
-            for assignment in product(pool, repeat=m):
-                U = _eval_shape(shape, [a[0] for a in assignment], bracket)
-                gated = [j for j, a in enumerate(assignment) if a[2]]
-                base = [a[1] for a in assignment]
-                if len(gated) <= 1:
-                    V = _eval_shape(shape, base, bracket)
-                    pairs.add((U, V))
-                    pairs.add((V, U))
-                    continue
-                contents = [assignment[j][1] for j in gated]
-                for arrangement in permutations(contents):
-                    vr = list(base)
-                    for pos, val in zip(gated, arrangement):
-                        vr[pos] = val
-                    V = _eval_shape(shape, vr, bracket)
-                    pairs.add((U, V))
-                    pairs.add((V, U))
+    for k in range(2, m + 1):
+        budget = m - k
+        states = set()
+        for i in range(1, k):
+            right = layers[k - i]
+            for key, group in layers[i].groups.items():
+                sources = right.sources(key, budget)
+                for _, U, V in group:
+                    ru, rv = br[U], br[V]
+                    for src in sources:
+                        if budget:
+                            states.update([(key + o, ru[X], rv[Y]) for o, X, Y in src])
+                        else:  # whole trees; every source settles key to empty
+                            pairs.update([(ru[X], rv[Y]) for _, X, Y in src])
+        if budget:
+            layers.append(_Layer(states, codec, budget))
+    pairs.update((U, V) for layer in layers[1:] for _, U, V in layer.groups.get(0, ()))
+    pairs |= {(V, U) for U, V in pairs}
     return sorted(pairs)
 
 
-def combine_levels(pairs, add_apply, t_max: int, commutative: bool):
+def combine_levels(pairs, add_ops, t_max: int, commutative: bool):
     """Per-summand-count levels of sum-combined pairs, each sorted.
 
-    Level t holds the (unpermuted, permuted) values of t-summand sums.
+    Level t holds the (unpermuted, permuted) values of t-summand sums;
+    add_ops is the structure's SetOps for addition.
     Commutative addition makes summand order and the top permutation
     irrelevant, so a value-deduplicating DP suffices; otherwise ordered
     tuples and every top permutation are evaluated explicitly.
@@ -333,8 +402,8 @@ def combine_levels(pairs, add_apply, t_max: int, commutative: bool):
         for _ in range(t_max - 1):
             nxt = set()
             for X, Y in levels[-1]:
-                for U, V in levels[0]:
-                    nxt.add((add_apply(X, U), add_apply(Y, V)))
+                rx, ry = add_ops[X], add_ops[Y]
+                nxt.update([(rx[U], ry[V]) for U, V in levels[0]])
             levels.append(sorted(nxt))
         return levels
     for t in range(2, t_max + 1):
@@ -342,11 +411,11 @@ def combine_levels(pairs, add_apply, t_max: int, commutative: bool):
         for tup in product(levels[0], repeat=t):
             X = tup[0][0]
             for U, _ in tup[1:]:
-                X = add_apply(X, U)
+                X = add_ops[X][U]
             for sigma in permutations(range(t)):
                 Y = tup[sigma[0]][1]
                 for i in sigma[1:]:
-                    Y = add_apply(Y, tup[i][1])
+                    Y = add_ops[Y][tup[i][1]]
                 lvl.add((X, Y))
         levels.append(sorted(lvl))
     return levels
@@ -383,23 +452,31 @@ def relation_A(L: FiniteLieHyperalgebra, bounds: ExpressionBounds) -> BinaryRela
 
 
 def relation_L_values(L: FiniteLieHyperalgebra, bounds: ExpressionBounds):
-    """Family of value sets of unpermuted bounded expressions."""
+    """Family of value sets of unpermuted bounded expressions.
+
+    Bracket trees of k leaves take the values of T[k], the union over
+    splits i of the brackets of T[i] with T[k - i]; sums are folded on top.
+    """
     validate_bounds(bounds)
     coeff_pairs = coefficient_pair_family(L.field, bounds)
-    leaf_values = sorted({L.set_scalar(cl, 1 << h) for cl, _ in coeff_pairs for h in range(L.size)})
-    bracket = L.set_bracket
-    tree_values = set()
-    for m in range(1, bounds.m + 1):
-        for shape in _tree_shapes(m):
-            for assignment in product(leaf_values, repeat=m):
-                tree_values.add(_eval_shape(shape, assignment, bracket))
+    br, add = L.bracket_ops, L.add_ops
+    layers = [None, {L.set_scalar(cl, 1 << h) for cl, _ in coeff_pairs for h in range(L.size)}]
+    for k in range(2, bounds.m + 1):
+        layer = set()
+        for i in range(1, k):
+            right = layers[k - i]
+            for A in layers[i]:
+                row = br[A]
+                layer.update([row[B] for B in right])
+        layers.append(layer)
+    tree_values = set().union(*layers[1:])
     total = set(tree_values)
-    prev = set(tree_values)
+    prev = tree_values
     for _ in range(bounds.t - 1):
         nxt = set()
         for X in prev:
-            for U in tree_values:
-                nxt.add(L.set_add(X, U))
+            row = add[X]
+            nxt.update([row[U] for U in tree_values])
         total |= nxt
         prev = nxt
     return sorted(total)
@@ -422,7 +499,7 @@ def relation_alpha(F: FiniteHyperfield, bounds: ExpressionBounds) -> BinaryRelat
     length <= q; m and p are inert here.
     """
     validate_bounds(bounds)
-    levels = combine_levels(_product_pairs(F, bounds.q), F.add_ops.apply, bounds.t,
+    levels = combine_levels(_product_pairs(F, bounds.q), F.add_ops, bounds.t,
                             F.commutative_add)
     return _finish_relation(_rows_from_levels(levels, F.size), F.size)
 
@@ -526,7 +603,7 @@ def sn_pair_levels(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds):
         return hit
     gate_mask = hyper_derived_sets(L, n - 1)[-1]
     pairs = summand_pair_family(L, bounds, gate_mask)
-    levels = combine_levels(pairs, L.set_add, bounds.t, L.commutative_add)
+    levels = combine_levels(pairs, L.add_ops, bounds.t, L.commutative_add)
     _REL_CACHE[key] = levels
     return levels
 

@@ -41,26 +41,25 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-class SetOps:
+class SetOps(dict):
     """Memoized setwise extensions of a binary hyperoperation table.
 
     table[x][y] is the mask of the hyperoperation value at elements x, y.
     apply(A, B) is the union of table[x][y] over x in A, y in B. Results
     are cached per (A, B) mask pair; singleton arguments short-circuit to
     direct table lookups. ops[A][B] is the same value through memoized
-    rows, for loops that index it like a list-of-lists table.
+    rows (the SetOps is the dict of its rows), for loops that index it
+    like a list-of-lists table.
     """
 
     def __init__(self, table):
+        super().__init__()
         self.table = table
         self._cache = {}
-        self._rows = {}
 
-    def __getitem__(self, a_mask: int) -> "_Row":
+    def __missing__(self, a_mask: int) -> "_Row":
         """Memoized row: ops[A][B] == ops.apply(A, B)."""
-        row = self._rows.get(a_mask)
-        if row is None:
-            row = self._rows[a_mask] = _Row(self.table, a_mask)
+        row = self[a_mask] = _Row(self.table, a_mask)
         return row
 
     def apply(self, a_mask: int, b_mask: int) -> int:

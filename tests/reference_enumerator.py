@@ -1,0 +1,115 @@
+"""Brute-force expression enumerator kept as a test oracle.
+
+Every bracket shape is evaluated on every tuple of pool leaves, and every
+gate-preserving leaf permutation on top of that, so the cost grows as
+pool^m x shapes x g!. The engine in hyperlie.relations reaches the same
+values through a dynamic programme over distinct subtree values; the
+property tests compare the two on small structures.
+"""
+
+from itertools import permutations, product
+
+from hyperlie.relations import _leaf_pool, coefficient_pair_family
+
+_LEAF = None
+
+
+def _tree_shapes(m: int):
+    if m == 1:
+        return [_LEAF]
+    out = []
+    for k in range(1, m):
+        for left in _tree_shapes(k):
+            for right in _tree_shapes(m - k):
+                out.append((left, right))
+    return out
+
+
+def _eval_shape(shape, values, bracket_apply):
+    it = iter(values)
+
+    def ev(s):
+        if s is _LEAF:
+            return next(it)
+        return bracket_apply(ev(s[0]), ev(s[1]))
+
+    return ev(shape)
+
+
+def summand_pair_family(L, bounds, gate_mask: int):
+    """All (unpermuted, permuted) value-set pairs of single summands,
+    each leaf tuple and each gate-preserving permutation evaluated."""
+    coeff_pairs = coefficient_pair_family(L.field, bounds)
+    pool = _leaf_pool(L, coeff_pairs, gate_mask)
+    bracket = L.set_bracket
+    pairs = set()
+    for m in range(1, bounds.m + 1):
+        for shape in _tree_shapes(m):
+            for assignment in product(pool, repeat=m):
+                U = _eval_shape(shape, [a[0] for a in assignment], bracket)
+                gated = [j for j, a in enumerate(assignment) if a[2]]
+                base = [a[1] for a in assignment]
+                if len(gated) <= 1:
+                    V = _eval_shape(shape, base, bracket)
+                    pairs.add((U, V))
+                    pairs.add((V, U))
+                    continue
+                contents = [assignment[j][1] for j in gated]
+                for arrangement in permutations(contents):
+                    vr = list(base)
+                    for pos, val in zip(gated, arrangement):
+                        vr[pos] = val
+                    V = _eval_shape(shape, vr, bracket)
+                    pairs.add((U, V))
+                    pairs.add((V, U))
+    return sorted(pairs)
+
+
+def combine_levels(pairs, add_apply, t_max: int, commutative: bool):
+    """Per-summand-count levels of sum-combined pairs, each sorted; add_apply
+    is the setwise addition as a function of two masks."""
+    levels = [sorted(set(pairs))]
+    if commutative:
+        for _ in range(t_max - 1):
+            nxt = set()
+            for X, Y in levels[-1]:
+                for U, V in levels[0]:
+                    nxt.add((add_apply(X, U), add_apply(Y, V)))
+            levels.append(sorted(nxt))
+        return levels
+    for t in range(2, t_max + 1):
+        lvl = set()
+        for tup in product(levels[0], repeat=t):
+            X = tup[0][0]
+            for U, _ in tup[1:]:
+                X = add_apply(X, U)
+            for sigma in permutations(range(t)):
+                Y = tup[sigma[0]][1]
+                for i in sigma[1:]:
+                    Y = add_apply(Y, tup[i][1])
+                lvl.add((X, Y))
+        levels.append(sorted(lvl))
+    return levels
+
+
+def relation_L_values(L, bounds):
+    """Family of value sets of unpermuted bounded expressions, each leaf
+    tuple evaluated on each bracket shape."""
+    coeff_pairs = coefficient_pair_family(L.field, bounds)
+    leaf_values = sorted({L.set_scalar(cl, 1 << h) for cl, _ in coeff_pairs for h in range(L.size)})
+    bracket = L.set_bracket
+    tree_values = set()
+    for m in range(1, bounds.m + 1):
+        for shape in _tree_shapes(m):
+            for assignment in product(leaf_values, repeat=m):
+                tree_values.add(_eval_shape(shape, assignment, bracket))
+    total = set(tree_values)
+    prev = set(tree_values)
+    for _ in range(bounds.t - 1):
+        nxt = set()
+        for X in prev:
+            for U in tree_values:
+                nxt.add(L.set_add(X, U))
+        total |= nxt
+        prev = nxt
+    return sorted(total)

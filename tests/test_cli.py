@@ -142,6 +142,15 @@ def test_analyze_transitivity(capsys, fixture_files):
     assert "transitive: True" in out
 
 
+@pytest.mark.parametrize("analysis", ["snpart", "transitivity"])
+def test_analyze_depth_zero_exit_2(capsys, fixture_files, analysis):
+    code, out, err = run(capsys, "analyze", fixture_files["ex1"], analysis,
+                         "--n", "0", "--set", "a")
+    assert code == 2
+    assert err.startswith("input error")
+    assert out == ""
+
+
 def test_analyze_stabilization(capsys, fixture_files):
     code, out, _ = run(capsys, "analyze", fixture_files["ex1"], "s-stabilize")
     assert code == 0
@@ -220,6 +229,7 @@ def test_threads_and_seed_accepted(capsys, fixture_files):
 
 @pytest.mark.parametrize("argv", [
     ("gen", "qhyperfield", "--q", "7", "--subgroup", "x"),
+    ("gen", "qhyperfield", "--q", "6", "--subgroup", "1"),
     ("gen", "trivial", "--q", "6", "--dim", "1"),
     ("gen", "trivial", "--q", "3", "--dim", "2", "--constants", "(0,1):(0,1"),
 ])

@@ -1,0 +1,173 @@
+"""The relation engine's enumeration against the brute-force reference.
+
+summand_pair_family, combine_levels and relation_L_values build their
+values bottom-up over distinct subtree values; tests/reference_enumerator.py
+evaluates every leaf tuple on every bracket shape (and every gated
+permutation). Both must give the same sorted pairs, levels and values.
+
+Fixtures are small: trivial algebras over GF(3), orbit quotients, the
+self-modules of quotient hyperfields, and unchecked random tables. Lawful
+structures over commutative hyperfields only give coefficient pairs with
+equal sides; the random tables are what give leaves whose two sides differ
+and non-commutative addition. Bounds shrink until the reference stays
+cheap, so every example runs in milliseconds.
+"""
+
+import functools
+import math
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+import reference_enumerator as ref
+from conftest import _self_module
+from hyperlie.generators import gen_orbit_quotient, gen_quotient_hyperfield, gen_trivial_from_lie
+from hyperlie.relations import (
+    ExpressionBounds,
+    _leaf_pool,
+    _Owed,
+    coefficient_pair_family,
+    combine_levels,
+    hyper_derived_sets,
+    relation_L_values,
+    summand_pair_family,
+)
+from hyperlie.sets import SetOps
+from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra
+
+# brute-force evaluations allowed per example
+REF_BUDGET = 20_000
+
+
+@functools.cache
+def lawful_fixtures():
+    return (
+        gen_trivial_from_lie(3, 1, {}),
+        gen_trivial_from_lie(3, 2, {}),
+        gen_trivial_from_lie(3, 2, {(0, 1): (0, 1)}),
+        gen_trivial_from_lie(3, 3, {(0, 1): (0, 0, 1)}),
+        gen_trivial_from_lie(3, 3, {(0, 1): (0, 0, 1), (0, 2): (2, 0, 0), (1, 2): (0, 1, 0)}),
+        gen_orbit_quotient(7, 1, {}, [1, 2, 4]),
+        gen_orbit_quotient(3, 2, {(0, 1): (0, 1)}, [1, 2]),
+        gen_orbit_quotient(5, 2, {(0, 1): (0, 1)}, [1, 2, 3, 4]),
+        gen_orbit_quotient(5, 2, {(0, 1): (0, 1)}, [1, 4]),
+        _self_module(gen_quotient_hyperfield(7, [1, 2, 4])),
+        _self_module(gen_quotient_hyperfield(7, [1, 6])),
+        _self_module(gen_quotient_hyperfield(5, [1, 4])),
+    )
+
+
+def _masks(size):
+    """Nonempty subset masks, mostly singletons so that values do not all
+    grow to the whole carrier."""
+    singletons = st.sampled_from([1 << i for i in range(size)])
+    return st.one_of(singletons, singletons, singletons, st.integers(1, (1 << size) - 1))
+
+
+@st.composite
+def unchecked_algebras(draw):
+    """Random tables of the right shapes; no axiom is asked to hold."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 3))
+
+    def table(rows, cols, size):
+        return [[draw(_masks(size)) for _ in range(cols)] for _ in range(rows)]
+
+    F = FiniteHyperfield([f"s{i}" for i in range(k)], table(k, k, k), table(k, k, k))
+    return FiniteLieHyperalgebra(F, [f"x{i}" for i in range(n)],
+                                 table(n, n, n), table(k, n, n), table(n, n, n))
+
+
+def _tree_cost(leaves: int, m: int, gated: int) -> int:
+    """Reference evaluations: each leaf tuple with j gated leaves is
+    evaluated once per arrangement of them."""
+    return sum(len(ref._tree_shapes(k)) * math.comb(k, j) * gated ** j
+               * (leaves - gated) ** (k - j) * math.factorial(j)
+               for k in range(1, m + 1) for j in range(k + 1))
+
+
+def _affordable_m(leaves: int, m: int, gated: int) -> int:
+    while m > 1 and _tree_cost(leaves, m, gated) > REF_BUDGET:
+        m -= 1
+    return m
+
+
+def _affordable_t(count: int, t: int, commutative: bool) -> int:
+    while t > 1 and count ** t * (1 if commutative else math.factorial(t)) > REF_BUDGET:
+        t -= 1
+    return t
+
+
+@st.composite
+def cases(draw):
+    """(structure, bounds, gate mask) with t <= 3, m <= 4, p, q <= 2."""
+    L = draw(st.one_of(st.sampled_from(lawful_fixtures()), unchecked_algebras()))
+    t, m, p, q = (draw(st.integers(1, hi)) for hi in (3, 4, 2, 2))
+    if draw(st.booleans()):
+        gate = hyper_derived_sets(L, draw(st.integers(1, 3)) - 1)[-1]
+    else:
+        gate = draw(st.integers(0, (1 << L.size) - 1))
+    return L, ExpressionBounds(t, m, p, q), gate
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases())
+def test_summand_pairs_and_levels_match_reference(case):
+    L, bounds, gate = case
+    pool = _leaf_pool(L, coefficient_pair_family(L.field, bounds), gate)
+    gated = sum(1 for _, _, sw in pool if sw)
+    m = _affordable_m(len(pool), bounds.m, gated)
+    bounds = ExpressionBounds(bounds.t, m, bounds.p, bounds.q)
+    pairs = summand_pair_family(L, bounds, gate)
+    assert pairs == ref.summand_pair_family(L, bounds, gate)
+    t = _affordable_t(len(pairs), bounds.t, L.commutative_add)
+    assert (combine_levels(pairs, L.add_ops, t, L.commutative_add)
+            == ref.combine_levels(pairs, L.set_add, t, L.commutative_add))
+
+
+@st.composite
+def sum_cases(draw):
+    """(addition table, summand pairs, t) with small random tables, so that
+    addition is often neither commutative nor associative."""
+    n = draw(st.integers(2, 4))
+    table = [[draw(_masks(n)) for _ in range(n)] for _ in range(n)]
+    pairs = draw(st.lists(st.tuples(_masks(n), _masks(n)), min_size=1, max_size=8))
+    return table, pairs, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sum_cases())
+def test_sum_levels_match_reference(case):
+    table, pairs, t = case
+    commutative = all(table[x][y] == table[y][x] for x in range(len(table)) for y in range(x))
+    assert (combine_levels(pairs, SetOps(table), t, commutative)
+            == ref.combine_levels(pairs, SetOps(table).apply, t, commutative))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases())
+def test_expression_values_match_reference(case):
+    L, bounds, _ = case
+    leaves = len({L.set_scalar(cl, 1 << h)
+                  for cl, _ in coefficient_pair_family(L.field, bounds) for h in range(L.size)})
+    m = _affordable_m(leaves, bounds.m, 1)
+    trees = len(relation_L_values(L, ExpressionBounds(1, m, bounds.p, bounds.q)))
+    bounds = ExpressionBounds(_affordable_t(trees, bounds.t, True), m, bounds.p, bounds.q)
+    assert relation_L_values(L, bounds) == ref.relation_L_values(L, bounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=m))))
+def test_owed_multisets_add_and_cancel_exactly(case):
+    # leaves (placed value, shown value) of one subtree of at most m leaves
+    m, leaves = case
+    owed = _Owed([f"w{v}" for v in range(5)], m)
+    packed = sum(owed.unit[f"w{p}"] - owed.unit[f"w{s}"] for p, s in leaves)
+    counts = Counter(p for p, _ in leaves)
+    counts.subtract(s for _, s in leaves)
+    assert owed.tokens(packed) == (
+        sum(c for c in counts.values() if c > 0),
+        sorted(v for v, c in counts.items() if c > 0),
+        sorted(v for v, c in counts.items() if c < 0),
+    )
