@@ -279,12 +279,12 @@ class _Owed:
         # a subtree of k <= m leaves holds every count in [-m, m]
         self.width = m.bit_length() + 1
         self.unit = {w: 1 << self.width * v for v, w in enumerate(gated_values)}
-        self._tokens = {}
+        self._memo = {}
 
     def tokens(self, owed: int):
         """(size, values owed, values owed to) of one multiset, where size
         is the number of values owed."""
-        hit = self._tokens.get(owed)
+        hit = self._memo.get(owed)
         if hit is not None:
             return hit
         width, rest = self.width, owed
@@ -299,20 +299,22 @@ class _Owed:
             else:
                 minus.append(v)
             rest -= d << width * v
-        out = self._tokens[owed] = (size, plus, minus)
+        out = self._memo[owed] = (size, plus, minus)
         return out
 
 
 class _Layer:
-    """Distinct (owed, U, V) states of the subtrees of one leaf count, kept
-    only if they owe at most budget values, grouped by owed."""
+    """Distinct (owed, U, V) states of the subtrees of k leaves, kept only
+    if they owe at most budget values, grouped by owed."""
 
-    def __init__(self, states, codec: _Owed, budget: int):
+    def __init__(self, states, k: int, codec: _Owed, budget: int):
         groups = {}
         for state in states:
             groups.setdefault(state[0], []).append(state)
+        if budget < k:  # k leaves owe at most k values
+            groups = {o: g for o, g in groups.items() if codec.tokens(o)[0] <= budget}
         self.codec = codec
-        self.groups = {o: g for o, g in groups.items() if codec.tokens(o)[0] <= budget}
+        self.groups = groups
         self._index = None
 
     def sources(self, owed: int, budget: int):
@@ -362,10 +364,11 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     gated = sorted({vr for _, vr, sw in pool if sw})
     codec = _Owed(gated, m)
     unit = codec.unit
-    leaves = {(0, vl, vr) for vl, vr, _ in pool}
-    leaves.update((unit[vr] - unit[w], vl, w)
-                  for vl, vr, sw in pool if sw for w in gated if w != vr)
-    layers = [None, _Layer(leaves, codec, m - 1)]
+    # distinct already: the pool's (vl, vr) are, and owed and w give vr back
+    leaves = [(0, vl, vr) for vl, vr, _ in pool]
+    leaves += [(unit[vr] - unit[w], vl, w)
+               for vl, vr, sw in pool if sw for w in gated if w != vr]
+    layers = [None, _Layer(leaves, 1, codec, m - 1)]
     pairs = set()
     for k in range(2, m + 1):
         budget = m - k
@@ -382,7 +385,7 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
                         else:  # whole trees; every source settles key to empty
                             pairs.update([(ru[X], rv[Y]) for _, X, Y in src])
         if budget:
-            layers.append(_Layer(states, codec, budget))
+            layers.append(_Layer(states, k, codec, budget))
     pairs.update((U, V) for layer in layers[1:] for _, U, V in layer.groups.get(0, ()))
     pairs |= {(V, U) for U, V in pairs}
     return sorted(pairs)

@@ -229,9 +229,9 @@ def test_threads_and_seed_accepted(capsys, fixture_files):
 
 @pytest.mark.parametrize("argv", [
     ("gen", "qhyperfield", "--q", "7", "--subgroup", "x"),
-    ("gen", "qhyperfield", "--q", "6", "--subgroup", "1"),
     ("gen", "trivial", "--q", "6", "--dim", "1"),
     ("gen", "trivial", "--q", "3", "--dim", "2", "--constants", "(0,1):(0,1"),
+    ("gen", "qhyperfield", "--q", "6", "--subgroup", "1"),
 ])
 def test_gen_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
