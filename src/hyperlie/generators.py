@@ -252,12 +252,10 @@ def make_s3():
     return table, names
 
 
-def gen_quotient_hyperfield(q: int, subgroup) -> FiniteHyperfield:
-    """Quotient of GF(q), q prime, by a multiplicative subgroup H.
-
-    Carrier {0} plus cosets aH; class sum = classes meeting the elementwise
-    sum; class product is single-valued. Output must pass check_hyperfield.
-    """
+def _unit_cosets(q: int, subgroup):
+    """Cosets of a multiplicative subgroup H of GF(q), q prime, as
+    (members, class_of): class 0 is {0}, class c > 0 the sorted coset of
+    its smallest element, classes ordered by that element."""
     if not is_prime(q):
         raise MalformedTable(f"quotient hyperfield needs prime q, got {q}")
     H = sorted(set(int(h) % q for h in subgroup))
@@ -278,6 +276,16 @@ def gen_quotient_hyperfield(q: int, subgroup) -> FiniteHyperfield:
             members.append(coset)
             for m in coset:
                 class_of[m] = ci
+    return members, class_of
+
+
+def gen_quotient_hyperfield(q: int, subgroup) -> FiniteHyperfield:
+    """Quotient of GF(q), q prime, by a multiplicative subgroup H.
+
+    Carrier {0} plus cosets aH; class sum = classes meeting the elementwise
+    sum; class product is single-valued. Output must pass check_hyperfield.
+    """
+    members, class_of = _unit_cosets(q, subgroup)
     names = ["0"] + [f"[{m[0]}]" for m in members[1:]]
     k = len(members)
     add = []
@@ -290,7 +298,7 @@ def gen_quotient_hyperfield(q: int, subgroup) -> FiniteHyperfield:
             mul_row.append(1 << class_of[(members[a][0] * members[b][0]) % q])
         add.append(add_row)
         mul.append(mul_row)
-    F = FiniteHyperfield(names, add, mul, gf_order=q if len(H) == 1 else None)
+    F = FiniteHyperfield(names, add, mul, gf_order=q if len(members) == q else None)
     report = check_hyperfield(F)
     report.raise_if_failed(AxiomFailure)
     return F
@@ -305,8 +313,9 @@ def gen_orbit_quotient(q: int, dim: int, constants, subgroup) -> FiniteLieHypera
     genuinely multivalued when |H| > 1.
     """
     F = gen_quotient_hyperfield(q, subgroup)
+    field_members, _ = _unit_cosets(q, subgroup)
+    H = field_members[1]  # the coset of 1
     gf = get_gf(q)
-    H = sorted(set(int(h) % q for h in subgroup))
     C = constants_table(gf, dim, constants)
     check_constants_lie(gf, dim, C)
     n = q ** dim
@@ -372,13 +381,9 @@ def gen_orbit_quotient(q: int, dim: int, constants, subgroup) -> FiniteLieHypera
         add.append(add_row)
         bracket.append(br_row)
 
-    # scalar row for field class |c| acts by any representative scalar
-    field_reps = [0] + [
-        int(F.names[ci][1:-1]) for ci in range(1, F.size)
-    ]
+    # a field class acts by any representative scalar
     smul = []
-    for ci in range(F.size):
-        lam = field_reps[ci]
+    for lam, *_ in field_members:
         row = []
         for b in range(k):
             row.append(1 << orbit_of[vidx(tuple(gf.mul[lam][c] for c in vecs[orbits[b][0]]))])

@@ -3,7 +3,9 @@ and the linear oracle for trivially-presented algebras."""
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
+from operator import or_
 
 from .errors import (
     CharTwoGate,
@@ -17,7 +19,7 @@ from .errors import (
 )
 from .generators import check_constants_lie, constants_table
 from .gf import digits_to_int, get_gf, int_to_digits, row_reduce, span_indices
-from .relations import Partition
+from .relations import ClassOfMask, Partition
 from .sets import iter_bits
 from .structures import FiniteHyperfield, FiniteLieHyperalgebra
 
@@ -108,17 +110,43 @@ def require_char_not_2(field: FiniteField):
         )
 
 
-def _class_fn(partition: Partition):
-    cof = partition.class_of
-
-    def classes_of_mask(mask: int):
-        return {cof[v] for v in iter_bits(mask)}
-
-    return classes_of_mask
-
-
 def _class_names(names, partition: Partition):
     return [names[(m & -m).bit_length() - 1] for m in partition.classes]
+
+
+def _first_straddle(table, xs, ys, class_of):
+    """First (x, y, a, b) in the pairwise scan of one class pair at which
+    the classes of the cells seen so far number two; a < b the smallest."""
+    seen = set()
+    for x in xs:
+        for y in ys:
+            seen.update(class_of[v] for v in iter_bits(table[x][y]))
+            if len(seen) > 1:
+                a, b = sorted(seen)[:2]
+                return x, y, a, b
+
+
+def _collapse(tables, left: Partition, right: Partition):
+    """Quotient tables of (op, table) pairs along class pairs.
+
+    table[x][y] is the mask of x op y for x in the carrier of left and y in
+    that of right; a class pair's value is the class of right holding the
+    union of its cells. The first union meeting two classes, class pairs
+    in row-major order and tables interleaved, raises NotWellDefined at
+    the witness its pairwise scan names.
+    """
+    class_of_mask = ClassOfMask(right)
+    lmembers = [list(iter_bits(m)) for m in left.classes]
+    rmembers = [list(iter_bits(m)) for m in right.classes]
+    outs = [[[None] * len(rmembers) for _ in lmembers] for _ in tables]
+    for ci, xs in enumerate(lmembers):
+        for cj, ys in enumerate(rmembers):
+            for (op, table), out in zip(tables, outs):
+                union = reduce(or_, [table[x][y] for x in xs for y in ys])
+                c = out[ci][cj] = class_of_mask[union]
+                if c is None:
+                    raise NotWellDefined(op, _first_straddle(table, xs, ys, right.class_of))
+    return outs
 
 
 def quotient_field(F: FiniteHyperfield, delta: Partition) -> FiniteField:
@@ -132,27 +160,7 @@ def quotient_field(F: FiniteHyperfield, delta: Partition) -> FiniteField:
         raise InternalInvariant("partition size differs from field carrier")
     if delta.is_all_pairs():
         raise DegenerateField("quotient field would collapse to a single class")
-    classes_of = _class_fn(delta)
-    k = delta.num_classes
-    members = [list(iter_bits(m)) for m in delta.classes]
-    qadd = [[0] * k for _ in range(k)]
-    qmul = [[0] * k for _ in range(k)]
-    for ci in range(k):
-        for cj in range(k):
-            for table, out, op in ((F.add, qadd, "add"), (F.mul, qmul, "mul")):
-                seen = set()
-                first = None
-                for x in members[ci]:
-                    for y in members[cj]:
-                        got = classes_of(table[x][y])
-                        if first is None:
-                            first = (x, y)
-                        seen |= got
-                        if len(seen) > 1:
-                            raise NotWellDefined(
-                                op, (x, y, sorted(seen)[0], sorted(seen)[1])
-                            )
-                out[ci][cj] = seen.pop()
+    qadd, qmul = _collapse((("add", F.add), ("mul", F.mul)), delta, delta)
     fld = FiniteField(_class_names(F.names, delta), qadd, qmul)
     fld.validate()
     return fld
@@ -172,7 +180,24 @@ class FiniteLieAlgebra:
         self.zero = self.smul[field.zero][0]
 
     def validate(self):
-        """Classical Lie algebra axioms with first witness; raises NotLie."""
+        """Classical Lie algebra axioms with first witness; raises NotLie.
+
+        Axioms of one or two vectors are checked on every instance, those
+        of three on additive generators G: from {0}, close under s -> s + g
+        for g in G, adding the smallest element not reached to G until all
+        are (|G| is d over GF(p), d r over GF(p^r)). So every element is a
+        sum of generators (0 too, as a multiple of one, once + is a group).
+        1. The y with (x + y) + c = x + (y + c) for all x, c hold 0 and are
+           closed under + (Light's test), so y in G suffices; with the
+           inverses checked, + is then a group.
+        2. The y with [x + y, c] = [x, c] + [y, c] for all x, c are then
+           closed under +, and so are those on the right: y in G suffices.
+        3. The Jacobiator of a bi-additive bracket is tri-additive, so it
+           vanishes once it vanishes on G x G x G.
+        On any failure the exhaustive scan runs and names the first witness
+        in its order. check_lie_hyperalgebra stays exhaustive: a
+        hyperoperation is not determined by its values on generators.
+        """
         n = self.size
         F = self.field
         rng = range(n)
@@ -203,6 +228,46 @@ class FiniteLieAlgebra:
                     raise NotLie("classical-scalar-dist", (lam, x, y))
                 if self.bracket[self.smul[lam][x]][y] != self.smul[lam][self.bracket[x][y]]:
                     raise NotLie("classical-bracket-homogeneous", (lam, x, y))
+        if not self._holds_on_generators():
+            self._scan_triples()
+        return self
+
+    def _additive_generators(self):
+        reached, gens = {self.zero}, []
+        for v in range(self.size):
+            if v not in reached:
+                gens.append(v)
+                frontier = list(reached)
+                while frontier:
+                    row = self.add[frontier.pop()]
+                    new = {row[g] for g in gens} - reached
+                    reached |= new
+                    frontier.extend(new)
+        return gens
+
+    def _holds_on_generators(self) -> bool:
+        """Associativity and bracket additivity with the added operand in G,
+        and Jacobi on G x G x G (see validate)."""
+        add, br, z = self.add, self.bracket, self.zero
+        cols = [list(c) for c in zip(*br)]
+        gens = self._additive_generators()
+        for g in gens:
+            ag, bg, cg = add[g], br[g], cols[g]
+            for x, ax in enumerate(add):
+                xg = ax[g]
+                if (add[xg] != [ax[v] for v in ag]
+                        or br[xg] != [add[a][b] for a, b in zip(br[x], bg)]
+                        or cols[xg] != [add[a][b] for a, b in zip(cols[x], cg)]):
+                    return False
+        return all(
+            add[add[br[x][br[y][c]]][br[y][br[c][x]]]][br[c][br[x][y]]] == z
+            for x, y, c in product(gens, repeat=3)
+        )
+
+    def _scan_triples(self):
+        """The three-vector axioms on every triple; raises NotLie at the first."""
+        rng = range(self.size)
+        z = self.zero
         for x, y, c in product(rng, rng, rng):
             if self.add[self.add[x][y]][c] != self.add[x][self.add[y][c]]:
                 raise NotLie("classical-add-associative", (x, y, c))
@@ -217,7 +282,6 @@ class FiniteLieAlgebra:
             ][self.bracket[c][self.bracket[x][y]]]
             if jac != z:
                 raise NotLie("classical-jacobi", (x, y, c))
-        return self
 
     @property
     def dimension(self) -> int:
@@ -249,29 +313,9 @@ def quotient_lie_algebra(L: FiniteLieHyperalgebra, rho: Partition,
     if delta is None:
         delta = Partition.diagonal(F.size)
     qF = quotient_field(F, delta)
-    classes_of = _class_fn(rho)
-    members = [list(iter_bits(m)) for m in rho.classes]
-    scalar_members = [list(iter_bits(m)) for m in delta.classes]
-
-    def collapse(table, op, left_members, right_members):
-        rows = len(left_members)
-        cols = len(right_members)
-        out = [[0] * cols for _ in range(rows)]
-        for ci in range(rows):
-            for cj in range(cols):
-                seen = set()
-                for x in left_members[ci]:
-                    for y in right_members[cj]:
-                        seen |= classes_of(table[x][y])
-                        if len(seen) > 1:
-                            a, b = sorted(seen)[:2]
-                            raise NotWellDefined(op, (x, y, a, b))
-                out[ci][cj] = seen.pop()
-        return out
-
-    qadd = collapse(L.add, "add", members, members)
-    qsmul = collapse(L.smul, "smul", scalar_members, members)
-    qbr = collapse(L.bracket, "bracket", members, members)
+    [qadd] = _collapse((("add", L.add),), rho, rho)
+    [qsmul] = _collapse((("smul", L.smul),), delta, rho)
+    [qbr] = _collapse((("bracket", L.bracket),), rho, rho)
     A = FiniteLieAlgebra(qF, _class_names(L.names, rho), qadd, qsmul, qbr)
     A.validate()
     return A

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import or_
 
 from .errors import BoundsExceeded, InternalInvariant, NotSymmetric
 from .sets import full_mask, iter_bits
@@ -172,6 +173,21 @@ class Partition:
 
     def classes_as_names(self, names):
         return [[names[i] for i in iter_bits(m)] for m in self.classes]
+
+
+class ClassOfMask(dict):
+    """mask -> index of the class of a partition that holds every element
+    of mask, or None when mask meets two classes (memoized)."""
+
+    def __init__(self, partition: Partition):
+        super().__init__()
+        self.classes = partition.classes
+        self.class_of = partition.class_of
+
+    def __missing__(self, mask: int):
+        c = self.class_of[(mask & -mask).bit_length() - 1]
+        out = self[mask] = None if mask & ~self.classes[c] else c
+        return out
 
 
 def transitive_closure(rel: BinaryRelation) -> Partition:
@@ -507,61 +523,88 @@ def relation_alpha(F: FiniteHyperfield, bounds: ExpressionBounds) -> BinaryRelat
     return _finish_relation(_rows_from_levels(levels, F.size), F.size)
 
 
-def _lift_ok(partition: Partition, mask: int) -> bool:
-    """All elements of mask lie in one class (the setwise lift of rho)."""
-    first = (mask & -mask).bit_length() - 1
-    return mask & ~partition.class_mask_of(first) == 0
+def _conditions(S):
+    """Strong-regularity conditions of an algebra or hyperfield in witness
+    order: groups of (name, table, left) whose third operand ranges over
+    the rows of the group's first table."""
+    if isinstance(S, FiniteHyperfield):
+        return ((("add-left", S.add, True), ("add-right", S.add, False),
+                 ("mul-left", S.mul, True), ("mul-right", S.mul, False)),)
+    return (
+        (("add-left", S.add, True), ("add-right", S.add, False)),
+        # scalars act on one side only; the right condition reads x * lam
+        # and evaluates to the same sets, so it is decided here too and can
+        # never fail on its own
+        (("scalar-left", S.smul, True),),
+        (("bracket-left", S.bracket, True), ("bracket-right", S.bracket, False)),
+    )
 
 
-def is_strongly_regular(L: FiniteLieHyperalgebra, partition: Partition):
-    """Check the six strong-regularity conditions for every related pair.
-
-    Returns (True, None) or (False, (condition, aux, x, y)) where aux is the
-    third element a or the scalar index. Pairs (x, x) are not skipped: even
-    then the lifted condition forces whole value sets into one class.
-    """
-    F = L.field
-    n = L.size
-    for cls in partition.classes:
+def _pairwise_witness(partition: Partition, conditions, classes):
+    """First (condition, aux, x, y) of the pairwise scan over some classes,
+    or None: for each pair x <= y of a class and each third operand aux,
+    the union of the two cells must lie in one class."""
+    class_of_mask = ClassOfMask(partition)
+    for cls in classes:
         members = list(iter_bits(cls))
         for i, x in enumerate(members):
             for y in members[i:]:
-                for a in range(n):
-                    if not _lift_ok(partition, L.add[a][x] | L.add[a][y]):
-                        return False, ("add-left", a, x, y)
-                    if not _lift_ok(partition, L.add[x][a] | L.add[y][a]):
-                        return False, ("add-right", a, x, y)
-                for lam in range(F.size):
-                    # scalars act on one side only; the right condition reads
-                    # x * lam and evaluates to the same sets, so it is
-                    # decided here too and can never fail on its own
-                    if not _lift_ok(partition, L.smul[lam][x] | L.smul[lam][y]):
-                        return False, ("scalar-left", lam, x, y)
-                for a in range(n):
-                    if not _lift_ok(partition, L.bracket[a][x] | L.bracket[a][y]):
-                        return False, ("bracket-left", a, x, y)
-                    if not _lift_ok(partition, L.bracket[x][a] | L.bracket[y][a]):
-                        return False, ("bracket-right", a, x, y)
-    return True, None
+                for group in conditions:
+                    for a in range(len(group[0][1])):
+                        for name, table, left in group:
+                            mask = (table[a][x] | table[a][y] if left
+                                    else table[x][a] | table[y][a])
+                            if class_of_mask[mask] is None:
+                                return name, a, x, y
+    return None
+
+
+def _strongly_regular(S, partition: Partition):
+    """(ok, witness) of strong regularity, decided class by class.
+
+    A class passes iff, for each condition and third operand, the union of
+    its members' cells lies in one class (the pairs (x, x) and (x, y) chain
+    them). Member x's cells are column x of a left condition's table and
+    row x of a right one's. Only a failing class runs the pairwise scan,
+    which names the witness.
+    """
+    conditions = _conditions(S)
+    class_of_mask = ClassOfMask(partition)
+    lines = [list(zip(*table)) if left else table
+             for group in conditions for _, table, left in group]
+
+    def passes(cls):
+        first, *rest = iter_bits(cls)
+        for line in lines:
+            union = line[first]
+            for x in rest:
+                union = list(map(or_, union, line[x]))
+            if None in map(class_of_mask.__getitem__, union):
+                return False
+        return True
+
+    failing = (cls for cls in partition.classes if not passes(cls))
+    witness = _pairwise_witness(partition, conditions, failing)
+    return witness is None, witness
+
+
+def is_strongly_regular(L: FiniteLieHyperalgebra, partition: Partition):
+    """Check the six strong-regularity conditions on every class.
+
+    For x, y in one class and each third element a or scalar, the lifted
+    values (a + x and a + y, x + a and y + a, the scalar multiples, the
+    brackets on both sides) must together lie in one class. Returns
+    (True, None) or (False, (condition, aux, x, y)), aux the third element
+    or scalar index, for the first failing pair x <= y of the first
+    failing class. Pairs (x, x) count: even then the lifted condition
+    forces whole value sets into one class.
+    """
+    return _strongly_regular(L, partition)
 
 
 def is_strongly_regular_field(F: FiniteHyperfield, partition: Partition):
     """Strong regularity of an equivalence on a hyperfield (add and mul)."""
-    n = F.size
-    for cls in partition.classes:
-        members = list(iter_bits(cls))
-        for i, x in enumerate(members):
-            for y in members[i:]:
-                for a in range(n):
-                    if not _lift_ok(partition, F.add[a][x] | F.add[a][y]):
-                        return False, ("add-left", a, x, y)
-                    if not _lift_ok(partition, F.add[x][a] | F.add[y][a]):
-                        return False, ("add-right", a, x, y)
-                    if not _lift_ok(partition, F.mul[a][x] | F.mul[a][y]):
-                        return False, ("mul-left", a, x, y)
-                    if not _lift_ok(partition, F.mul[x][a] | F.mul[y][a]):
-                        return False, ("mul-right", a, x, y)
-    return True, None
+    return _strongly_regular(F, partition)
 
 
 _REL_CACHE = {}
