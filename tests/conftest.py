@@ -8,7 +8,9 @@ from hyperlie.generators import (
     gen_trivial_from_lie,
     preset_structure,
 )
-from hyperlie.gf import get_gf, random_invertible
+from hyperlie.gf import get_gf, int_to_digits, random_invertible
+from hyperlie.quotients import FiniteLieAlgebra, quotient_lie_algebra
+from hyperlie.relations import Partition
 from hyperlie.structures import FiniteLieHyperalgebra
 
 
@@ -140,3 +142,29 @@ def fixture_files(tmp_path_factory, ex1, ex2, ab1, m1):
         p.write_text(serialize_structure(obj), encoding="utf-8")
         paths[name] = str(p)
     return paths
+
+
+def _bilinear_algebra(q, dim, rng):
+    """Classical tables of GF(q)^dim with a random alternating bilinear
+    bracket, which need not satisfy Jacobi."""
+    gf = get_gf(q)
+    A = quotient_lie_algebra(gen_trivial_from_lie(q, dim, {}),
+                             Partition.diagonal(q ** dim))
+    C = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            C[i][j] = [rng.randrange(q) for _ in range(dim)]
+            C[j][i] = [gf.neg[c] for c in C[i][j]]
+    vecs = [int_to_digits(v, q, dim) for v in range(A.size)]
+
+    def br(u, v):
+        acc = [0] * dim
+        for i in range(dim):
+            for j in range(dim):
+                coef = gf.mul[u[i]][v[j]]
+                for t in range(dim):
+                    acc[t] = gf.add[acc[t]][gf.mul[coef][C[i][j][t]]]
+        return sum(c * q ** t for t, c in enumerate(acc))
+
+    bracket = [[br(u, v) for v in vecs] for u in vecs]
+    return FiniteLieAlgebra(A.field, A.names, A.add, A.smul, bracket)

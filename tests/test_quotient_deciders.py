@@ -26,7 +26,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import _self_module
+from conftest import _bilinear_algebra, _self_module
 from hyperlie.errors import NotLie, NotWellDefined
 from hyperlie.generators import (
     gen_orbit_quotient,
@@ -34,7 +34,7 @@ from hyperlie.generators import (
     gen_trivial_field,
     gen_trivial_from_lie,
 )
-from hyperlie.gf import get_gf, int_to_digits
+from hyperlie.gf import int_to_digits
 from hyperlie.quotients import FiniteField, FiniteLieAlgebra, _collapse, quotient_lie_algebra
 from hyperlie.relations import (
     DEFAULT_BOUNDS,
@@ -73,32 +73,6 @@ def _steiner_loop():
                             [[0] * n, list(range(n))], [[0] * n for _ in range(n)])
 
 
-def _bilinear(q, dim, seed):
-    """GF(q)^dim with an alternating bilinear bracket from seeded random
-    constants; Jacobi need not hold."""
-    gf = get_gf(q)
-    A = _classical(q, dim)
-    rnd = random.Random(seed)
-    C = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            C[i][j] = [rnd.randrange(q) for _ in range(dim)]
-            C[j][i] = [gf.neg[c] for c in C[i][j]]
-    vecs = [int_to_digits(v, q, dim) for v in range(A.size)]
-
-    def br(u, v):
-        acc = [0] * dim
-        for i in range(dim):
-            for j in range(dim):
-                coef = gf.mul[u[i]][v[j]]
-                for t in range(dim):
-                    acc[t] = gf.add[acc[t]][gf.mul[coef][C[i][j][t]]]
-        return sum(c * q ** t for t, c in enumerate(acc))
-
-    return FiniteLieAlgebra(A.field, A.names, A.add, A.smul,
-                            [[br(u, v) for v in vecs] for u in vecs])
-
-
 @functools.cache
 def classical_bases():
     return (
@@ -108,8 +82,8 @@ def classical_bases():
         _classical(3, 1),
         _classical(3, 2, {(0, 1): (0, 1)}),
         _classical(3, 3, {(0, 1): (0, 0, 1), (0, 2): (2, 0, 0), (1, 2): (0, 1, 0)}),
-        _bilinear(3, 3, 1),
-        _bilinear(3, 3, 2),
+        _bilinear_algebra(3, 3, random.Random(1)),
+        _bilinear_algebra(3, 3, random.Random(2)),
         _classical(4, 2, {(0, 1): (0, 1)}),
         _classical(5, 1),
         _classical(8, 1),

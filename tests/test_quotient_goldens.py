@@ -31,6 +31,7 @@ import os
 import random
 import tempfile
 
+from conftest import _bilinear_algebra
 from hyperlie.cli import main
 from hyperlie.errors import HyperlieError
 from hyperlie.generators import (
@@ -40,7 +41,6 @@ from hyperlie.generators import (
     gen_trivial_from_lie,
     preset_structure,
 )
-from hyperlie.gf import get_gf, int_to_digits
 from hyperlie.interchange import serialize_structure
 from hyperlie.quotients import FiniteLieAlgebra, quotient_field, quotient_lie_algebra
 from hyperlie.relations import (
@@ -195,32 +195,6 @@ def _line_corruption(A, rng):
     for lam in range(1, A.field.size):
         out[A.smul[lam][x]][y] = A.smul[lam][w]
     return out
-
-
-def _bilinear_algebra(q, dim, rng):
-    """Classical tables of GF(q)^dim with a random alternating bilinear
-    bracket, which need not satisfy Jacobi."""
-    gf = get_gf(q)
-    A = quotient_lie_algebra(gen_trivial_from_lie(q, dim, {}),
-                             Partition.diagonal(q ** dim))
-    C = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            C[i][j] = [rng.randrange(q) for _ in range(dim)]
-            C[j][i] = [gf.neg[c] for c in C[i][j]]
-    vecs = [int_to_digits(v, q, dim) for v in range(A.size)]
-
-    def br(u, v):
-        acc = [0] * dim
-        for i in range(dim):
-            for j in range(dim):
-                coef = gf.mul[u[i]][v[j]]
-                for t in range(dim):
-                    acc[t] = gf.add[acc[t]][gf.mul[coef][C[i][j][t]]]
-        return sum(c * q ** t for t, c in enumerate(acc))
-
-    bracket = [[br(u, v) for v in vecs] for u in vecs]
-    return FiniteLieAlgebra(A.field, A.names, A.add, A.smul, bracket)
 
 
 def error_texts(structures):
