@@ -3,7 +3,6 @@ and the linear oracle for trivially-presented algebras."""
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product
 from operator import or_
 
@@ -116,7 +115,8 @@ def _class_names(names, partition: Partition):
 
 def _first_straddle(table, xs, ys, class_of):
     """First (x, y, a, b) in the pairwise scan of one class pair at which
-    the classes of the cells seen so far number two; a < b the smallest."""
+    the classes of the cells seen so far number two, a < b the smallest;
+    None when they never do."""
     seen = set()
     for x in xs:
         for y in ys:
@@ -124,28 +124,37 @@ def _first_straddle(table, xs, ys, class_of):
             if len(seen) > 1:
                 a, b = sorted(seen)[:2]
                 return x, y, a, b
+    return None
 
 
 def _collapse(tables, left: Partition, right: Partition):
     """Quotient tables of (op, table) pairs along class pairs.
 
     table[x][y] is the mask of x op y for x in the carrier of left and y in
-    that of right; a class pair's value is the class of right holding the
-    union of its cells. The first union meeting two classes, class pairs
-    in row-major order and tables interleaved, raises NotWellDefined at
-    the witness its pairwise scan names.
+    that of right. The union of a left class's rows gives, at each y, the
+    class of right holding that cell, if any; a class pair's value is the
+    one its right members all share. At the first left class with a class
+    pair whose cells meet two classes, the pairwise scan of its class
+    pairs (tables interleaved) names the NotWellDefined witness.
     """
     class_of_mask = ClassOfMask(right)
-    lmembers = [list(iter_bits(m)) for m in left.classes]
-    rmembers = [list(iter_bits(m)) for m in right.classes]
-    outs = [[[None] * len(rmembers) for _ in lmembers] for _ in tables]
-    for ci, xs in enumerate(lmembers):
-        for cj, ys in enumerate(rmembers):
-            for (op, table), out in zip(tables, outs):
-                union = reduce(or_, [table[x][y] for x in xs for y in ys])
-                c = out[ci][cj] = class_of_mask[union]
-                if c is None:
-                    raise NotWellDefined(op, _first_straddle(table, xs, ys, right.class_of))
+    firsts = [(m & -m).bit_length() - 1 for m in right.classes]
+    rep = [firsts[c] for c in right.class_of]
+    outs = [[] for _ in tables]
+    for lm in left.classes:
+        xs = list(iter_bits(lm))
+        for (_, table), out in zip(tables, outs):
+            union = table[xs[0]]
+            for x in xs[1:]:
+                union = list(map(or_, union, table[x]))
+            classes = list(map(class_of_mask.__getitem__, union))
+            if None in classes or list(map(classes.__getitem__, rep)) != classes:
+                for ys in (list(iter_bits(m)) for m in right.classes):
+                    for op, scanned in tables:
+                        witness = _first_straddle(scanned, xs, ys, right.class_of)
+                        if witness:
+                            raise NotWellDefined(op, witness)
+            out.append(list(map(classes.__getitem__, firsts)))
     return outs
 
 
