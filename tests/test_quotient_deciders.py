@@ -2,7 +2,7 @@
 
 FiniteLieAlgebra.validate decides its three-vector axioms on additive
 generators, strong regularity unions the table lines of each class, and
-collapse unions the cells of each class pair; each runs its exhaustive or
+collapse unions the rows of each class; each runs its exhaustive or
 pairwise scan only on a failure. Each must agree with the scan alone (for
 collapse, the per-element-pair scan kept here): the same verdict, and the
 same witness or error text.
@@ -10,14 +10,14 @@ same witness or error text.
 validate runs on classical algebras over GF(2), GF(3), GF(4), GF(5), GF(8)
 and GF(9) (over the last three the additive generators outnumber a basis)
 with one to three corruptions. Single cells are mostly caught by the
-one- and two-vector axioms; sums and brackets changed along whole scalar
-lines or planes, bracket rows or columns changed by a linear map (so
-that additivity fails on one side only), a Steiner loop and random alternating bilinear
-brackets reach associativity, additivity and Jacobi. Strong regularity and
-collapse run on random partitions, cosets of cyclic additive subgroups and
-relation closures (half of them with two classes merged) of hyperfields,
-their self-modules, orbit quotients, trivial algebras and unchecked random
-tables.
+one- and two-vector axioms. Sums and brackets changed along whole scalar
+lines or planes, bracket rows or columns changed by a linear map (so that
+additivity fails on one side only), a Steiner loop and random alternating
+bilinear brackets reach associativity, additivity and Jacobi. Strong
+regularity and collapse run on random partitions, cosets of cyclic
+additive subgroups and relation closures (half of them with two classes
+merged) of hyperfields, their self-modules, orbit quotients, trivial
+algebras and unchecked random tables.
 """
 
 import functools
@@ -274,7 +274,7 @@ def test_strong_regularity_agrees_with_pairwise_scan(case, field_case):
 
 def _collapse_pairwise(tables, left, right):
     """_collapse by accumulating the classes of every element pair, as the
-    quotients did before they unioned masks per class pair."""
+    quotients did before they unioned rows per class."""
     cof = right.class_of
     outs = [[[0] * right.num_classes for _ in left.classes] for _ in tables]
     for ci, lm in enumerate(left.classes):
