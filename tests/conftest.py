@@ -5,13 +5,14 @@ import pytest
 from hyperlie.generators import (
     gen_orbit_quotient,
     gen_quotient_hyperfield,
+    gen_trivial_field,
     gen_trivial_from_lie,
     preset_structure,
 )
 from hyperlie.gf import get_gf, int_to_digits, random_invertible
-from hyperlie.quotients import FiniteLieAlgebra, quotient_lie_algebra
+from hyperlie.quotients import FiniteField, FiniteLieAlgebra, quotient_lie_algebra
 from hyperlie.relations import Partition
-from hyperlie.structures import FiniteLieHyperalgebra
+from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra
 
 
 @pytest.fixture(scope="session")
@@ -168,3 +169,32 @@ def _bilinear_algebra(q, dim, rng):
 
     bracket = [[br(u, v) for v in vecs] for u in vecs]
     return FiniteLieAlgebra(A.field, A.names, A.add, A.smul, bracket)
+
+
+def _steiner_loop():
+    """Zero-bracket 'algebra' over GF(2) whose addition is the Steiner loop
+    of the affine plane over GF(3): commutative, x + x = 0, not associative."""
+    field = FiniteField.from_trivial_hyperfield(gen_trivial_field(2))
+    n = 10
+
+    def point_sum(p, q):
+        if p == 0 or q == 0:
+            return p + q
+        if p == q:
+            return 0
+        (a, b), (c, d) = divmod(p - 1, 3), divmod(q - 1, 3)
+        return 1 + 3 * (-(a + c) % 3) + (-(b + d) % 3)
+
+    add = [[point_sum(p, q) for q in range(n)] for p in range(n)]
+    return FiniteLieAlgebra(field, [str(i) for i in range(n)], add,
+                            [[0] * n, list(range(n))], [[0] * n for _ in range(n)])
+
+
+def _singleton_lift(A):
+    """Element tables of A (and of its field) as singleton-valued masks."""
+    def masks(table):
+        return [[1 << v for v in row] for row in table]
+
+    F = A.field
+    return FiniteLieHyperalgebra(FiniteHyperfield(F.names, masks(F.add), masks(F.mul)),
+                                 A.names, masks(A.add), masks(A.smul), masks(A.bracket))

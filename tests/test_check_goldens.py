@@ -5,7 +5,11 @@ checker before its axioms were rewritten onto shared element-table and
 set-lift views. Each case is a shipped fixture or a deterministic
 single-cell corruption of one, covering trivial algebras, multivalued
 algebras, hyperfields and coset hypergroups, so witnesses, details and
-key order of failing reports are pinned as well as passing ones.
+key order of failing reports are pinned as well as passing ones. The last
+five are singleton-valued algebras whose axioms of one or two vectors all
+hold, each failing exactly one of associativity, bracket additivity on
+the left or right, and Jacobi; they were captured before those four axioms
+were decided on additive generators.
 
 Regenerate (only when the report format changes on purpose):
     PYTHONPATH=src python tests/test_check_goldens.py
@@ -15,13 +19,16 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 
+from conftest import _bilinear_algebra, _singleton_lift, _steiner_loop
 from hyperlie.cli import main
 from hyperlie.generators import (
     gen_coset_hypergroup,
     gen_orbit_quotient,
     gen_quotient_hyperfield,
+    gen_trivial_from_lie,
     make_cyclic_group,
     make_s3,
     preset_structure,
@@ -48,6 +55,24 @@ def _algebra(L, **tables):
 
 def _field(F, **tables):
     return FiniteHyperfield(F.names, tables.get("add", F.add), tables.get("mul", F.mul))
+
+
+def _one_sided_bracket(side):
+    """GF(3)^2 with [x, c] = x_0 c_1 w for x on the line of e_0 and 0
+    otherwise, transposed for side "right". Homogeneous, alternating and
+    Jacobi (w = e_0 on the left, e_1 on the right, so every double bracket
+    vanishes), additive in c but not in x."""
+    L = gen_trivial_from_lie(3, 2, {})
+    w = 1 if side == "left" else 3
+    br = [[1 << L.zero] * 9 for _ in range(9)]
+    for x in range(3):
+        for c in range(9):
+            v = L.smul_elt[x * (c // 3) % 3][w]
+            if side == "left":
+                br[x][c] = 1 << v
+            else:
+                br[c][x] = 1 << v
+    return _algebra(L, bracket=br)
 
 
 def check_cases():
@@ -93,6 +118,13 @@ def check_cases():
         "s3-cosets-cell": Hypergroup(s3_cosets.names, _set_cell(s3_cosets.add, 1, 2, 1 << 1)),
         "z6-cosets-cell": Hypergroup(z6_cosets.names, _set_cell(z6_cosets.add, 0, 1, 0b101)),
         "z6-group-cell": Hypergroup(z6.names, _set_cell(z6.add, 2, 3, 1 << 4)),
+        # singleton-valued, + commutative with cancellation, every axiom of
+        # one or two vectors holding: each fails one three-vector axiom
+        "steiner-loop": _singleton_lift(_steiner_loop()),
+        "bracket-nonadditive-left": _one_sided_bracket("left"),
+        "bracket-nonadditive-right": _one_sided_bracket("right"),
+        "bilinear-27": _singleton_lift(_bilinear_algebra(3, 3, random.Random(1))),
+        "bilinear-81": _singleton_lift(_bilinear_algebra(3, 4, random.Random(1))),
     }
     return cases
 

@@ -26,16 +26,15 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import _bilinear_algebra, _self_module
+from conftest import _bilinear_algebra, _self_module, _steiner_loop
 from hyperlie.errors import NotLie, NotWellDefined
 from hyperlie.generators import (
     gen_orbit_quotient,
     gen_quotient_hyperfield,
-    gen_trivial_field,
     gen_trivial_from_lie,
 )
 from hyperlie.gf import int_to_digits
-from hyperlie.quotients import FiniteField, FiniteLieAlgebra, _collapse, quotient_lie_algebra
+from hyperlie.quotients import FiniteLieAlgebra, _collapse, quotient_lie_algebra
 from hyperlie.relations import (
     DEFAULT_BOUNDS,
     Partition,
@@ -52,25 +51,6 @@ from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra
 def _classical(q, dim, constants=None):
     L = gen_trivial_from_lie(q, dim, constants or {})
     return quotient_lie_algebra(L, Partition.diagonal(L.size))
-
-
-def _steiner_loop():
-    """Zero-bracket 'algebra' over GF(2) whose addition is the Steiner loop
-    of the affine plane over GF(3): commutative, x + x = 0, not associative."""
-    field = FiniteField.from_trivial_hyperfield(gen_trivial_field(2))
-    n = 10
-
-    def point_sum(p, q):
-        if p == 0 or q == 0:
-            return p + q
-        if p == q:
-            return 0
-        (a, b), (c, d) = divmod(p - 1, 3), divmod(q - 1, 3)
-        return 1 + 3 * (-(a + c) % 3) + (-(b + d) % 3)
-
-    add = [[point_sum(p, q) for q in range(n)] for p in range(n)]
-    return FiniteLieAlgebra(field, [str(i) for i in range(n)], add,
-                            [[0] * n, list(range(n))], [[0] * n for _ in range(n)])
 
 
 @functools.cache
