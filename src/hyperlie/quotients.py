@@ -20,7 +20,7 @@ from .generators import check_constants_lie, constants_table
 from .gf import digits_to_int, get_gf, int_to_digits, row_reduce, span_indices
 from .relations import ClassOfMask, Partition
 from .sets import iter_bits
-from .structures import FiniteHyperfield, FiniteLieHyperalgebra
+from .structures import FiniteHyperfield, FiniteLieHyperalgebra, holds_on_generators
 
 
 class FiniteField:
@@ -192,20 +192,9 @@ class FiniteLieAlgebra:
         """Classical Lie algebra axioms with first witness; raises NotLie.
 
         Axioms of one or two vectors are checked on every instance, those
-        of three on additive generators G: from {0}, close under s -> s + g
-        for g in G, adding the smallest element not reached to G until all
-        are (|G| is d over GF(p), d r over GF(p^r)). So every element is a
-        sum of generators (0 too, as a multiple of one, once + is a group).
-        1. The y with (x + y) + c = x + (y + c) for all x, c hold 0 and are
-           closed under + (Light's test), so y in G suffices; with the
-           inverses checked, + is then a group.
-        2. The y with [x + y, c] = [x, c] + [y, c] for all x, c are then
-           closed under +, and so are those on the right: y in G suffices.
-        3. The Jacobiator of a bi-additive bracket is tri-additive, so it
-           vanishes once it vanishes on G x G x G.
-        On any failure the exhaustive scan runs and names the first witness
-        in its order. check_lie_hyperalgebra stays exhaustive: a
-        hyperoperation is not determined by its values on generators.
+        of three by holds_on_generators (its C follows from the inverses and
+        its step 1); on any failure the exhaustive scan runs and names the
+        first witness in its order.
         """
         n = self.size
         F = self.field
@@ -237,41 +226,9 @@ class FiniteLieAlgebra:
                     raise NotLie("classical-scalar-dist", (lam, x, y))
                 if self.bracket[self.smul[lam][x]][y] != self.smul[lam][self.bracket[x][y]]:
                     raise NotLie("classical-bracket-homogeneous", (lam, x, y))
-        if not self._holds_on_generators():
+        if not holds_on_generators(self.add, self.bracket, z):
             self._scan_triples()
         return self
-
-    def _additive_generators(self):
-        reached, gens = {self.zero}, []
-        for v in range(self.size):
-            if v not in reached:
-                gens.append(v)
-                frontier = list(reached)
-                while frontier:
-                    row = self.add[frontier.pop()]
-                    new = {row[g] for g in gens} - reached
-                    reached |= new
-                    frontier.extend(new)
-        return gens
-
-    def _holds_on_generators(self) -> bool:
-        """Associativity and bracket additivity with the added operand in G,
-        and Jacobi on G x G x G (see validate)."""
-        add, br, z = self.add, self.bracket, self.zero
-        cols = [list(c) for c in zip(*br)]
-        gens = self._additive_generators()
-        for g in gens:
-            ag, bg, cg = add[g], br[g], cols[g]
-            for x, ax in enumerate(add):
-                xg = ax[g]
-                if (add[xg] != [ax[v] for v in ag]
-                        or br[xg] != [add[a][b] for a, b in zip(br[x], bg)]
-                        or cols[xg] != [add[a][b] for a, b in zip(cols[x], cg)]):
-                    return False
-        return all(
-            add[add[br[x][br[y][c]]][br[y][br[c][x]]]][br[c][br[x][y]]] == z
-            for x, y, c in product(gens, repeat=3)
-        )
 
     def _scan_triples(self):
         """The three-vector axioms on every triple; raises NotLie at the first."""

@@ -6,13 +6,22 @@ element-index tables, wider ones (and every multivalued structure) put
 them on set lifts. For each axiom the checker reports, ok must hold
 exactly when no instance of its domain replays False under reevaluate,
 and a reported witness must replay False.
+
+On singleton-valued algebras whose + is a commutative group, the Lie
+checker decides associativity, bracket additivity and Jacobi on additive
+generators; with that decision patched to fail it runs their loops. The
+two reports must be equal, witnesses included, on the quotient decider
+tests' corruptions of classical algebras lifted to singleton masks.
 """
 
 from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import _singleton_lift
+from hyperlie import structures
 from hyperlie.generators import (
     gen_coset_hypergroup,
     gen_orbit_quotient,
@@ -31,6 +40,7 @@ from hyperlie.structures import (
     check_lie_hyperalgebra,
     reevaluate,
 )
+from test_quotient_deciders import corrupted_algebras
 
 # instance domain of every witnessed axiom: V the structure's carrier,
 # S the scalar field of an algebra, N the nonzero elements of a hyperfield
@@ -146,3 +156,50 @@ def test_checker_agrees_with_instance_replay(structure):
         assert entry["ok"] == holds, name
         if not entry["ok"]:
             assert reevaluate(structure, name, entry["witness"]) is False, name
+
+
+_HELD = ("add-associative", "bracket-additive-left", "bracket-additive-right",
+         "jacobi-contains-zero")
+
+
+def test_generator_decision_agrees_with_loops():
+    holds_on_generators = structures.holds_on_generators
+    outcomes = []
+
+    def decide(*tables):
+        outcomes.append(holds_on_generators(*tables))
+        return outcomes[-1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(corrupted_algebras(keep_group=True))
+    def agrees(A):
+        L = _singleton_lift(A)
+        with mock.patch.object(structures, "holds_on_generators", decide):
+            report = check_lie_hyperalgebra(L)
+        with mock.patch.object(structures, "holds_on_generators", return_value=False):
+            loops = check_lie_hyperalgebra(L)
+        assert report.axioms == loops.axioms
+        for name in _HELD:
+            entry = report.axioms[name]
+            if not entry["ok"]:
+                assert reevaluate(L, name, entry["witness"]) is False, name
+            elif L.size <= 9:
+                assert all(reevaluate(L, name, w) for w in product(range(L.size), repeat=3))
+
+    agrees()
+    assert set(outcomes) == {True, False}
+
+
+def test_generator_decision_needs_its_premises():
+    # commutative, 0 + 0 = 0, but 0 is no identity and + no Latin square:
+    # the generator clauses hold and + is not associative
+    add = [[0, 2, 1], [2, 1, 2], [1, 2, 1]]
+    zeros = [[0] * 3 for _ in range(3)]
+    assert structures.holds_on_generators(add, zeros, 0)
+    F = gen_trivial_field(2)
+    L = FiniteLieHyperalgebra(F, ["0", "1", "2"], [[1 << v for v in r] for r in add],
+                              [[1] * 3, [1, 2, 4]], [[1] * 3 for _ in range(3)])
+    report = check_lie_hyperalgebra(L)
+    assert report.axioms["add-associative"]["ok"] is False
+    with mock.patch.object(structures, "holds_on_generators", return_value=False):
+        assert check_lie_hyperalgebra(L).axioms == report.axioms

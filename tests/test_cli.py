@@ -3,9 +3,11 @@ in-process; exit codes follow the documented table (0 ok, 1 property
 failure, 2 input error, 3 resource limit, 4 internal)."""
 
 import json
+from unittest import mock
 
 import pytest
 
+from hyperlie import cli, errors
 from hyperlie.cli import main
 
 
@@ -237,4 +239,57 @@ def test_gen_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("input error")
+    assert out == ""
+
+
+# every HyperlieError class -> its documented exit code; a class missing
+# here fails test_every_error_class_has_an_exit_code
+_EXIT_CODES = {
+    errors.HyperlieError: 1,
+    errors.AxiomFailure: 1,
+    errors.NotAGroup: 1,
+    errors.NotLie: 1,
+    errors.NotASubgroup: 1,
+    errors.NotWellDefined: 1,
+    errors.NotAVectorSpace: 1,
+    errors.CharTwoGate: 1,
+    errors.DegenerateField: 1,
+    errors.NotAField: 1,
+    errors.NoSolvableQuotient: 1,
+    errors.ParseError: 2,
+    errors.MalformedTable: 2,
+    errors.FieldMismatch: 2,
+    errors.BoundsExceeded: 3,
+    errors.TooLarge: 3,
+    errors.CarrierCapExceeded: 3,
+    errors.NoStabilization: 3,
+    errors.InternalInvariant: 4,
+    errors.NotSymmetric: 4,
+}
+_STDERR_PREFIX = {1: "property failure: ", 2: "input error: ", 3: "resource limit: ",
+                  4: "internal error: "}
+
+
+def _error_classes(cls=errors.HyperlieError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_has_an_exit_code():
+    assert set(_error_classes()) == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", list(_EXIT_CODES), ids=lambda c: c.__name__)
+def test_error_exit_code(capsys, cls):
+    if issubclass(cls, errors.AxiomFailure):
+        exc = cls("some-axiom", (0, 1))
+    elif cls is errors.NotWellDefined:
+        exc = cls("add", (0, 1))
+    else:
+        exc = cls("boom")
+    with mock.patch.object(cli, "cmd_check", side_effect=exc):
+        code, out, err = run(capsys, "check", "unused.json")
+    assert code == _EXIT_CODES[cls]
+    assert err.startswith(_STDERR_PREFIX[code]) and err.endswith(f"{exc}\n")
     assert out == ""
