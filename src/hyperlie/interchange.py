@@ -34,14 +34,14 @@ def _names_and_index(obj, path):
     return names, index
 
 
-def _cell_mask(cell, index, path):
+def _cell_mask(cell, index, table, r, c):
     if not isinstance(cell, list) or not cell:
-        raise ParseError(f"{path}: each entry is a non-empty identifier list")
+        raise ParseError(f"{table}[{r}][{c}]: each entry is a non-empty identifier list")
     mask = 0
     for nm in cell:
         i = index.get(nm)
         if i is None:
-            raise ParseError(f"{path}: unknown identifier {nm!r}")
+            raise ParseError(f"{table}[{r}][{c}]: unknown identifier {nm!r}")
         mask |= 1 << i
     return mask
 
@@ -56,13 +56,11 @@ def _table(obj, key, nrows, ncols, index, path, required=True):
         raise ParseError(f"{path}.{key}: expected {nrows} rows, got "
                          f"{len(rows) if isinstance(rows, list) else type(rows).__name__}")
     out = []
+    table = f"{path}.{key}"
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ncols:
-            raise ParseError(f"{path}.{key} row {r}: expected {ncols} entries")
-        out.append([
-            _cell_mask(cell, index, f"{path}.{key}[{r}][{c}]")
-            for c, cell in enumerate(row)
-        ])
+            raise ParseError(f"{table} row {r}: expected {ncols} entries")
+        out.append([_cell_mask(cell, index, table, r, c) for c, cell in enumerate(row)])
     return out
 
 
