@@ -1,0 +1,125 @@
+"""Generator output pinned: the sha256 of `serialize_structure` for each
+generator, and the linear oracle's partitions.
+
+The goldens in tests/data/generator_goldens.json were captured before the
+structure-constant arithmetic (bracket, base-q packing, field tables) was
+gathered into one module. They pin the generated tables themselves, which
+the check and relation goldens only see through their outputs:
+
+- every preset;
+- trivial algebras over GF(4), GF(8) and GF(9), with brackets whose
+  coefficients lie outside the prime field;
+- the trivial field GF(q) for every prime power q <= 27, which fixes the
+  field tables and the choice of irreducible polynomial;
+- scalar-orbit quotients and quotient hyperfields;
+- linear_oracle_Sn on the constants of ex1 and ex2 and
+  linear_oracle_partition on the generated algebras, at n = 1..3.
+
+Regenerate (only when the output format changes on purpose):
+    PYTHONPATH=src python tests/test_generator_goldens.py
+"""
+
+import hashlib
+import json
+import os
+
+from hyperlie.generators import (
+    CONSTANT_PRESETS,
+    gen_orbit_quotient,
+    gen_quotient_hyperfield,
+    gen_trivial_field,
+    gen_trivial_from_lie,
+    preset_structure,
+)
+from hyperlie.interchange import serialize_structure
+from hyperlie.quotients import linear_oracle_partition, linear_oracle_Sn
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "generator_goldens.json")
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
+
+TRIVIAL_CASES = {
+    "GF(4)^2 [a,b]=b": (4, 2, {(0, 1): (0, 1)}),
+    "GF(4)^2 [a,b]=2a+3b": (4, 2, {(0, 1): (2, 3)}),
+    "GF(8)^2 [a,b]=b": (8, 2, {(0, 1): (0, 1)}),
+    "GF(8)^2 [a,b]=5a+3b": (8, 2, {(0, 1): (5, 3)}),
+    "GF(9)^1": (9, 1, {}),
+    "GF(9)^2 [a,b]=7a+4b": (9, 2, {(0, 1): (7, 4)}),
+}
+
+ORBIT_CASES = {
+    "orbit q=7 dim=2 H=1,2,4": (7, 2, {(0, 1): (0, 1)}, [1, 2, 4]),
+    "orbit q=5 dim=3 H=1,4": (5, 3, {(0, 1): (0, 0, 1)}, [1, 4]),
+    "orbit q=3 dim=3 H=1,2": (3, 3, CONSTANT_PRESETS["ex2"][2], [1, 2]),
+}
+
+QUOTIENT_FIELD_CASES = {
+    "qhyperfield q=7 H=1,2,4": (7, [1, 2, 4]),
+    "qhyperfield q=7 H=1,6": (7, [1, 6]),
+    "qhyperfield q=5 H=1,4": (5, [1, 4]),
+    "qhyperfield q=13 H=1,3,9": (13, [1, 3, 9]),
+    "qhyperfield q=11 H=1": (11, [1]),
+}
+
+
+def _sha(structure) -> str:
+    return hashlib.sha256(serialize_structure(structure).encode("utf-8")).hexdigest()
+
+
+def _classes(partition):
+    """Each class as its members' carrier indices, space separated."""
+    return [" ".join(str(i) for i in range(partition.size) if m >> i & 1)
+            for m in partition.classes]
+
+
+def generator_digests():
+    """case name -> sha256 of the serialized structure, in a fixed order."""
+    out = {}
+    for name in CONSTANT_PRESETS:
+        out[f"preset {name}"] = _sha(preset_structure(name))
+    for name, args in TRIVIAL_CASES.items():
+        out[name] = _sha(gen_trivial_from_lie(*args))
+    for q in PRIME_POWERS:
+        out[f"field GF({q})"] = _sha(gen_trivial_field(q))
+    for name, args in ORBIT_CASES.items():
+        out[name] = _sha(gen_orbit_quotient(*args))
+    for name, args in QUOTIENT_FIELD_CASES.items():
+        out[name] = _sha(gen_quotient_hyperfield(*args))
+    return out
+
+
+def oracle_partitions():
+    """case name -> classes of the linear oracle's partition."""
+    out = {}
+    for name in ("ex1", "ex2"):
+        q, dim, constants = CONSTANT_PRESETS[name]
+        L = preset_structure(name)
+        for n in (1, 2, 3):
+            out[f"linear_oracle_Sn {name} n={n}"] = _classes(linear_oracle_Sn(q, dim, constants, n))
+            out[f"linear_oracle_partition {name} n={n}"] = _classes(linear_oracle_partition(L, n))
+    return out
+
+
+def test_generator_output_matches_goldens():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    digests = generator_digests()
+    assert list(digests) == list(goldens["structures"])
+    for name, digest in digests.items():
+        assert digest == goldens["structures"][name], name
+
+
+def test_linear_oracle_matches_goldens():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    partitions = oracle_partitions()
+    assert list(partitions) == list(goldens["oracle"])
+    for name, classes in partitions.items():
+        assert classes == goldens["oracle"][name], name
+
+
+if __name__ == "__main__":
+    goldens = {"structures": generator_digests(), "oracle": oracle_partitions()}
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(goldens, fh, indent=1)
+        fh.write("\n")
