@@ -16,11 +16,13 @@ from .analysis import (
 from .errors import (
     BoundsExceeded,
     CarrierCapExceeded,
+    CharTwoGate,
     FieldMismatch,
     HyperlieError,
     InternalInvariant,
     MalformedTable,
     NoStabilization,
+    NotLie,
     NotSymmetric,
     ParseError,
     TooLarge,
@@ -32,9 +34,8 @@ from .generators import (
     gen_trivial_from_lie,
     make_cyclic_group,
     make_s3,
-    normalize_constants,
 )
-from .gf import factor_prime_power
+from .gf import factor_prime_power, normalize_constants
 from .interchange import parse_structure, serialize_structure
 from .quotients import (
     derived_dims,
@@ -114,18 +115,21 @@ def _resolve_rel(args):
 
 
 def _oracle_for(structure, rel: str, n: int):
-    """Reference partition for escalation, when one exists."""
+    """Reference partition for escalation, or None where none applies: off
+    trivial presentations, and for A and Sn:k in characteristic 2, where
+    the linear oracle is not stated."""
     if rel == "alpha":
         F = structure
         if F.is_trivial:
             return Partition.diagonal(F.size)
         return None
     L = structure
-    if detect_trivial(L) is None:
-        return None
     if rel == "L":
-        return Partition.diagonal(L.size)
-    return linear_oracle_partition(L, 1 if rel == "A" else n)
+        return Partition.diagonal(L.size) if detect_trivial(L) is not None else None
+    try:
+        return linear_oracle_partition(L, 1 if rel == "A" else n)
+    except (NotLie, CharTwoGate):
+        return None
 
 
 def _compute_partition(structure, rel: str, n: int, bounds: ExpressionBounds,

@@ -16,14 +16,22 @@ from .errors import (
     MalformedTable,
     NotAGroup,
     NotASubgroup,
-    NotLie,
 )
-from .gf import GF, get_gf, int_to_digits, is_prime
+from .gf import (
+    bracket_coords,
+    check_constants_lie,
+    classical_tables,
+    constants_table,
+    digits_to_int,
+    get_gf,
+    is_prime,
+)
 from .sets import mask_of
 from .structures import (
     FiniteHyperfield,
     FiniteLieHyperalgebra,
     Hypergroup,
+    check_carrier_size,
     check_hyperfield,
     check_hypergroup,
     check_lie_hyperalgebra,
@@ -35,10 +43,8 @@ BASIS_LETTERS = "abcdefgh"
 def gen_trivial_field(q: int) -> FiniteHyperfield:
     """Trivial hyperfield of GF(q): the field with singleton-valued tables."""
     gf = get_gf(q)
-    names = [str(i) for i in range(q)]
-    add = [[1 << gf.add[x][y] for y in range(q)] for x in range(q)]
-    mul = [[1 << gf.mul[x][y] for y in range(q)] for x in range(q)]
-    F = FiniteHyperfield(names, add, mul, gf_order=q)
+    add, mul = ([[1 << x for x in row] for row in table] for table in (gf.add, gf.mul))
+    F = FiniteHyperfield(gf.names, add, mul, gf_order=q)
     report = check_hyperfield(F)
     if not report.ok:
         raise InternalInvariant(f"trivial field of GF({q}) failed checks: {report.failures}")
@@ -56,115 +62,25 @@ def vector_name(vec, q: int) -> str:
     return "+".join(terms) if terms else "0"
 
 
-def normalize_constants(dim: int, constants):
-    """Upper-triangular dict {(i,j): vector} with i < j; fill checks."""
-    out = {}
-    for key, vec in dict(constants).items():
-        i, j = key
-        if not (0 <= i < dim and 0 <= j < dim) or i == j:
-            raise MalformedTable(f"constant key {key} out of range for dim {dim}")
-        v = tuple(vec)
-        if len(v) != dim:
-            raise MalformedTable(f"constant {key} has length {len(v)}, want {dim}")
-        if i > j:
-            raise MalformedTable(f"constants must use upper-triangular keys, got {key}")
-        out[(i, j)] = v
-    return out
-
-
-def constants_table(gf: GF, dim: int, constants):
-    """Full antisymmetric table C[i][j] = vector of [e_i, e_j]."""
-    tri = normalize_constants(dim, constants)
-    zero = tuple([0] * dim)
-    C = [[zero] * dim for _ in range(dim)]
-    for (i, j), v in tri.items():
-        vv = tuple(x % gf.q for x in v)
-        C[i][j] = vv
-        C[j][i] = tuple(gf.neg[x] for x in vv)
-    return C
-
-
-def check_constants_lie(gf: GF, dim: int, C) -> None:
-    """Jacobi on structure constants over GF(q); raises NotLie with witness."""
-
-    def br(u, v):
-        acc = [0] * dim
-        for i in range(dim):
-            if u[i] == 0:
-                continue
-            for j in range(dim):
-                if v[j] == 0:
-                    continue
-                coef = gf.mul[u[i]][v[j]]
-                for l, c in enumerate(C[i][j]):
-                    acc[l] = gf.add[acc[l]][gf.mul[coef][c]]
-        return tuple(acc)
-
-    basis = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                t = [0] * dim
-                for term in (
-                    br(basis[i], br(basis[j], basis[k])),
-                    br(basis[j], br(basis[k], basis[i])),
-                    br(basis[k], br(basis[i], basis[j])),
-                ):
-                    t = [gf.add[a][b] for a, b in zip(t, term)]
-                if any(t):
-                    raise NotLie("jacobi-constants", (i, j, k), "Jacobi fails on basis triple")
-
-
 def gen_trivial_from_lie(q: int, dim: int, constants) -> FiniteLieHyperalgebra:
     """Trivialize a classical Lie algebra over GF(q) given by structure constants.
 
-    Carrier is all q^dim coefficient vectors; every hyperoperation is the
-    singleton of the classical value. Even q is allowed but flags the result
-    (theorem pipelines gate on characteristic separately).
+    Carrier is all q^dim coefficient vectors in packed order; every
+    hyperoperation is the singleton of the classical value. The carrier cap
+    is enforced before any table is built. Even q is allowed but flags the
+    result (theorem pipelines gate on characteristic separately).
     """
     gf = get_gf(q)
     if dim < 1 or dim > len(BASIS_LETTERS):
         raise MalformedTable(f"dim must be in 1..{len(BASIS_LETTERS)}, got {dim}")
     C = constants_table(gf, dim, constants)
     check_constants_lie(gf, dim, C)
-
-    n = q ** dim
-    # carrier index = base-q packing of the coefficient vector, basis 0 lowest
-    vecs = [tuple(int_to_digits(idx, q, dim)) for idx in range(n)]
-
-    def vidx(v) -> int:
-        out = 0
-        for d in reversed(v):
-            out = out * q + d
-        return out
-
-    def vadd(u, v):
-        return tuple(gf.add[a][b] for a, b in zip(u, v))
-
-    def vsmul(lam, v):
-        return tuple(gf.mul[lam][a] for a in v)
-
-    def vbr(u, v):
-        acc = [0] * dim
-        for i in range(dim):
-            if u[i] == 0:
-                continue
-            for j in range(dim):
-                if v[j] == 0:
-                    continue
-                coef = gf.mul[u[i]][v[j]]
-                for l, c in enumerate(C[i][j]):
-                    if c:
-                        acc[l] = gf.add[acc[l]][gf.mul[coef][c]]
-        return tuple(acc)
-
-    names = [vector_name(v, q) for v in vecs]
-    add = [[1 << vidx(vadd(u, v)) for v in vecs] for u in vecs]
-    smul = [[1 << vidx(vsmul(lam, v)) for v in vecs] for lam in range(q)]
-    bracket = [[1 << vidx(vbr(u, v)) for v in vecs] for u in vecs]
-
-    F = gen_trivial_field(q)
-    L = FiniteLieHyperalgebra(F, names, add, smul, bracket)
+    check_carrier_size(q ** dim)
+    vecs, add, smul = classical_tables(gf, dim)
+    bracket = [[digits_to_int(bracket_coords(gf, C, u, v), q) for v in vecs] for u in vecs]
+    add, smul, bracket = ([[1 << x for x in row] for row in t] for t in (add, smul, bracket))
+    L = FiniteLieHyperalgebra(gen_trivial_field(q), [vector_name(v, q) for v in vecs],
+                              add, smul, bracket)
     L.even_char_warning = q % 2 == 0
     report = check_lie_hyperalgebra(L)
     if not report.ok:
@@ -318,76 +234,32 @@ def gen_orbit_quotient(q: int, dim: int, constants, subgroup) -> FiniteLieHypera
     gf = get_gf(q)
     C = constants_table(gf, dim, constants)
     check_constants_lie(gf, dim, C)
-    n = q ** dim
+    # H acts freely on the nonzero vectors, so the orbits number 1 + (n - 1) / |H|
+    check_carrier_size(1 + (q ** dim - 1) // len(H))
+    vecs, vadd, vsmul = classical_tables(gf, dim)
 
-    def digits(idx):
-        v = []
-        x = idx
-        for _ in range(dim):
-            v.append(x % q)
-            x //= q
-        return tuple(v)
-
-    def vidx(v):
-        out = 0
-        for d in reversed(v):
-            out = out * q + d
-        return out
-
-    vecs = [digits(i) for i in range(n)]
-
-    orbit_of = [None] * n
+    orbit_of = [None] * len(vecs)
     orbits = []
-    for i in range(n):
-        if orbit_of[i] is None:
-            members = sorted({vidx(tuple(gf.mul[h][c] for c in vecs[i])) for h in H})
-            oi = len(orbits)
-            orbits.append(members)
+    for u in range(len(vecs)):
+        if orbit_of[u] is None:
+            members = sorted({vsmul[h][u] for h in H})
             for m in members:
-                orbit_of[m] = oi
+                orbit_of[m] = len(orbits)
+            orbits.append(members)
     names = [
         "0" if members == [0] else f"[{vector_name(vecs[members[0]], q)}]"
         for members in orbits
     ]
-    k = len(orbits)
-
-    def vbr(u, v):
-        acc = [0] * dim
-        for i in range(dim):
-            if u[i] == 0:
-                continue
-            for j in range(dim):
-                if v[j] == 0:
-                    continue
-                coef = gf.mul[u[i]][v[j]]
-                for l, c in enumerate(C[i][j]):
-                    if c:
-                        acc[l] = gf.add[acc[l]][gf.mul[coef][c]]
-        return tuple(acc)
-
-    add = []
-    bracket = []
-    for a in range(k):
-        add_row = []
-        br_row = []
-        for b in range(k):
-            sums = set()
-            for u in orbits[a]:
-                vu = vecs[u]
-                for v in orbits[b]:
-                    sums.add(orbit_of[vidx(tuple(gf.add[x][y] for x, y in zip(vu, vecs[v])))])
-            add_row.append(mask_of(sums))
-            br_row.append(1 << orbit_of[vidx(vbr(vecs[orbits[a][0]], vecs[orbits[b][0]]))])
-        add.append(add_row)
-        bracket.append(br_row)
-
+    reps = [members[0] for members in orbits]
+    # h u + v = h (u + v / h) for h in H: a representative's sums meet every
+    # orbit that its whole orbit's sums meet
+    add = [[mask_of(orbit_of[vadd[a][v]] for v in b) for b in orbits] for a in reps]
+    bracket = [
+        [1 << orbit_of[digits_to_int(bracket_coords(gf, C, vecs[a], vecs[b]), q)] for b in reps]
+        for a in reps
+    ]
     # a field class acts by any representative scalar
-    smul = []
-    for lam, *_ in field_members:
-        row = []
-        for b in range(k):
-            row.append(1 << orbit_of[vidx(tuple(gf.mul[lam][c] for c in vecs[orbits[b][0]]))])
-        smul.append(row)
+    smul = [[1 << orbit_of[vsmul[lam][b]] for b in reps] for lam, *_ in field_members]
 
     L = FiniteLieHyperalgebra(F, names, add, smul, bracket)
     report = check_lie_hyperalgebra(L)

@@ -1,15 +1,28 @@
-"""Arithmetic and linear algebra over GF(q) for prime powers q.
+"""GF(q) and classical Lie algebras over it, given by structure constants.
 
-Elements are ints 0..q-1 read as base-p digit vectors, i.e. coefficients of
-a polynomial over F_p reduced modulo a fixed irreducible polynomial of
-degree k (q = p^k). Tables are precomputed; q stays small here (<= 256).
+This module is the one home of that arithmetic:
+
+- FiniteField, a field given by element-valued tables. get_gf(q) returns
+  the canonical GF(q): element x is the polynomial over F_p whose base-p
+  digits are those of x, reduced modulo the first monic irreducible of
+  degree k (q = p^k). q stays small here (<= 256).
+- The base-q packing of coordinate vectors, int_to_digits and
+  digits_to_int: the vector (v_0, ..., v_{d-1}) has index sum v_i q^i, so
+  basis vector 0 is the lowest digit. Every carrier built from GF(q)^d is
+  in this order.
+- Structure constants: normalize_constants, constants_table (the full
+  antisymmetric table C[i][j] = [e_i, e_j]), the coordinate bracket
+  bracket_coords and its Jacobi check check_constants_lie.
+- classical_tables, the packed vectors of GF(q)^d with their addition and
+  scalar tables, and row reduction, spans and inverses over GF(q).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
-from .errors import HyperlieError
+from .errors import HyperlieError, MalformedTable, NotAField, NotLie
 
 
 def is_prime(n: int) -> bool:
@@ -29,19 +42,14 @@ def factor_prime_power(q: int):
     """Return (p, k) with q = p^k, p prime, or raise."""
     if q < 2:
         raise HyperlieError(f"field order must be >= 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                break
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise HyperlieError(f"{q} is not a prime power")
-            return p, k
-    raise HyperlieError(f"{q} is not a prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least factor is prime
+    k, m = 0, q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise HyperlieError(f"{q} is not a prime power")
+    return p, k
 
 
 def _poly_trim(a):
@@ -74,15 +82,9 @@ def _poly_mul(a, b, p):
 
 
 def _monic_polys(p, deg):
-    # all monic polynomials of exact degree deg, little-endian
-    def rec(i, cur):
-        if i == deg:
-            yield cur + [1]
-            return
-        for c in range(p):
-            yield from rec(i + 1, cur + [c])
-
-    yield from rec(0, [])
+    # all monic polynomials of exact degree deg, little-endian, lowest
+    # coefficient varying slowest
+    return (list(low) + [1] for low in product(range(p), repeat=deg))
 
 
 def _is_irreducible(poly, p):
@@ -118,60 +120,186 @@ def digits_to_int(digits, p: int) -> int:
     return out
 
 
-class GF:
-    """GF(q) with full add/mul tables and neg/inv arrays."""
+class FiniteField:
+    """Classical finite field given by element-valued Cayley tables.
 
-    def __init__(self, q: int):
-        p, k = factor_prime_power(q)
-        self.q = q
-        self.p = p
-        self.k = k
-        self.characteristic = p
-        if k == 1:
-            self.modulus = None
-            self.add = [[(x + y) % p for y in range(q)] for x in range(q)]
-            self.mul = [[(x * y) % p for y in range(q)] for x in range(q)]
-        else:
-            mod = _find_irreducible(p, k)
-            self.modulus = mod
-            digs = [int_to_digits(x, p, k) for x in range(q)]
-            self.add = [
-                [digits_to_int([(a + b) % p for a, b in zip(digs[x], digs[y])], p)
-                 for y in range(q)]
-                for x in range(q)
-            ]
-            self.mul = []
-            for x in range(q):
-                row = []
-                for y in range(q):
-                    prod = _poly_mod(_poly_mul(_poly_trim(digs[x]), _poly_trim(digs[y]), p), mod, p)
-                    prod = prod + [0] * (k - len(prod))
-                    row.append(digits_to_int(prod, p))
-                self.mul.append(row)
-        self.neg = [0] * q
-        for x in range(q):
-            for y in range(q):
-                if self.add[x][y] == 0:
-                    self.neg[x] = y
-                    break
-        self.inv = [None] * q
-        for x in range(1, q):
-            for y in range(1, q):
-                if self.mul[x][y] == 1:
-                    self.inv[x] = y
-                    break
-            assert self.inv[x] is not None
+    neg, inv and sub read lists built once from the tables. The tables are
+    not assumed to be a field until validate() says so: neg raises
+    NotAField where no negative exists, and inv is None where no inverse
+    does.
+    """
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add[x][self.neg[y]]
+    def __init__(self, names, add, mul):
+        self.names = list(names)
+        self.size = len(self.names)
+        self.add = [list(r) for r in add]
+        self.mul = [list(r) for r in mul]
+        self.index = {nm: i for i, nm in enumerate(self.names)}
+        self.zero = self._locate(self.add)
+        self.one = self._locate(self.mul, skip=self.zero)
+        rng = range(self.size)
+        self._neg = [next((b for b in rng if self.add[a][b] == self.zero), None) for a in rng]
+        self._inv = [
+            next((b for b in rng if b != self.zero and self.mul[a][b] == self.one), None)
+            if a != self.zero else None
+            for a in rng
+        ]
+
+    def _locate(self, table, skip=None):
+        for e in range(self.size):
+            if e == skip:
+                continue
+            if all(
+                table[e][x] == x and table[x][e] == x
+                for x in range(self.size)
+                if x != skip
+            ):
+                return e
+        return None
+
+    @classmethod
+    def from_trivial_hyperfield(cls, F) -> "FiniteField":
+        if not F.is_trivial:
+            raise NotAField("single-valued", None, "hyperfield tables are multivalued")
+        return cls(F.names, F.add_elt, F.mul_elt)
+
+    def validate(self):
+        """Field axioms with first witness; raises NotAField."""
+        n = self.size
+        rng = range(n)
+        if n < 2 or self.zero is None or self.one is None or self.zero == self.one:
+            raise NotAField("identities", None, "need distinct zero and one")
+        for a, b in product(rng, rng):
+            if self.add[a][b] != self.add[b][a]:
+                raise NotAField("add-commutative", (a, b))
+            if self.mul[a][b] != self.mul[b][a]:
+                raise NotAField("mul-commutative", (a, b))
+        for a, b, c in product(rng, rng, rng):
+            if self.add[self.add[a][b]][c] != self.add[a][self.add[b][c]]:
+                raise NotAField("add-associative", (a, b, c))
+            if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
+                raise NotAField("mul-associative", (a, b, c))
+            if self.mul[a][self.add[b][c]] != self.add[self.mul[a][b]][self.mul[a][c]]:
+                raise NotAField("distributive", (a, b, c))
+        for a in rng:
+            if self._neg[a] is None:
+                raise NotAField("add-inverse", (a,))
+            if a != self.zero:
+                if self.mul[a][self.zero] != self.zero:
+                    raise NotAField("zero-absorbing", (a,))
+                if self._inv[a] is None:
+                    raise NotAField("mul-inverse", (a,))
+        return self
+
+    @property
+    def characteristic(self) -> int:
+        acc = self.one
+        k = 1
+        while acc != self.zero:
+            acc = self.add[acc][self.one]
+            k += 1
+            if k > self.size:
+                raise NotAField("characteristic", None, "one has no additive order")
+        return k
+
+    def neg(self, a: int) -> int:
+        b = self._neg[a]
+        if b is None:
+            raise NotAField("add-inverse", (a,))
+        return b
+
+    def inv(self, a: int):
+        return self._inv[a]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add[a][self.neg(b)]
 
 
 @lru_cache(maxsize=None)
-def get_gf(q: int) -> GF:
-    return GF(q)
+def get_gf(q: int) -> FiniteField:
+    """The canonical GF(q), built once per q."""
+    p, k = factor_prime_power(q)
+    mod = _find_irreducible(p, k)
+    digs = [int_to_digits(x, p, k) for x in range(q)]
+    add = [[digits_to_int([(a + b) % p for a, b in zip(dx, dy)], p) for dy in digs]
+           for dx in digs]
+    if k == 1:
+        mul = [[x * y % p for y in range(q)] for x in range(q)]
+    else:
+        mul = [[digits_to_int(_poly_mod(_poly_mul(dx, dy, p), mod, p), p) for dy in digs]
+               for dx in digs]
+    return FiniteField([str(x) for x in range(q)], add, mul)
 
 
-def row_reduce(gf: GF, rows):
+def normalize_constants(dim: int, constants):
+    """Upper-triangular dict {(i,j): vector} with i < j; fill checks."""
+    out = {}
+    for key, vec in dict(constants).items():
+        i, j = key
+        if not (0 <= i < dim and 0 <= j < dim) or i == j:
+            raise MalformedTable(f"constant key {key} out of range for dim {dim}")
+        v = tuple(vec)
+        if len(v) != dim:
+            raise MalformedTable(f"constant {key} has length {len(v)}, want {dim}")
+        if i > j:
+            raise MalformedTable(f"constants must use upper-triangular keys, got {key}")
+        out[(i, j)] = v
+    return out
+
+
+def constants_table(gf: FiniteField, dim: int, constants):
+    """Full antisymmetric table C[i][j] = vector of [e_i, e_j]."""
+    tri = normalize_constants(dim, constants)
+    zero = tuple([0] * dim)
+    C = [[zero] * dim for _ in range(dim)]
+    for (i, j), v in tri.items():
+        vv = tuple(x % gf.size for x in v)
+        C[i][j] = vv
+        C[j][i] = tuple(gf.neg(x) for x in vv)
+    return C
+
+
+def bracket_coords(gf: FiniteField, C, u, v):
+    """[u, v] in coordinates, from the structure-constant table C."""
+    acc = [0] * len(u)
+    for i, ui in enumerate(u):
+        if ui == 0:
+            continue
+        for j, vj in enumerate(v):
+            if vj == 0:
+                continue
+            coef = gf.mul[ui][vj]
+            for t, c in enumerate(C[i][j]):
+                if c:
+                    acc[t] = gf.add[acc[t]][gf.mul[coef][c]]
+    return tuple(acc)
+
+
+def check_constants_lie(gf: FiniteField, dim: int, C) -> None:
+    """Jacobi on structure constants over GF(q); raises NotLie with witness."""
+    basis = [tuple(1 if t == i else 0 for t in range(dim)) for i in range(dim)]
+    for i, j, k in product(range(dim), repeat=3):
+        x, y, z = basis[i], basis[j], basis[k]
+        acc = [0] * dim
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            term = bracket_coords(gf, C, a, bracket_coords(gf, C, b, c))
+            acc = [gf.add[s][t] for s, t in zip(acc, term)]
+        if any(acc):
+            raise NotLie("jacobi-constants", (i, j, k), "Jacobi fails on basis triple")
+
+
+def classical_tables(gf: FiniteField, dim: int):
+    """(vecs, add, smul) of GF(q)^dim in packed order: vecs[u] is the vector
+    with index u, add[u][v] the index of u + v, smul[lam][v] that of lam v."""
+    q = gf.size
+    vecs = [tuple(int_to_digits(u, q, dim)) for u in range(q ** dim)]
+    add = [[digits_to_int([gf.add[a][b] for a, b in zip(u, v)], q) for v in vecs]
+           for u in vecs]
+    smul = [[digits_to_int([gf.mul[lam][a] for a in v], q) for v in vecs] for lam in range(q)]
+    return vecs, add, smul
+
+
+def row_reduce(gf: FiniteField, rows):
     """Reduced row echelon form. Returns (nonzero rows, pivot column list)."""
     mat = [list(r) for r in rows]
     if not mat:
@@ -188,7 +316,7 @@ def row_reduce(gf: GF, rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = gf.inv[mat[r][c]]
+        inv = gf.inv(mat[r][c])
         mat[r] = [gf.mul[inv][v] for v in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
@@ -201,43 +329,29 @@ def row_reduce(gf: GF, rows):
     return mat[:r], pivots
 
 
-def rank(gf: GF, rows) -> int:
-    return len(row_reduce(gf, rows)[0])
-
-
-def span_indices(gf: GF, rows, dim: int, q: int):
-    """All vectors in the span of rows, as base-q packed indices.
-
-    Vector (v_0..v_{d-1}) packs to sum v_i * q^i. Returns a sorted list.
-    """
+def span_indices(gf: FiniteField, rows, dim: int):
+    """All vectors in the span of rows, as sorted packed indices."""
     basis, _ = row_reduce(gf, rows)
     vecs = {tuple([0] * dim)}
     for b in basis:
         new = set()
-        for lam in range(1, q):
+        for lam in range(1, gf.size):
             scaled = tuple(gf.mul[lam][x] for x in b)
             for v in vecs:
                 new.add(tuple(gf.add[a][b2] for a, b2 in zip(v, scaled)))
         vecs |= new
-    out = []
-    for v in vecs:
-        idx = 0
-        for d in reversed(v):
-            idx = idx * q + d
-        out.append(idx)
-    out.sort()
-    return out
+    return sorted(digits_to_int(v, gf.size) for v in vecs)
 
 
-def random_invertible(gf: GF, n: int, rng):
+def random_invertible(gf: FiniteField, n: int, rng):
     """Random invertible n x n matrix over gf, rejection sampled."""
     while True:
-        m = [[rng.randrange(gf.q) for _ in range(n)] for _ in range(n)]
-        if rank(gf, m) == n:
+        m = [[rng.randrange(gf.size) for _ in range(n)] for _ in range(n)]
+        if len(row_reduce(gf, m)[0]) == n:
             return m
 
 
-def mat_inverse(gf: GF, m):
+def mat_inverse(gf: FiniteField, m):
     n = len(m)
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m)]
     red, piv = row_reduce(gf, aug)

@@ -16,89 +16,20 @@ from .errors import (
     NotLie,
     NotWellDefined,
 )
-from .generators import check_constants_lie, constants_table
-from .gf import digits_to_int, get_gf, int_to_digits, row_reduce, span_indices
+from .gf import (
+    FiniteField,
+    bracket_coords,
+    check_constants_lie,
+    constants_table,
+    digits_to_int,
+    get_gf,
+    int_to_digits,
+    row_reduce,
+    span_indices,
+)
 from .relations import ClassOfMask, Partition
 from .sets import iter_bits
 from .structures import FiniteHyperfield, FiniteLieHyperalgebra, holds_on_generators
-
-
-class FiniteField:
-    """Classical finite field given by element-valued Cayley tables."""
-
-    def __init__(self, names, add, mul):
-        self.names = list(names)
-        self.size = len(self.names)
-        self.add = [list(r) for r in add]
-        self.mul = [list(r) for r in mul]
-        self.index = {nm: i for i, nm in enumerate(self.names)}
-        self.zero = self._locate(self.add)
-        self.one = self._locate(self.mul, skip=self.zero)
-
-    def _locate(self, table, skip=None):
-        for e in range(self.size):
-            if e == skip:
-                continue
-            if all(
-                table[e][x] == x and table[x][e] == x
-                for x in range(self.size)
-                if x != skip
-            ):
-                return e
-        return None
-
-    @classmethod
-    def from_trivial_hyperfield(cls, F: FiniteHyperfield) -> "FiniteField":
-        if not F.is_trivial:
-            raise NotAField("single-valued", None, "hyperfield tables are multivalued")
-        return cls(F.names, F.add_elt, F.mul_elt)
-
-    def validate(self):
-        """Field axioms with first witness; raises NotAField."""
-        n = self.size
-        rng = range(n)
-        if n < 2 or self.zero is None or self.one is None or self.zero == self.one:
-            raise NotAField("identities", None, "need distinct zero and one")
-        for a, b in product(rng, rng):
-            if self.add[a][b] != self.add[b][a]:
-                raise NotAField("add-commutative", (a, b))
-            if self.mul[a][b] != self.mul[b][a]:
-                raise NotAField("mul-commutative", (a, b))
-        for a, b, c in product(rng, rng, rng):
-            if self.add[self.add[a][b]][c] != self.add[a][self.add[b][c]]:
-                raise NotAField("add-associative", (a, b, c))
-            if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
-                raise NotAField("mul-associative", (a, b, c))
-            if self.mul[a][self.add[b][c]] != self.add[self.mul[a][b]][self.mul[a][c]]:
-                raise NotAField("distributive", (a, b, c))
-        for a in rng:
-            if not any(self.add[a][b] == self.zero for b in rng):
-                raise NotAField("add-inverse", (a,))
-            if a != self.zero:
-                if self.mul[a][self.zero] != self.zero:
-                    raise NotAField("zero-absorbing", (a,))
-                if not any(
-                    self.mul[a][b] == self.one for b in rng if b != self.zero
-                ):
-                    raise NotAField("mul-inverse", (a,))
-        return self
-
-    @property
-    def characteristic(self) -> int:
-        acc = self.one
-        k = 1
-        while acc != self.zero:
-            acc = self.add[acc][self.one]
-            k += 1
-            if k > self.size:
-                raise NotAField("characteristic", None, "one has no additive order")
-        return k
-
-    def neg(self, a: int) -> int:
-        for b in range(self.size):
-            if self.add[a][b] == self.zero:
-                return b
-        raise NotAField("add-inverse", (a,))
 
 
 def require_char_not_2(field: FiniteField):
@@ -251,16 +182,7 @@ class FiniteLieAlgebra:
 
     @property
     def dimension(self) -> int:
-        q = self.field.size
-        n = self.size
-        d = 0
-        while q ** d < n:
-            d += 1
-        if q ** d != n:
-            raise NotAVectorSpace(
-                f"carrier size {n} is not a power of the field order {q}"
-            )
-        return d
+        return _dim_of_size(self.field.size, self.size)
 
 
 def quotient_lie_algebra(L: FiniteLieHyperalgebra, rho: Partition,
@@ -334,7 +256,7 @@ def _dim_of_size(q: int, n: int) -> int:
     while q ** d < n:
         d += 1
     if q ** d != n:
-        raise NotAVectorSpace(f"subspace size {n} is not a power of {q}")
+        raise NotAVectorSpace(f"size {n} is not a power of the field order {q}")
     return d
 
 
@@ -365,27 +287,16 @@ def is_perfect(A: FiniteLieAlgebra) -> bool:
 # linear oracle over structure constants
 
 
-def _bracket_coords(gf, u, v, table):
-    """[u, v] in coordinates from the structure-constant table."""
-    d = len(u)
-    out = [0] * d
-    for i in range(d):
-        if u[i] == 0:
-            continue
-        for j in range(d):
-            if v[j] == 0:
-                continue
-            coef = gf.mul[u[i]][v[j]]
-            for t in range(d):
-                out[t] = gf.add[out[t]][gf.mul[coef][table[i][j][t]]]
-    return out
+def _constants_table(gf, dim, constants):
+    """The full table of constants given as the generator's dict or as a table."""
+    return constants_table(gf, dim, constants) if isinstance(constants, dict) else constants
 
 
-def _derived_subspace_basis(gf, q, d, table, n):
+def _derived_subspace_basis(gf, d, table, n):
     basis = [tuple(1 if t == i else 0 for t in range(d)) for i in range(d)]
     for _ in range(n):
         brackets = [
-            _bracket_coords(gf, u, v, table)
+            bracket_coords(gf, table, u, v)
             for ui, u in enumerate(basis)
             for v in basis[ui + 1:]
         ]
@@ -405,13 +316,9 @@ def linear_oracle_Sn(q: int, dim: int, constants, n: int) -> Partition:
     if q % 2 == 0:
         raise CharTwoGate("linear oracle is stated for odd characteristic")
     gf = get_gf(q)
-    if isinstance(constants, dict):
-        table = constants_table(gf, dim, constants)
-    else:
-        table = constants
+    table = _constants_table(gf, dim, constants)
     check_constants_lie(gf, dim, table)
-    basis = _derived_subspace_basis(gf, q, dim, table, n)
-    sub = span_indices(gf, basis, dim, q)
+    sub = span_indices(gf, _derived_subspace_basis(gf, dim, table, n), dim)
     size = q ** dim
     sub_digits = [int_to_digits(w, q, dim) for w in sub]
     class_map = {}
@@ -442,7 +349,7 @@ def detect_trivial(L: FiniteLieHyperalgebra):
     except NotAField:
         return None
     gf = get_gf(q)
-    if fld.add == [list(r) for r in gf.add] and fld.mul == [list(r) for r in gf.mul]:
+    if fld.add == gf.add and fld.mul == gf.mul:
         remap = list(range(q))
     else:
         # prime-field remap: k maps to the k-fold sum of one
@@ -522,8 +429,5 @@ def linear_oracle_partition(L: FiniteLieHyperalgebra, n: int) -> Partition:
 def classical_dims_chain(q: int, dim: int, constants, depth: int):
     """Dimensions of the classical derived series from structure constants."""
     gf = get_gf(q)
-    table = constants_table(gf, dim, constants) if isinstance(constants, dict) else constants
-    out = [dim]
-    for n in range(1, depth + 1):
-        out.append(len(_derived_subspace_basis(gf, q, dim, table, n)))
-    return out
+    table = _constants_table(gf, dim, constants)
+    return [dim] + [len(_derived_subspace_basis(gf, dim, table, n)) for n in range(1, depth + 1)]

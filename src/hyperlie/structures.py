@@ -42,6 +42,12 @@ def carrier_cap() -> int:
     return cap
 
 
+def check_carrier_size(size: int) -> None:
+    cap = carrier_cap()
+    if size > cap:
+        raise CarrierCapExceeded(f"carrier size {size} exceeds cap {cap}")
+
+
 def _check_mask_table(table, rows, cols, size, what):
     if len(table) != rows:
         raise MalformedTable(f"{what}: expected {rows} rows, got {len(table)}")
@@ -206,9 +212,7 @@ class FiniteLieHyperalgebra:
         self.field = field
         self.names = list(names)
         self.size = len(self.names)
-        cap = carrier_cap()
-        if self.size > cap:
-            raise CarrierCapExceeded(f"carrier size {self.size} exceeds cap {cap}")
+        check_carrier_size(self.size)
         if len(set(self.names)) != self.size:
             raise MalformedTable("duplicate element names")
         _check_mask_table(add, self.size, self.size, self.size, "add")

@@ -155,7 +155,7 @@ def _bilinear_algebra(q, dim, rng):
     for i in range(dim):
         for j in range(i + 1, dim):
             C[i][j] = [rng.randrange(q) for _ in range(dim)]
-            C[j][i] = [gf.neg[c] for c in C[i][j]]
+            C[j][i] = [gf.neg(c) for c in C[i][j]]
     vecs = [int_to_digits(v, q, dim) for v in range(A.size)]
 
     def br(u, v):

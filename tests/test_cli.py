@@ -187,6 +187,46 @@ def test_gen_preset_matches_fixture(capsys, fixture_files):
     assert out == open(fixture_files["ex1"]).read()
 
 
+def test_gen_trivial_checks_cap_before_building_tables(capsys, monkeypatch):
+    # 3^7 = 2187 vectors: refused from the size alone, no table is built
+    def refuse(*_):
+        raise AssertionError("classical_tables called above the carrier cap")
+
+    monkeypatch.setattr("hyperlie.generators.classical_tables", refuse)
+    code, _, err = run(capsys, "gen", "trivial", "--q", "3", "--dim", "7")
+    assert code == 3
+    assert "carrier size 2187 exceeds cap 256" in err
+
+
+@pytest.mark.parametrize("rel, mode", [("A", "bound-limited"), ("Sn:2", "stabilized-heuristic")])
+def test_relation_auto_oracle_in_characteristic_2(capsys, tmp_path, rel, mode):
+    # the linear oracle is stated for odd characteristic only, so over GF(4)
+    # escalation runs without one instead of failing
+    p = tmp_path / "gf4.json"
+    code, _, _ = run(capsys, "gen", "trivial", "--q", "4", "--dim", "2",
+                     "--constants", "(0,1):(0,1)", "-o", str(p))
+    assert code == 0
+    code, out, _ = run(capsys, "relation", str(p), "--rel", rel, "--json")
+    assert code == 0
+    assert json.loads(out)["mode"] == mode
+
+
+def test_oracle_for_detects_trivial_presentation_once(ex1):
+    calls = []
+    real = cli.detect_trivial
+
+    def counted(L):
+        calls.append(L)
+        return real(L)
+
+    with mock.patch("hyperlie.cli.detect_trivial", counted), \
+            mock.patch("hyperlie.quotients.detect_trivial", counted):
+        for rel in ("A", "Sn", "L"):
+            calls.clear()
+            assert cli._oracle_for(ex1, rel, 2) is not None
+            assert len(calls) == 1, rel
+
+
 def test_gen_qhyperfield(capsys, tmp_path):
     p = tmp_path / "f.json"
     code, _, _ = run(capsys, "gen", "qhyperfield", "--q", "7",

@@ -2,7 +2,13 @@
 
 import pytest
 
-from hyperlie.errors import MalformedTable, NotAGroup, NotASubgroup, NotLie
+from hyperlie.errors import (
+    CarrierCapExceeded,
+    MalformedTable,
+    NotAGroup,
+    NotASubgroup,
+    NotLie,
+)
 from hyperlie.generators import (
     CONSTANT_PRESETS,
     gen_coset_hypergroup,
@@ -103,6 +109,21 @@ def test_orbit_quotient_m4(m4):
     assert m4.size == 17  # (7^2-1)/3 orbits + zero
     assert check_lie_hyperalgebra(m4).ok
     assert not m4.field.is_trivial
+
+
+def test_carrier_cap_checked_before_tables(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("classical_tables called above the carrier cap")
+
+    monkeypatch.setattr("hyperlie.generators.classical_tables", refuse)
+    with pytest.raises(CarrierCapExceeded, match="carrier size 729 exceeds cap 256"):
+        gen_trivial_from_lie(3, 6, {})
+    # the orbit quotient's carrier is its orbit count, 1 + (3^6 - 1) / 2
+    with pytest.raises(CarrierCapExceeded, match="carrier size 365 exceeds cap 256"):
+        gen_orbit_quotient(3, 6, {}, [1, 2])
+    monkeypatch.setenv("HYPERLIE_MAX_CARRIER", "8")
+    with pytest.raises(CarrierCapExceeded, match="carrier size 9 exceeds cap 8"):
+        gen_trivial_from_lie(3, 2, {(0, 1): (0, 1)})
 
 
 def test_presets_table_complete():

@@ -1,0 +1,43 @@
+"""Module layering: gf.py is the one home of GF(q) and structure-constant
+arithmetic, so it depends on no other hyperlie module but errors, and the
+quotients module (the linear oracle) does not reach into the generators."""
+
+import ast
+import os
+
+import hyperlie
+
+PACKAGE_DIR = os.path.dirname(hyperlie.__file__)
+
+
+def package_imports(module: str):
+    """Names of the hyperlie modules that hyperlie/<module>.py imports."""
+    with open(os.path.join(PACKAGE_DIR, f"{module}.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                out.add(node.module or "")
+            elif node.module and node.module.split(".")[0] == "hyperlie":
+                out.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.partition(".")[2] for a in node.names
+                       if a.name.split(".")[0] == "hyperlie")
+    return out
+
+
+def test_gf_imports_only_errors():
+    assert package_imports("gf") <= {"errors"}
+
+
+def test_quotients_does_not_import_generators():
+    assert "generators" not in package_imports("quotients")
+
+
+def test_one_home_names_resolve():
+    from hyperlie import generators, gf, quotients
+
+    assert hyperlie.FiniteField is quotients.FiniteField is gf.FiniteField
+    assert generators.constants_table is gf.constants_table
+    assert quotients.check_constants_lie is gf.check_constants_lie
