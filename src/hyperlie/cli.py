@@ -160,18 +160,17 @@ def _emit(args, payload: dict, text_lines):
 def cmd_check(args) -> int:
     x = _load(args.file)
     if isinstance(x, FiniteLieHyperalgebra):
-        kind, report = "lie_hyperalgebra", check_lie_hyperalgebra(x)
+        report = check_lie_hyperalgebra(x)
     elif isinstance(x, FiniteHyperfield):
-        kind, report = "hyperfield", check_hyperfield(x)
+        report = check_hyperfield(x)
     else:
-        kind, report = "hypergroup", check_hypergroup(x)
-    payload = {"kind": kind, "ok": report.ok, "axioms": report.axioms}
-    lines = [f"kind: {kind}", f"axioms checked: {len(report.axioms)}"]
+        report = check_hypergroup(x)
+    lines = [f"kind: {report.kind}", f"axioms checked: {len(report.axioms)}"]
     for name, entry in report.axioms.items():
         if not entry["ok"]:
             lines.append(f"FAIL {name} witness={entry['witness']} {entry['detail']}")
     lines.append("result: PASS" if report.ok else "result: FAIL")
-    _emit(args, payload, lines)
+    _emit(args, report.to_dict(), lines)
     return 0 if report.ok else 1
 
 

@@ -42,6 +42,7 @@ BASIS_LETTERS = "abcdefgh"
 
 def gen_trivial_field(q: int) -> FiniteHyperfield:
     """Trivial hyperfield of GF(q): the field with singleton-valued tables."""
+    check_carrier_size(q)
     gf = get_gf(q)
     add, mul = ([[1 << x for x in row] for row in table] for table in (gf.add, gf.mul))
     F = FiniteHyperfield(gf.names, add, mul, gf_order=q)
@@ -70,12 +71,12 @@ def gen_trivial_from_lie(q: int, dim: int, constants) -> FiniteLieHyperalgebra:
     is enforced before any table is built. Even q is allowed but flags the
     result (theorem pipelines gate on characteristic separately).
     """
-    gf = get_gf(q)
     if dim < 1 or dim > len(BASIS_LETTERS):
         raise MalformedTable(f"dim must be in 1..{len(BASIS_LETTERS)}, got {dim}")
+    check_carrier_size(q ** dim)
+    gf = get_gf(q)
     C = constants_table(gf, dim, constants)
     check_constants_lie(gf, dim, C)
-    check_carrier_size(q ** dim)
     vecs, add, smul = classical_tables(gf, dim)
     bracket = [[digits_to_int(bracket_coords(gf, C, u, v), q) for v in vecs] for u in vecs]
     add, smul, bracket = ([[1 << x for x in row] for row in t] for t in (add, smul, bracket))

@@ -15,7 +15,7 @@ import json
 from .errors import ParseError
 from .generators import gen_trivial_field
 from .sets import iter_bits
-from .structures import FiniteHyperfield, FiniteLieHyperalgebra, Hypergroup
+from .structures import FiniteHyperfield, FiniteLieHyperalgebra, Hypergroup, check_carrier_size
 
 _KINDS = ("hyperfield", "lie_hyperalgebra", "hypergroup")
 
@@ -39,7 +39,7 @@ def _cell_mask(cell, index, table, r, c):
         raise ParseError(f"{table}[{r}][{c}]: each entry is a non-empty identifier list")
     mask = 0
     for nm in cell:
-        i = index.get(nm)
+        i = index.get(nm) if isinstance(nm, str) else None
         if i is None:
             raise ParseError(f"{table}[{r}][{c}]: unknown identifier {nm!r}")
         mask |= 1 << i
@@ -70,7 +70,7 @@ def _identifier(obj, key, index, path, required=True):
         if required:
             raise ParseError(f"{path}.{key}: identifier is missing")
         return None
-    if nm not in index:
+    if not isinstance(nm, str) or nm not in index:
         raise ParseError(f"{path}.{key}: unknown identifier {nm!r}")
     return index[nm]
 
@@ -111,6 +111,7 @@ def _parse_field_ref(ref, path) -> FiniteHyperfield:
             q = int(ref[len("trivial:F"):])
         except ValueError:
             raise ParseError(f"{path}: bad field order in {ref!r}") from None
+        check_carrier_size(q)
         F = _canonical_trivial(q)
         if F is None:
             raise ParseError(f"{path}: no trivial hyperfield of order {q}")

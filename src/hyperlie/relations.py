@@ -2,12 +2,16 @@
 
 The relations are defined by unbounded families of expressions; this engine
 covers every expression within ExpressionBounds without evaluating them one
-by one. Bracket trees are built bottom-up from the distinct values of their
-subtrees (for the swap relations, together with the gated values a leaf
-permutation still owes), sums are folded over distinct values, and every
-stage dedupes by evaluated value sets. RelationStatus reports how the
-finite run should be read (exact against an oracle, stabilized, or
-bound-limited).
+by one. The swap relations A and Sn build bracket trees bottom-up in one
+tree DP over distinct subtree states (the written and permuted values,
+with the gated values a leaf permutation still owes). Every comparison of
+a written order with its permutations is one fold, combine_levels: scalar
+products, the sums of products that make coefficients, and the sums of
+summands for A, Sn and alpha. L compares no permutations, so it builds
+the written values alone and folds its sums over values, not pairs (the
+pair fold was measured slower on cold L). Every stage dedupes by
+evaluated value sets. RelationStatus reports how the finite run should be
+read (exact against an oracle, stabilized, or bound-limited).
 """
 
 from __future__ import annotations
@@ -221,16 +225,8 @@ def transitive_closure(rel: BinaryRelation) -> Partition:
 def _product_pairs(F: FiniteHyperfield, q: int):
     """Sorted (written order, permuted order) values of products of at most
     q scalars."""
-    pairs = set()
-    for ln in range(1, q + 1):
-        for tup in product(range(F.size), repeat=ln):
-            left = F.mul_ops.fold(1 << e for e in tup)
-            if ln == 1:
-                pairs.add((left, left))
-                continue
-            for perm in permutations(tup):
-                pairs.add((left, F.mul_ops.fold(1 << e for e in perm)))
-    return sorted(pairs)
+    singletons = [(1 << e, 1 << e) for e in range(F.size)]
+    return sorted(set().union(*combine_levels(singletons, F.mul_ops, q, False)))
 
 
 def coefficient_pair_family(F: FiniteHyperfield, bounds: ExpressionBounds):
@@ -238,22 +234,14 @@ def coefficient_pair_family(F: FiniteHyperfield, bounds: ExpressionBounds):
 
     Products of at most q factors in every order, summed in at most p terms
     in every order; the left entry evaluates the written order, the right
-    entry a permuted order. The family is closed under swapping.
+    entry a permuted order. Neither operation is assumed commutative or
+    associative, since the tables may be unchecked. The family is closed
+    under swapping with no extra step: a permuted order, read as written,
+    has the written order among its permutations.
     """
     validate_bounds(bounds)
-    prod_pairs = _product_pairs(F, bounds.q)
-    family = set()
-    for ln in range(1, bounds.p + 1):
-        for tup in product(prod_pairs, repeat=ln):
-            left = F.add_ops.fold(p[0] for p in tup)
-            if ln == 1:
-                family.add((left, tup[0][1]))
-                continue
-            for perm in permutations(tup):
-                right = F.add_ops.fold(p[1] for p in perm)
-                family.add((left, right))
-    family |= {(r, l) for (l, r) in family}
-    return sorted(family)
+    return sorted(set().union(*combine_levels(_product_pairs(F, bounds.q), F.add_ops,
+                                              bounds.p, False)))
 
 
 def hyper_derived_sets(L: FiniteLieHyperalgebra, depth: int):
@@ -407,21 +395,22 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     return sorted(pairs)
 
 
-def combine_levels(pairs, add_ops, t_max: int, commutative: bool):
-    """Per-summand-count levels of sum-combined pairs, each sorted.
+def combine_levels(pairs, ops, t_max: int, commutative: bool):
+    """Per-length levels of folded pairs, each sorted.
 
-    Level t holds the (unpermuted, permuted) values of t-summand sums;
-    add_ops is the structure's SetOps for addition.
-    Commutative addition makes summand order and the top permutation
-    irrelevant, so a value-deduplicating DP suffices; otherwise ordered
-    tuples and every top permutation are evaluated explicitly.
+    Level t holds the (written order, permuted order) values of t-term
+    folds of pairs under ops, the SetOps of the operation: sums of
+    summands, sums of products, or products of scalars. A commutative
+    operation makes term order and the top permutation irrelevant, so a
+    value-deduplicating DP suffices; otherwise ordered tuples and every
+    top permutation are evaluated explicitly.
     """
     levels = [sorted(set(pairs))]
     if commutative:
         for _ in range(t_max - 1):
             nxt = set()
             for X, Y in levels[-1]:
-                rx, ry = add_ops[X], add_ops[Y]
+                rx, ry = ops[X], ops[Y]
                 nxt.update([(rx[U], ry[V]) for U, V in levels[0]])
             levels.append(sorted(nxt))
         return levels
@@ -430,26 +419,25 @@ def combine_levels(pairs, add_ops, t_max: int, commutative: bool):
         for tup in product(levels[0], repeat=t):
             X = tup[0][0]
             for U, _ in tup[1:]:
-                X = add_ops[X][U]
+                X = ops[X][U]
             for sigma in permutations(range(t)):
                 Y = tup[sigma[0]][1]
                 for i in sigma[1:]:
-                    Y = add_ops[Y][tup[i][1]]
+                    Y = ops[Y][tup[i][1]]
                 lvl.add((X, Y))
         levels.append(sorted(lvl))
     return levels
 
 
-def _rows_from_levels(levels, n: int):
+def _relation_from_levels(levels, n: int) -> BinaryRelation:
+    """x related to every element of Y for each pair (X, Y) of the levels
+    with x in X; the engine's relations must come out reflexive and
+    symmetric."""
     rows = [0] * n
     for lvl in levels:
         for X, Y in lvl:
             for x in iter_bits(X):
                 rows[x] |= Y
-    return rows
-
-
-def _finish_relation(rows, n) -> BinaryRelation:
     rel = BinaryRelation(rows)
     if not rel.is_reflexive() or not rel.is_symmetric():
         raise InternalInvariant("engine relation must be reflexive and symmetric")
@@ -462,7 +450,7 @@ def relation_Sn(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds) -> B
     validate_bounds(bounds)
     if n < 1:
         raise BoundsExceeded(f"depth index must be >= 1, got {n}")
-    return _finish_relation(_rows_from_levels(sn_pair_levels(L, n, bounds), L.size), L.size)
+    return _relation_from_levels(sn_pair_levels(L, n, bounds), L.size)
 
 
 def relation_A(L: FiniteLieHyperalgebra, bounds: ExpressionBounds) -> BinaryRelation:
@@ -503,12 +491,8 @@ def relation_L_values(L: FiniteLieHyperalgebra, bounds: ExpressionBounds):
 
 def relation_L(L: FiniteLieHyperalgebra, bounds: ExpressionBounds) -> BinaryRelation:
     """Common-value relation: x related to y when one bounded expression
-    value set contains both."""
-    rows = [0] * L.size
-    for D in relation_L_values(L, bounds):
-        for x in iter_bits(D):
-            rows[x] |= D
-    return _finish_relation(rows, L.size)
+    value set contains both: each value D is the pair (D, D)."""
+    return _relation_from_levels([[(D, D) for D in relation_L_values(L, bounds)]], L.size)
 
 
 def relation_alpha(F: FiniteHyperfield, bounds: ExpressionBounds) -> BinaryRelation:
@@ -520,7 +504,7 @@ def relation_alpha(F: FiniteHyperfield, bounds: ExpressionBounds) -> BinaryRelat
     validate_bounds(bounds)
     levels = combine_levels(_product_pairs(F, bounds.q), F.add_ops, bounds.t,
                             F.commutative_add)
-    return _finish_relation(_rows_from_levels(levels, F.size), F.size)
+    return _relation_from_levels(levels, F.size)
 
 
 def _conditions(S):

@@ -45,17 +45,15 @@ class SetOps(dict):
     """Memoized setwise extensions of a binary hyperoperation table.
 
     table[x][y] is the mask of the hyperoperation value at elements x, y.
-    apply(A, B) is the union of table[x][y] over x in A, y in B. Results
-    are cached per (A, B) mask pair; singleton arguments short-circuit to
-    direct table lookups. ops[A][B] is the same value through memoized
-    rows (the SetOps is the dict of its rows), for loops that index it
-    like a list-of-lists table.
+    ops[A][B] is the union of table[x][y] over x in A, y in B, memoized
+    per row (the SetOps is the dict of its rows), for loops that index it
+    like a list-of-lists table. apply(A, B) is the same value, with
+    singleton arguments short-circuited to direct table lookups.
     """
 
     def __init__(self, table):
         super().__init__()
         self.table = table
-        self._cache = {}
 
     def __missing__(self, a_mask: int) -> "_Row":
         """Memoized row: ops[A][B] == ops.apply(A, B)."""
@@ -65,20 +63,7 @@ class SetOps(dict):
     def apply(self, a_mask: int, b_mask: int) -> int:
         if is_singleton(a_mask) and is_singleton(b_mask):
             return self.table[a_mask.bit_length() - 1][b_mask.bit_length() - 1]
-        key = (a_mask, b_mask)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._cache[key] = _union(self.table, a_mask, b_mask)
-        return out
-
-    def fold(self, masks) -> int:
-        """Left fold of apply over a nonempty sequence of masks."""
-        it = iter(masks)
-        acc = next(it)
-        for m in it:
-            acc = self.apply(acc, m)
-        return acc
+        return self[a_mask][b_mask]
 
 
 def _union(table, a_mask: int, b_mask: int) -> int:

@@ -4,14 +4,44 @@ Every bracket shape is evaluated on every tuple of pool leaves, and every
 gate-preserving leaf permutation on top of that, so the cost grows as
 pool^m x shapes x g!. The engine in hyperlie.relations reaches the same
 values through a dynamic programme over distinct subtree values; the
-property tests compare the two on small structures.
+property tests compare the two on small structures. Coefficients are
+enumerated here too, one scalar tuple and one permutation at a time, so
+the reference shares no enumeration code with the engine.
 """
 
+from functools import reduce
 from itertools import permutations, product
 
-from hyperlie.relations import _leaf_pool, coefficient_pair_family
+from hyperlie.relations import _leaf_pool
 
 _LEAF = None
+
+
+def _product_pairs(F, q: int):
+    """Sorted (written order, permuted order) values of products of at most
+    q scalars, each scalar tuple and each permutation evaluated."""
+    pairs = set()
+    for ln in range(1, q + 1):
+        for tup in product(range(F.size), repeat=ln):
+            left = reduce(F.mul_ops.apply, [1 << e for e in tup])
+            for perm in permutations(tup):
+                pairs.add((left, reduce(F.mul_ops.apply, [1 << e for e in perm])))
+    return sorted(pairs)
+
+
+def coefficient_pair_family(F, bounds):
+    """(written order, permuted order) values of sums of at most p products,
+    each tuple of product pairs and each permutation evaluated; closed
+    under swapping."""
+    prod_pairs = _product_pairs(F, bounds.q)
+    family = set()
+    for ln in range(1, bounds.p + 1):
+        for tup in product(prod_pairs, repeat=ln):
+            left = reduce(F.add_ops.apply, [p[0] for p in tup])
+            for perm in permutations(tup):
+                family.add((left, reduce(F.add_ops.apply, [p[1] for p in perm])))
+    family |= {(r, l) for (l, r) in family}
+    return sorted(family)
 
 
 def _tree_shapes(m: int):
@@ -113,3 +143,18 @@ def relation_L_values(L, bounds):
         total |= nxt
         prev = nxt
     return sorted(total)
+
+
+def relation_alpha_rows(F, bounds):
+    """Rows of the scalar relation: x related to every element of the
+    permuted value of a sum of at most t products whose written value
+    holds x."""
+    levels = combine_levels(_product_pairs(F, bounds.q), F.add_ops.apply, bounds.t,
+                            F.commutative_add)
+    rows = [0] * F.size
+    for lvl in levels:
+        for X, Y in lvl:
+            for x in range(F.size):
+                if X >> x & 1:
+                    rows[x] |= Y
+    return rows

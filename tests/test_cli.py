@@ -2,13 +2,19 @@
 in-process; exit codes follow the documented table (0 ok, 1 property
 failure, 2 input error, 3 resource limit, 4 internal)."""
 
+import copy
+import functools
 import json
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import _self_module
 from hyperlie import cli, errors
 from hyperlie.cli import main
+from hyperlie.generators import gen_coset_hypergroup, gen_quotient_hyperfield, gen_trivial_from_lie
+from hyperlie.interchange import serialize_structure
 
 
 def run(capsys, *argv):
@@ -187,15 +193,49 @@ def test_gen_preset_matches_fixture(capsys, fixture_files):
     assert out == open(fixture_files["ex1"]).read()
 
 
-def test_gen_trivial_checks_cap_before_building_tables(capsys, monkeypatch):
-    # 3^7 = 2187 vectors: refused from the size alone, no table is built
+def _refuse_tables(monkeypatch):
+    """Make every function that builds GF(q) or a classical table fail if called."""
     def refuse(*_):
-        raise AssertionError("classical_tables called above the carrier cap")
+        raise AssertionError("a table was built above the carrier cap")
 
-    monkeypatch.setattr("hyperlie.generators.classical_tables", refuse)
-    code, _, err = run(capsys, "gen", "trivial", "--q", "3", "--dim", "7")
+    for name in ("generators.classical_tables", "generators.get_gf",
+                 "interchange.gen_trivial_field"):
+        monkeypatch.setattr(f"hyperlie.{name}", refuse)
+
+
+def test_gen_trivial_checks_cap_before_building_tables(capsys, monkeypatch):
+    # refused from the size q^dim alone: neither GF(q) nor a table is built
+    _refuse_tables(monkeypatch)
+    for q, dim, size in ((3, 7, 2187), (2003, 1, 2003)):
+        code, _, err = run(capsys, "gen", "trivial", "--q", str(q), "--dim", str(dim))
+        assert code == 3
+        assert f"carrier size {size} exceeds cap 256" in err
+
+
+def test_field_shorthand_checks_cap_before_building_the_field(capsys, tmp_path, monkeypatch):
+    _refuse_tables(monkeypatch)
+    p = tmp_path / "f521.json"
+    p.write_text(json.dumps({"kind": "lie_hyperalgebra", "elements": ["0"], "zero": "0",
+                             "field": "trivial:F521", "add": [[["0"]]],
+                             "bracket": [[["0"]]], "scalar": []}))
+    code, _, err = run(capsys, "check", str(p))
     assert code == 3
-    assert "carrier size 2187 exceeds cap 256" in err
+    assert "carrier size 521 exceeds cap 256" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "hypergroup", "elements": ["0", "1"],
+     "add": [[["0"], ["1"]], [["1"], [["0"]]]]},
+    {"kind": "hyperfield", "elements": ["0", "1"], "zero": ["0"], "one": "1",
+     "add": [[["0"], ["1"]], [["1"], ["0"]]], "mul": [[["0"], ["0"]], [["0"], ["1"]]]},
+], ids=["list-in-cell", "list-as-zero"])
+def test_non_string_identifier_exit_2(capsys, tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert err.startswith("input error") and "unknown identifier ['0']" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("rel, mode", [("A", "bound-limited"), ("Sn:2", "stabilized-heuristic")])
@@ -333,3 +373,61 @@ def test_error_exit_code(capsys, cls):
     assert code == _EXIT_CODES[cls]
     assert err.startswith(_STDERR_PREFIX[code]) and err.endswith(f"{exc}\n")
     assert out == ""
+
+
+@functools.cache
+def _fuzz_bases():
+    """Small interchange documents of each kind; the self-module of m3
+    embeds its field, the trivial algebras use the shorthand."""
+    m3 = gen_quotient_hyperfield(5, [1, 4])
+    structures = (gen_coset_hypergroup([[0, 1], [1, 0]], [0]), m3, _self_module(m3),
+                  gen_trivial_from_lie(2, 1, {}), gen_trivial_from_lie(3, 1, {}))
+    return [json.loads(serialize_structure(x)) for x in structures]
+
+
+# values that stand where an identifier, a cell, a row, a table or a field
+# is expected
+_JUNK = st.sampled_from([
+    None, True, 0, 1, -1, 2.5, "", "0", "1", "a", "zz", [], [[]], ["0"], [["0"]],
+    [[["0"]]], ["0", "0"], {}, {"kind": "hyperfield"}, "trivial:F2", "trivial:F4",
+    "trivial:F6", "trivial:Fx", "trivial:F-3", "trivial:F521", "hyperfield",
+    "lie_hyperalgebra", "hypergroup",
+])
+
+
+def _slots(node, path=()):
+    """Paths of every value inside a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(_fuzz_bases())))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        *parent_path, key = draw(st.sampled_from(slots))
+        parent = doc
+        for k in parent_path:
+            parent = parent[k]
+        if draw(st.booleans()):
+            parent[key] = copy.deepcopy(draw(_JUNK))
+        else:
+            del parent[key]
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_documents())
+def test_mutated_interchange_files_end_in_an_exit_code(capsys, tmp_path, text):
+    # any exception that escapes main fails the example
+    p = tmp_path / "mutated.json"
+    p.write_text(text)
+    code, _, _ = run(capsys, "check", str(p))
+    assert code in (0, 1, 2, 3)

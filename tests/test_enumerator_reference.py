@@ -3,7 +3,10 @@
 summand_pair_family, combine_levels and relation_L_values build their
 values bottom-up over distinct subtree values; tests/reference_enumerator.py
 evaluates every leaf tuple on every bracket shape (and every gated
-permutation). Both must give the same sorted pairs, levels and values.
+permutation). Coefficient families and the rows of relation_alpha fold
+products and sums through combine_levels; the reference evaluates every
+scalar tuple in every order. Both must give the same sorted pairs, levels,
+values and rows.
 
 Fixtures are small: trivial algebras over GF(3), orbit quotients, the
 self-modules of quotient hyperfields, and unchecked random tables. Lawful
@@ -21,7 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 import reference_enumerator as ref
 from conftest import _self_module
-from hyperlie.generators import gen_orbit_quotient, gen_quotient_hyperfield, gen_trivial_from_lie
+from hyperlie.generators import (
+    gen_orbit_quotient,
+    gen_quotient_hyperfield,
+    gen_trivial_field,
+    gen_trivial_from_lie,
+)
 from hyperlie.relations import (
     ExpressionBounds,
     _leaf_pool,
@@ -29,6 +37,7 @@ from hyperlie.relations import (
     coefficient_pair_family,
     combine_levels,
     hyper_derived_sets,
+    relation_alpha,
     relation_L_values,
     summand_pair_family,
 )
@@ -154,6 +163,50 @@ def test_expression_values_match_reference(case):
     trees = len(relation_L_values(L, ExpressionBounds(1, m, bounds.p, bounds.q)))
     bounds = ExpressionBounds(_affordable_t(trees, bounds.t, True), m, bounds.p, bounds.q)
     assert relation_L_values(L, bounds) == ref.relation_L_values(L, bounds)
+
+
+@functools.cache
+def lawful_fields():
+    fields = [gen_trivial_field(q) for q in (2, 3, 4)]
+    fields += [gen_quotient_hyperfield(q, H) for q, H in
+               ((7, [1, 2, 4]), (7, [1, 6]), (5, [1, 4]), (5, [1, 2, 3, 4]))]
+    return tuple(fields) + tuple({L.field.fingerprint: L.field
+                                  for L in lawful_fixtures()}.values())
+
+
+@st.composite
+def unchecked_fields(draw):
+    """Random add and mul tables, each drawn commutative or not; no axiom
+    is asked to hold, so addition is often not associative."""
+    k = draw(st.integers(2, 3))
+
+    def table():
+        cells = [[draw(_masks(k)) for _ in range(k)] for _ in range(k)]
+        if draw(st.booleans()):
+            cells = [[cells[min(x, y)][max(x, y)] for y in range(k)] for x in range(k)]
+        return cells
+
+    return FiniteHyperfield([f"s{i}" for i in range(k)], table(), table())
+
+
+def _affordable_p(products: int, p: int) -> int:
+    """Largest p' <= p whose sums of at most p' of the product pairs, each
+    in every order, stay within the budget."""
+    while p > 1 and sum(products ** ln * math.factorial(ln)
+                        for ln in range(1, p + 1)) > REF_BUDGET:
+        p -= 1
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(lawful_fields()), unchecked_fields()),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_coefficients_and_alpha_rows_match_reference(F, t, p, q):
+    products = len(ref._product_pairs(F, q))
+    bounds = ExpressionBounds(_affordable_t(products, t, F.commutative_add), 1,
+                              _affordable_p(products, p), q)
+    assert coefficient_pair_family(F, bounds) == ref.coefficient_pair_family(F, bounds)
+    assert relation_alpha(F, bounds).rows == ref.relation_alpha_rows(F, bounds)
 
 
 @settings(max_examples=60, deadline=None)

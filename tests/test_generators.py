@@ -14,6 +14,7 @@ from hyperlie.generators import (
     gen_coset_hypergroup,
     gen_orbit_quotient,
     gen_quotient_hyperfield,
+    gen_trivial_field,
     gen_trivial_from_lie,
     make_cyclic_group,
     make_s3,
@@ -113,7 +114,7 @@ def test_orbit_quotient_m4(m4):
 
 def test_carrier_cap_checked_before_tables(monkeypatch):
     def refuse(*_):
-        raise AssertionError("classical_tables called above the carrier cap")
+        raise AssertionError("a table was built above the carrier cap")
 
     monkeypatch.setattr("hyperlie.generators.classical_tables", refuse)
     with pytest.raises(CarrierCapExceeded, match="carrier size 729 exceeds cap 256"):
@@ -121,6 +122,12 @@ def test_carrier_cap_checked_before_tables(monkeypatch):
     # the orbit quotient's carrier is its orbit count, 1 + (3^6 - 1) / 2
     with pytest.raises(CarrierCapExceeded, match="carrier size 365 exceeds cap 256"):
         gen_orbit_quotient(3, 6, {}, [1, 2])
+    # the field is not built either
+    monkeypatch.setattr("hyperlie.generators.get_gf", refuse)
+    with pytest.raises(CarrierCapExceeded, match="carrier size 2003 exceeds cap 256"):
+        gen_trivial_from_lie(2003, 1, {})
+    with pytest.raises(CarrierCapExceeded, match="carrier size 521 exceeds cap 256"):
+        gen_trivial_field(521)
     monkeypatch.setenv("HYPERLIE_MAX_CARRIER", "8")
     with pytest.raises(CarrierCapExceeded, match="carrier size 9 exceeds cap 8"):
         gen_trivial_from_lie(3, 2, {(0, 1): (0, 1)})

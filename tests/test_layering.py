@@ -1,6 +1,8 @@
 """Module layering: gf.py is the one home of GF(q) and structure-constant
-arithmetic, so it depends on no other hyperlie module but errors, and the
-quotients module (the linear oracle) does not reach into the generators."""
+arithmetic, so it depends on no other hyperlie module but errors, the
+quotients module (the linear oracle) does not reach into the generators,
+and the brute-force reference enumerator does not reuse the engine's
+enumeration."""
 
 import ast
 import os
@@ -41,3 +43,20 @@ def test_one_home_names_resolve():
     assert hyperlie.FiniteField is quotients.FiniteField is gf.FiniteField
     assert generators.constants_table is gf.constants_table
     assert quotients.check_constants_lie is gf.check_constants_lie
+
+
+def test_reference_enumerator_shares_no_enumeration_code():
+    # the brute-force reference may take the leaf pool and the bounds type
+    # from the engine, and nothing that enumerates
+    path = os.path.join(os.path.dirname(__file__), "reference_enumerator.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "hyperlie.relations":
+            taken.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "hyperlie":
+            assert "relations" not in {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            assert "hyperlie.relations" not in {a.name for a in node.names}
+    assert taken <= {"_leaf_pool", "ExpressionBounds"}
