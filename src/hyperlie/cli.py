@@ -45,12 +45,10 @@ from .quotients import (
     solvable_length,
 )
 from .relations import (
-    DEFAULT_BOUNDS,
     HARD_CAP,
     ExpressionBounds,
     Partition,
     RelationStatus,
-    closed_relation,
     relation_json,
     relation_with_escalation,
 )
@@ -58,7 +56,6 @@ from .sets import iter_bits
 from .structures import (
     FiniteHyperfield,
     FiniteLieHyperalgebra,
-    Hypergroup,
     check_hyperfield,
     check_hypergroup,
     check_lie_hyperalgebra,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import (
-    AxiomFailure,
     HyperlieError,
     InternalInvariant,
     MalformedTable,
@@ -83,9 +82,7 @@ def gen_trivial_from_lie(q: int, dim: int, constants) -> FiniteLieHyperalgebra:
     L = FiniteLieHyperalgebra(gen_trivial_field(q), [vector_name(v, q) for v in vecs],
                               add, smul, bracket)
     L.even_char_warning = q % 2 == 0
-    report = check_lie_hyperalgebra(L)
-    if not report.ok:
-        report.raise_if_failed()
+    check_lie_hyperalgebra(L).raise_if_failed()
     return L
 
 
@@ -203,6 +200,7 @@ def gen_quotient_hyperfield(q: int, subgroup) -> FiniteHyperfield:
     sum; class product is single-valued. Output must pass check_hyperfield.
     """
     members, class_of = _unit_cosets(q, subgroup)
+    check_carrier_size(len(members))
     names = ["0"] + [f"[{m[0]}]" for m in members[1:]]
     k = len(members)
     add = []
@@ -216,8 +214,7 @@ def gen_quotient_hyperfield(q: int, subgroup) -> FiniteHyperfield:
         add.append(add_row)
         mul.append(mul_row)
     F = FiniteHyperfield(names, add, mul, gf_order=q if len(members) == q else None)
-    report = check_hyperfield(F)
-    report.raise_if_failed(AxiomFailure)
+    check_hyperfield(F).raise_if_failed()
     return F
 
 
@@ -263,9 +260,7 @@ def gen_orbit_quotient(q: int, dim: int, constants, subgroup) -> FiniteLieHypera
     smul = [[1 << orbit_of[vsmul[lam][b]] for b in reps] for lam, *_ in field_members]
 
     L = FiniteLieHyperalgebra(F, names, add, smul, bracket)
-    report = check_lie_hyperalgebra(L)
-    if not report.ok:
-        report.raise_if_failed()
+    check_lie_hyperalgebra(L).raise_if_failed()
     return L
 
 

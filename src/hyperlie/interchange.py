@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import HyperlieError, ParseError
 from .generators import gen_trivial_field
+from .gf import get_gf
 from .sets import iter_bits
 from .structures import FiniteHyperfield, FiniteLieHyperalgebra, Hypergroup, check_carrier_size
 
@@ -82,11 +83,9 @@ def _parse_hyperfield(obj, path) -> FiniteHyperfield:
     mul = _table(obj, "mul", n, n, index, path)
     zero = _identifier(obj, "zero", index, path)
     one = _identifier(obj, "one", index, path)
-    canonical = _canonical_trivial(n)
-    gf_order = None
-    if canonical is not None and add == canonical.add and mul == canonical.mul:
-        gf_order = n
-    F = FiniteHyperfield(names, add, mul, gf_order=gf_order)
+    F = FiniteHyperfield(names, add, mul)
+    if _is_canonical(F):
+        F.gf_order = n
     if F.zero is not None and F.zero != zero:
         raise ParseError(f"{path}.zero: declared {names[zero]!r} but tables "
                          f"make {names[F.zero]!r} the additive identity")
@@ -96,11 +95,16 @@ def _parse_hyperfield(obj, path) -> FiniteHyperfield:
     return F
 
 
-def _canonical_trivial(q: int):
+def _is_canonical(F: FiniteHyperfield) -> bool:
+    """Whether F's tables are those of the canonical GF(|F|), get_gf's."""
+    if not F.is_trivial:
+        return False
     try:
-        return gen_trivial_field(q)
-    except Exception:
-        return None
+        check_carrier_size(F.size)
+        gf = get_gf(F.size)
+    except HyperlieError:
+        return False
+    return F.add_elt == gf.add and F.mul_elt == gf.mul
 
 
 def _parse_field_ref(ref, path) -> FiniteHyperfield:
@@ -112,10 +116,10 @@ def _parse_field_ref(ref, path) -> FiniteHyperfield:
         except ValueError:
             raise ParseError(f"{path}: bad field order in {ref!r}") from None
         check_carrier_size(q)
-        F = _canonical_trivial(q)
-        if F is None:
-            raise ParseError(f"{path}: no trivial hyperfield of order {q}")
-        return F
+        try:
+            return gen_trivial_field(q)
+        except HyperlieError:
+            raise ParseError(f"{path}: no trivial hyperfield of order {q}") from None
     if isinstance(ref, dict):
         if ref.get("kind") != "hyperfield":
             raise ParseError(f"{path}.kind: embedded field must be a hyperfield")
@@ -167,8 +171,7 @@ def _cells(table, names):
 
 
 def _field_ref(F: FiniteHyperfield):
-    canonical = _canonical_trivial(F.size)
-    if canonical is not None and F.add == canonical.add and F.mul == canonical.mul:
+    if _is_canonical(F):
         return f"trivial:F{F.size}"
     return _field_obj(F)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from operator import or_
 
-from .errors import BoundsExceeded, InternalInvariant, NotSymmetric
+from .errors import AxiomFailure, BoundsExceeded, InternalInvariant, NotSymmetric
 from .sets import full_mask, iter_bits
 from .structures import FiniteHyperfield, FiniteLieHyperalgebra
 
@@ -429,18 +429,23 @@ def combine_levels(pairs, ops, t_max: int, commutative: bool):
     return levels
 
 
-def _relation_from_levels(levels, n: int) -> BinaryRelation:
+def _relation_from_levels(levels, names) -> BinaryRelation:
     """x related to every element of Y for each pair (X, Y) of the levels
-    with x in X; the engine's relations must come out reflexive and
-    symmetric."""
-    rows = [0] * n
+    with x in X. The pair families are closed under swapping, so the
+    relation is symmetric; it is reflexive unless an element lies in no
+    value, which only tables that fail their axioms allow."""
+    rows = [0] * len(names)
     for lvl in levels:
         for X, Y in lvl:
             for x in iter_bits(X):
                 rows[x] |= Y
+    for x, row in enumerate(rows):
+        if not row >> x & 1:
+            raise AxiomFailure("relation-reflexive", (x,),
+                               f"no bounded expression takes a value holding {names[x]!r}")
     rel = BinaryRelation(rows)
-    if not rel.is_reflexive() or not rel.is_symmetric():
-        raise InternalInvariant("engine relation must be reflexive and symmetric")
+    if not rel.is_symmetric():
+        raise InternalInvariant("engine relation must be symmetric")
     return rel
 
 
@@ -450,7 +455,7 @@ def relation_Sn(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds) -> B
     validate_bounds(bounds)
     if n < 1:
         raise BoundsExceeded(f"depth index must be >= 1, got {n}")
-    return _relation_from_levels(sn_pair_levels(L, n, bounds), L.size)
+    return _relation_from_levels(sn_pair_levels(L, n, bounds), L.names)
 
 
 def relation_A(L: FiniteLieHyperalgebra, bounds: ExpressionBounds) -> BinaryRelation:
@@ -492,7 +497,7 @@ def relation_L_values(L: FiniteLieHyperalgebra, bounds: ExpressionBounds):
 def relation_L(L: FiniteLieHyperalgebra, bounds: ExpressionBounds) -> BinaryRelation:
     """Common-value relation: x related to y when one bounded expression
     value set contains both: each value D is the pair (D, D)."""
-    return _relation_from_levels([[(D, D) for D in relation_L_values(L, bounds)]], L.size)
+    return _relation_from_levels([[(D, D) for D in relation_L_values(L, bounds)]], L.names)
 
 
 def relation_alpha(F: FiniteHyperfield, bounds: ExpressionBounds) -> BinaryRelation:
@@ -504,7 +509,7 @@ def relation_alpha(F: FiniteHyperfield, bounds: ExpressionBounds) -> BinaryRelat
     validate_bounds(bounds)
     levels = combine_levels(_product_pairs(F, bounds.q), F.add_ops, bounds.t,
                             F.commutative_add)
-    return _relation_from_levels(levels, F.size)
+    return _relation_from_levels(levels, F.names)
 
 
 def _conditions(S):

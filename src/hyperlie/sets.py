@@ -31,12 +31,6 @@ def is_singleton(mask: int) -> bool:
     return mask != 0 and mask & (mask - 1) == 0
 
 
-def singleton_index(mask: int) -> int:
-    """Index of the unique element of a singleton mask."""
-    assert is_singleton(mask)
-    return mask.bit_length() - 1
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 

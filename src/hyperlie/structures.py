@@ -24,7 +24,7 @@ from .errors import (
     HyperlieError,
     MalformedTable,
 )
-from .sets import SetOps, full_mask, is_singleton, iter_bits, singleton_index
+from .sets import SetOps, full_mask, is_singleton, iter_bits
 
 DEFAULT_CARRIER_CAP = 256
 
@@ -48,25 +48,33 @@ def check_carrier_size(size: int) -> None:
         raise CarrierCapExceeded(f"carrier size {size} exceeds cap {cap}")
 
 
-def _check_mask_table(table, rows, cols, size, what):
+def _intake(table, rows, cols, size, what):
+    """Checked copy of a mask table, with its element-index form, or None
+    in its place unless every cell is a singleton."""
     if len(table) != rows:
         raise MalformedTable(f"{what}: expected {rows} rows, got {len(table)}")
     cap = full_mask(size)
-    for i, row in enumerate(table):
+    masks = [list(row) for row in table]
+    for i, row in enumerate(masks):
         if len(row) != cols:
             raise MalformedTable(f"{what}[{i}]: expected {cols} cols, got {len(row)}")
         for j, cell in enumerate(row):
-            if not isinstance(cell, int) or cell <= 0 or cell & ~cap:
+            if not isinstance(cell, int) or not 0 < cell <= cap:
                 raise MalformedTable(
                     f"{what}[{i}][{j}]: cell must be a nonempty subset mask, got {cell!r}"
                 )
+    if any(c & (c - 1) for row in masks for c in row):
+        return masks, None
+    return masks, [[c.bit_length() - 1 for c in row] for row in masks]
 
 
-def _element_table(table):
-    """Element-index form of a mask table, or None unless it is singleton-valued."""
-    if any(c & (c - 1) for row in table for c in row):
-        return None
-    return [[c.bit_length() - 1 for c in row] for row in table]
+def _identity(table, elems):
+    """The first e of elems with table[e][x] = {x} = table[x][e] for every
+    x of elems, or None."""
+    for e in elems:
+        if all(table[e][x] == 1 << x == table[x][e] for x in elems):
+            return e
+    return None
 
 
 def _commutative(table) -> bool:
@@ -132,10 +140,8 @@ class Hypergroup:
         self.size = len(self.names)
         if len(set(self.names)) != self.size:
             raise MalformedTable("duplicate element names")
-        _check_mask_table(add, self.size, self.size, self.size, "add")
-        self.add = [list(r) for r in add]
+        self.add, self.add_elt = _intake(add, self.size, self.size, self.size, "add")
         self.add_ops = SetOps(self.add)
-        self.commutative = _commutative(self.add)
         self.index = {nm: i for i, nm in enumerate(self.names)}
         self.fingerprint = _table_fingerprint("hypergroup", self.names, self.add)
 
@@ -151,44 +157,22 @@ class FiniteHyperfield:
 
     def __init__(self, names, add, mul, gf_order=None):
         self.names = list(names)
-        self.size = len(self.names)
-        if len(set(self.names)) != self.size:
+        self.size = n = len(self.names)
+        check_carrier_size(n)
+        if len(set(self.names)) != n:
             raise MalformedTable("duplicate element names")
-        _check_mask_table(add, self.size, self.size, self.size, "add")
-        _check_mask_table(mul, self.size, self.size, self.size, "mul")
-        self.add = [list(r) for r in add]
-        self.mul = [list(r) for r in mul]
+        self.add, self.add_elt = _intake(add, n, n, n, "add")
+        self.mul, self.mul_elt = _intake(mul, n, n, n, "mul")
         self.add_ops = SetOps(self.add)
         self.mul_ops = SetOps(self.mul)
         self.index = {nm: i for i, nm in enumerate(self.names)}
-        self.zero = self._locate_zero()
-        self.one = self._locate_one()
-        self.add_elt = _element_table(self.add)
-        self.mul_elt = _element_table(self.mul)
+        self.zero = _identity(self.add, range(n))
+        self.one = _identity(self.mul, [x for x in range(n) if x != self.zero])
         self.is_trivial = self.add_elt is not None and self.mul_elt is not None
         self.commutative_add = _commutative(self.add)
-        # set by gen_trivial_field / shorthand parse; enables "trivial:Fq" output
+        # q when the tables are GF(q)'s: set by the generators and the parser
         self.gf_order = gf_order
         self.fingerprint = _table_fingerprint("hyperfield", self.names, self.add, self.mul)
-
-    def _locate_zero(self):
-        for z in range(self.size):
-            if all(
-                self.add[z][x] == (1 << x) and self.add[x][z] == (1 << x)
-                for x in range(self.size)
-            ):
-                return z
-        return None
-
-    def _locate_one(self):
-        nz = [x for x in range(self.size) if x != self.zero]
-        for e in nz:
-            if all(
-                self.mul[e][x] == (1 << x) and self.mul[x][e] == (1 << x)
-                for x in nz
-            ):
-                return e
-        return None
 
     @property
     def nonzero_mask(self) -> int:
@@ -211,38 +195,25 @@ class FiniteLieHyperalgebra:
             raise FieldMismatch("field must be a FiniteHyperfield")
         self.field = field
         self.names = list(names)
-        self.size = len(self.names)
-        check_carrier_size(self.size)
-        if len(set(self.names)) != self.size:
+        self.size = n = len(self.names)
+        check_carrier_size(n)
+        if len(set(self.names)) != n:
             raise MalformedTable("duplicate element names")
-        _check_mask_table(add, self.size, self.size, self.size, "add")
-        _check_mask_table(smul, field.size, self.size, self.size, "smul")
-        _check_mask_table(bracket, self.size, self.size, self.size, "bracket")
-        self.add = [list(r) for r in add]
-        self.smul = [list(r) for r in smul]
-        self.bracket = [list(r) for r in bracket]
+        self.add, self.add_elt = _intake(add, n, n, n, "add")
+        self.smul, self.smul_elt = _intake(smul, field.size, n, n, "smul")
+        self.bracket, self.br_elt = _intake(bracket, n, n, n, "bracket")
         self.add_ops = SetOps(self.add)
         self.smul_ops = SetOps(self.smul)
         self.bracket_ops = SetOps(self.bracket)
         self.index = {nm: i for i, nm in enumerate(self.names)}
-        self.zero = self._locate_zero()
-        self.add_elt = _element_table(self.add)
-        self.smul_elt = _element_table(self.smul)
-        self.br_elt = _element_table(self.bracket)
+        cell = self.smul[field.zero][0] if field.zero is not None else 0
+        self.zero = cell.bit_length() - 1 if is_singleton(cell) else None
         self.is_trivial = field.is_trivial and all(
             t is not None for t in (self.add_elt, self.smul_elt, self.br_elt))
         self.commutative_add = _commutative(self.add)
         self.fingerprint = _table_fingerprint(
             "lie_hyperalgebra", field.fingerprint, self.names, self.add, self.smul, self.bracket
         )
-
-    def _locate_zero(self):
-        if self.field.zero is None:
-            return None
-        cell = self.smul[self.field.zero][0]
-        if not is_singleton(cell):
-            return None
-        return singleton_index(cell)
 
     def set_add(self, a_mask: int, b_mask: int) -> int:
         return self.add_ops.apply(a_mask, b_mask)
@@ -303,10 +274,10 @@ class CheckReport:
     def to_dict(self):
         return {"kind": self.kind, "ok": self.ok, "axioms": self.axioms}
 
-    def raise_if_failed(self, exc_cls=AxiomFailure):
+    def raise_if_failed(self):
         for name, a in self.axioms.items():
             if not a["ok"]:
-                raise exc_cls(name, a["witness"], a["detail"])
+                raise AxiomFailure(name, a["witness"], a["detail"])
 
 
 def _values(elementwise: bool, size: int):
@@ -352,10 +323,9 @@ def check_hypergroup_tables(table, op, vals, carrier_mask: int, report: CheckRep
 
 def check_hypergroup(hg: Hypergroup) -> CheckReport:
     report = CheckReport("hypergroup")
-    elt = _element_table(hg.add)
-    op = hg.add_ops if elt is None else elt
-    check_hypergroup_tables(hg.add, op, _values(elt is not None, hg.size),
-                            full_mask(hg.size), report)
+    elt = hg.add_elt
+    check_hypergroup_tables(hg.add, hg.add_ops if elt is None else elt,
+                            _values(elt is not None, hg.size), full_mask(hg.size), report)
     return report
 
 

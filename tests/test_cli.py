@@ -198,7 +198,7 @@ def _refuse_tables(monkeypatch):
     def refuse(*_):
         raise AssertionError("a table was built above the carrier cap")
 
-    for name in ("generators.classical_tables", "generators.get_gf",
+    for name in ("generators.classical_tables", "generators.get_gf", "generators.mask_of",
                  "interchange.gen_trivial_field"):
         monkeypatch.setattr(f"hyperlie.{name}", refuse)
 
@@ -210,6 +210,13 @@ def test_gen_trivial_checks_cap_before_building_tables(capsys, monkeypatch):
         code, _, err = run(capsys, "gen", "trivial", "--q", str(q), "--dim", str(dim))
         assert code == 3
         assert f"carrier size {size} exceeds cap 256" in err
+
+
+def test_gen_qhyperfield_checks_cap_before_building_tables(capsys, monkeypatch):
+    _refuse_tables(monkeypatch)
+    code, _, err = run(capsys, "gen", "qhyperfield", "--q", "1009", "--subgroup", "1")
+    assert code == 3
+    assert "carrier size 1009 exceeds cap 256" in err
 
 
 def test_field_shorthand_checks_cap_before_building_the_field(capsys, tmp_path, monkeypatch):
@@ -429,5 +436,22 @@ def test_mutated_interchange_files_end_in_an_exit_code(capsys, tmp_path, text):
     # any exception that escapes main fails the example
     p = tmp_path / "mutated.json"
     p.write_text(text)
-    code, _, _ = run(capsys, "check", str(p))
-    assert code in (0, 1, 2, 3)
+    for argv in (["check"], ["relation", "--rel", "L", "--oracle", "off",
+                             "--bounds", "1,1,1,1"]):
+        code, _, _ = run(capsys, argv[0], str(p), *argv[1:])
+        assert code in (0, 1, 2, 3)
+
+
+def test_relation_on_an_element_in_no_value_exit_1(capsys, tmp_path):
+    # every scalar multiple is 0, so no bounded expression takes a value
+    # holding a, and the engine relation misses (a, a)
+    p = tmp_path / "unchecked.json"
+    p.write_text(json.dumps({
+        "kind": "lie_hyperalgebra", "elements": ["0", "a"], "zero": "0",
+        "field": "trivial:F2", "add": [[["0"], ["a"]], [["a"], ["0"]]],
+        "bracket": [[["0"], ["0"]], [["0"], ["0"]]],
+        "scalar": [[["0"], ["0"]], [["0"], ["0"]]]}))
+    code, out, err = run(capsys, "relation", str(p), "--rel", "L", "--oracle", "off")
+    assert code == 1 and out == ""
+    assert err.startswith("property failure: AxiomFailure: axiom relation-reflexive")
+    assert "'a'" in err

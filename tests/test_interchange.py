@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import _self_module
 from hyperlie.errors import ParseError
 from hyperlie.generators import (
     gen_coset_hypergroup,
@@ -111,6 +112,21 @@ def test_field_shorthand_parse(ex2):
     text = serialize_structure(ex2)
     y = parse_structure(text)
     assert y.field.is_trivial and y.field.gf_order == 3
+
+
+def test_parse_and_serialize_build_no_field(monkeypatch, ab1, m1):
+    # an embedded field is compared with get_gf's tables; only the
+    # trivial:F<q> shorthand builds a hyperfield
+    gf3 = serialize_structure(ab1.field)
+
+    def refuse(*_):
+        raise AssertionError("a hyperfield was built")
+
+    monkeypatch.setattr("hyperlie.interchange.gen_trivial_field", refuse)
+    F = parse_structure(gf3)
+    assert F.gf_order == 3
+    assert parse_structure(serialize_structure(m1)).gf_order is None
+    assert json.loads(serialize_structure(_self_module(F)))["field"] == "trivial:F3"
 
 
 def test_canonical_cell_order(m2):

@@ -1,8 +1,9 @@
 """Module layering: gf.py is the one home of GF(q) and structure-constant
 arithmetic, so it depends on no other hyperlie module but errors, the
 quotients module (the linear oracle) does not reach into the generators,
-and the brute-force reference enumerator does not reuse the engine's
-enumeration."""
+the brute-force reference enumerator does not reuse the engine's
+enumeration, and no module but the package's __init__ imports a name it
+does not use."""
 
 import ast
 import os
@@ -60,3 +61,19 @@ def test_reference_enumerator_shares_no_enumeration_code():
         elif isinstance(node, ast.Import):
             assert "hyperlie.relations" not in {a.name for a in node.names}
     assert taken <= {"_leaf_pool", "ExpressionBounds"}
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export; every other module uses what it imports
+    unused = []
+    for fname in sorted(os.listdir(PACKAGE_DIR)):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(PACKAGE_DIR, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = {(a.asname or a.name).partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for a in node.names} - {"annotations"}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{fname}: {name}" for name in sorted(imported - used)]
+    assert unused == []
