@@ -23,6 +23,7 @@ from .gf import (
     constants_table,
     digits_to_int,
     get_gf,
+    identity,
     is_prime,
 )
 from .sets import mask_of
@@ -86,6 +87,21 @@ def gen_trivial_from_lie(q: int, dim: int, constants) -> FiniteLieHyperalgebra:
     return L
 
 
+def _orbits(n: int, orbit):
+    """(members, class_of) of the partition of range(n) into orbits, where
+    orbit(u) yields the members of the orbit of u, u among them: each orbit
+    sorted, orbits ordered by their least element."""
+    class_of = [None] * n
+    members = []
+    for u in range(n):
+        if class_of[u] is None:
+            orb = sorted(set(orbit(u)))
+            for v in orb:
+                class_of[v] = len(members)
+            members.append(orb)
+    return members, class_of
+
+
 def _group_checks(table):
     n = len(table)
     for row in table:
@@ -96,11 +112,7 @@ def _group_checks(table):
             for z in range(n):
                 if table[table[x][y]][z] != table[x][table[y][z]]:
                     raise NotAGroup("group-associative", (x, y, z))
-    ident = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            ident = e
-            break
+    ident = identity(table, range(n))
     if ident is None:
         raise NotAGroup("group-identity", ())
     for x in range(n):
@@ -113,6 +125,7 @@ def gen_coset_hypergroup(group_table, subgroup, names=None) -> Hypergroup:
     """Left-coset hypergroup of a finite group: entry (xH, yH) = {zH : z = xhy}."""
     table = [list(r) for r in group_table]
     n = len(table)
+    check_carrier_size(n)
     ident = _group_checks(table)
     H = sorted(set(subgroup))
     if any(not (0 <= h < n) for h in H):
@@ -125,15 +138,7 @@ def gen_coset_hypergroup(group_table, subgroup, names=None) -> Hypergroup:
                 raise NotASubgroup(f"not closed: {a}*{b} outside subgroup")
     elem_names = names if names is not None else [str(i) for i in range(n)]
 
-    coset_of = [None] * n
-    cosets = []
-    for x in range(n):
-        if coset_of[x] is None:
-            members = sorted({table[x][h] for h in H})
-            ci = len(cosets)
-            cosets.append(members)
-            for m in members:
-                coset_of[m] = ci
+    cosets, coset_of = _orbits(n, lambda x: (table[x][h] for h in H))
     coset_names = [f"[{elem_names[members[0]]}]" for members in cosets]
     k = len(cosets)
     add = []
@@ -152,6 +157,7 @@ def gen_coset_hypergroup(group_table, subgroup, names=None) -> Hypergroup:
 
 
 def make_cyclic_group(k: int):
+    check_carrier_size(k)
     table = [[(i + j) % k for j in range(k)] for i in range(k)]
     names = [str(i) for i in range(k)]
     return table, names
@@ -179,18 +185,7 @@ def _unit_cosets(q: int, subgroup):
         for b in H:
             if (a * b) % q not in H:
                 raise NotASubgroup(f"not closed under multiplication: {a}*{b}")
-
-    class_of = [None] * q
-    class_of[0] = 0
-    members = [[0]]
-    for a in range(1, q):
-        if class_of[a] is None:
-            coset = sorted((a * h) % q for h in H)
-            ci = len(members)
-            members.append(coset)
-            for m in coset:
-                class_of[m] = ci
-    return members, class_of
+    return _orbits(q, lambda a: (a * h % q for h in H))
 
 
 def gen_quotient_hyperfield(q: int, subgroup) -> FiniteHyperfield:
@@ -235,15 +230,7 @@ def gen_orbit_quotient(q: int, dim: int, constants, subgroup) -> FiniteLieHypera
     # H acts freely on the nonzero vectors, so the orbits number 1 + (n - 1) / |H|
     check_carrier_size(1 + (q ** dim - 1) // len(H))
     vecs, vadd, vsmul = classical_tables(gf, dim)
-
-    orbit_of = [None] * len(vecs)
-    orbits = []
-    for u in range(len(vecs)):
-        if orbit_of[u] is None:
-            members = sorted({vsmul[h][u] for h in H})
-            for m in members:
-                orbit_of[m] = len(orbits)
-            orbits.append(members)
+    orbits, orbit_of = _orbits(len(vecs), lambda u: (vsmul[h][u] for h in H))
     names = [
         "0" if members == [0] else f"[{vector_name(vecs[members[0]], q)}]"
         for members in orbits

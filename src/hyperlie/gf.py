@@ -120,6 +120,15 @@ def digits_to_int(digits, p: int) -> int:
     return out
 
 
+def identity(table, elems):
+    """The first e of elems with table[e][x] = x = table[x][e] for every x
+    of elems, or None."""
+    for e in elems:
+        if all(table[e][x] == x == table[x][e] for x in elems):
+            return e
+    return None
+
+
 class FiniteField:
     """Classical finite field given by element-valued Cayley tables.
 
@@ -135,27 +144,15 @@ class FiniteField:
         self.add = [list(r) for r in add]
         self.mul = [list(r) for r in mul]
         self.index = {nm: i for i, nm in enumerate(self.names)}
-        self.zero = self._locate(self.add)
-        self.one = self._locate(self.mul, skip=self.zero)
         rng = range(self.size)
+        self.zero = identity(self.add, rng)
+        self.one = identity(self.mul, [x for x in rng if x != self.zero])
         self._neg = [next((b for b in rng if self.add[a][b] == self.zero), None) for a in rng]
         self._inv = [
             next((b for b in rng if b != self.zero and self.mul[a][b] == self.one), None)
             if a != self.zero else None
             for a in rng
         ]
-
-    def _locate(self, table, skip=None):
-        for e in range(self.size):
-            if e == skip:
-                continue
-            if all(
-                table[e][x] == x and table[x][e] == x
-                for x in range(self.size)
-                if x != skip
-            ):
-                return e
-        return None
 
     @classmethod
     def from_trivial_hyperfield(cls, F) -> "FiniteField":

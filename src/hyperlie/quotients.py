@@ -123,9 +123,8 @@ class FiniteLieAlgebra:
         """Classical Lie algebra axioms with first witness; raises NotLie.
 
         Axioms of one or two vectors are checked on every instance, those
-        of three by holds_on_generators (its C follows from the inverses and
-        its step 1); on any failure the exhaustive scan runs and names the
-        first witness in its order.
+        of three by holds_on_generators; on any failure the exhaustive scan
+        runs and names the first witness in its order.
         """
         n = self.size
         F = self.field
@@ -319,17 +318,11 @@ def linear_oracle_Sn(q: int, dim: int, constants, n: int) -> Partition:
     table = _constants_table(gf, dim, constants)
     check_constants_lie(gf, dim, table)
     sub = span_indices(gf, _derived_subspace_basis(gf, dim, table, n), dim)
-    size = q ** dim
     sub_digits = [int_to_digits(w, q, dim) for w in sub]
-    class_map = {}
-    for v in range(size):
-        vd = int_to_digits(v, q, dim)
-        rep = min(
-            digits_to_int([gf.add[vd[t]][w[t]] for t in range(dim)], q)
-            for w in sub_digits
-        )
-        class_map[rep] = class_map.get(rep, 0) | (1 << v)
-    return Partition(list(class_map.values()))
+    return Partition.from_class_of([
+        min(digits_to_int([gf.add[vd[t]][w[t]] for t in range(dim)], q) for w in sub_digits)
+        for vd in (int_to_digits(v, q, dim) for v in range(q ** dim))
+    ])
 
 
 def detect_trivial(L: FiniteLieHyperalgebra):

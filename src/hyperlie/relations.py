@@ -163,11 +163,7 @@ class Partition:
         return all(m & ~other.class_mask_of((m & -m).bit_length() - 1) == 0 for m in self.classes)
 
     def meet(self, other: "Partition") -> "Partition":
-        seen = {}
-        for x in range(self.size):
-            k = (self.class_of[x], other.class_of[x])
-            seen[k] = seen.get(k, 0) | (1 << x)
-        return Partition(list(seen.values()))
+        return Partition.from_class_of(zip(self.class_of, other.class_of))
 
     def is_diagonal(self) -> bool:
         return len(self.classes) == self.size
@@ -215,11 +211,7 @@ def transitive_closure(rel: BinaryRelation) -> Partition:
             ry = find(y)
             if rx != ry:
                 parent[ry] = rx
-    groups = {}
-    for x in range(n):
-        r = find(x)
-        groups[r] = groups.get(r, 0) | (1 << x)
-    return Partition(list(groups.values()))
+    return Partition.from_class_of([find(x) for x in range(n)])
 
 
 def _product_pairs(F: FiniteHyperfield, q: int):

@@ -98,12 +98,13 @@ def additive_generators(add, zero):
 
 def holds_on_generators(add, br, zero) -> bool:
     """Whether + is associative, the bracket bi-additive and the Jacobiator
-    zero, on element tables; decided on additive generators G: from {zero},
-    close under s -> s + g for g in G, adding the smallest element not
-    reached to G until all are (|G| is d over GF(p), d r over GF(p^r)).
-    Callers first establish (I) zero + x = x = x + zero, (C) a + b = b only
-    for a = zero, and (K) + commutative. In 1 and 2 the y that satisfy the
-    law are closed under + and hold zero, so y in G suffices.
+    zero, on element tables. False unless the premises of the proof hold:
+    (I) zero + x = x = x + zero, (C) a + b = b only for a = zero (each
+    column of + a permutation) and (K) + commutative. Then decided on
+    additive generators G: from {zero}, close under s -> s + g for g in G,
+    adding the smallest element not reached to G until all are (|G| is d
+    over GF(p), d r over GF(p^r)). In 1 and 2 the y that satisfy the law
+    are closed under + and hold zero, so y in G suffices.
     1. (x + y) + c = x + (y + c) for all x, c (Light's test): closed by the
        law itself, zero by I.
     2. [x + y, c] = [x, c] + [y, c] for all x, c: closed by 1, zero as the
@@ -111,6 +112,11 @@ def holds_on_generators(add, br, zero) -> bool:
     3. By 1, 2 and K the Jacobiator is additive in each argument, and by I
        and 2 zero when one is; so it vanishes once it does on G x G x G.
     """
+    n = len(add)
+    add_cols = [list(c) for c in zip(*add)]
+    if add_cols != add or add[zero] != list(range(n)) or any(
+            len(set(c)) != n for c in add_cols):
+        return False
     cols = [list(c) for c in zip(*br)]
     gens = additive_generators(add, zero)
     for g in gens:
@@ -137,10 +143,11 @@ class Hypergroup:
 
     def __init__(self, names, add):
         self.names = list(names)
-        self.size = len(self.names)
-        if len(set(self.names)) != self.size:
+        self.size = n = len(self.names)
+        check_carrier_size(n)
+        if len(set(self.names)) != n:
             raise MalformedTable("duplicate element names")
-        self.add, self.add_elt = _intake(add, self.size, self.size, self.size, "add")
+        self.add, self.add_elt = _intake(add, n, n, n, "add")
         self.add_ops = SetOps(self.add)
         self.index = {nm: i for i, nm in enumerate(self.names)}
         self.fingerprint = _table_fingerprint("hypergroup", self.names, self.add)
@@ -233,35 +240,21 @@ class CheckReport:
     Witnesses are element-index tuples replayable via reevaluate().
     """
 
-    def __init__(self, kind, held=()):
+    def __init__(self, kind):
         self.kind = kind
         self.axioms = {}
-        self._held = dict.fromkeys(held)
 
     def record(self, name, ok, witness=None, detail=""):
         self.axioms[name] = {"ok": bool(ok), "witness": witness, "detail": detail}
 
     def record_first(self, name, failures) -> bool:
         """Record name as failing at the first witness that failures yields,
-        else as holding; return whether it holds. A held name only takes
-        its place in the key order, and settle() records it."""
-        if name in self._held:
-            self.axioms[name] = None
-            self._held[name] = failures
-            return None
+        else as holding; return whether it holds."""
         for w in failures:
             self.record(name, False, w)
             return False
         self.record(name, True)
         return True
-
-    def settle(self, decided: bool):
-        """Record the held axioms reached: as holding if the caller decided
-        them, else at the first witness of their failures."""
-        held, self._held = self._held, {}
-        for name, failures in held.items():
-            if failures is not None:
-                self.record_first(name, () if decided else failures)
 
     @property
     def ok(self) -> bool:
@@ -287,13 +280,14 @@ def _values(elementwise: bool, size: int):
 
 
 def check_hypergroup_tables(table, op, vals, carrier_mask: int, report: CheckReport,
-                            prefix="add"):
+                            prefix="add", decided=False):
     """Associativity and reproduction for one hyperoperation, recorded on report.
 
     table is its mask table; op is the view of it that the calling checker
     picked (element-index table or SetOps) and vals[i] is element i in that
     view. Callers run this only on carriers closed under the operation, so
-    associativity values never leave carrier_mask.
+    associativity values never leave carrier_mask. decided records
+    associativity as holding without its loop, for a caller that proved it.
     """
     elems = list(iter_bits(carrier_mask))
     rows = [(x, vals[x], op[vals[x]]) for x in elems]
@@ -306,7 +300,7 @@ def check_hypergroup_tables(table, op, vals, carrier_mask: int, report: CheckRep
                     if oxy[vz] != ox[oy[vz]]:
                         yield (x, y, z)
 
-    report.record_first(f"{prefix}-associative", assoc_fails())
+    report.record_first(f"{prefix}-associative", () if decided else assoc_fails())
 
     def repro_fails():
         for x in elems:
@@ -391,20 +385,14 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra, field_report=None) -> Check
 
     Bilinearity of the bracket is verified through its elementwise-additive
     and scalar-homogeneous decomposition, which is equivalent to the setwise
-    statement because setwise operations distribute over unions. The held
-    axioms are decided by holds_on_generators on element-index tables once
-    + is commutative (K) and the premises passed to settle hold:
-    reproduction makes + a Latin square (C), zero-vector-identity is I,
-    and scalar-zero with homogeneity give [0, c] = 0 = [c, 0]. Otherwise
+    statement because setwise operations distribute over unions. On
+    element-index tables, associativity, bracket additivity and Jacobi are
+    recorded as holding when holds_on_generators decides them; otherwise
     their loops run and name the first witness.
     """
-    report = CheckReport("lie_hyperalgebra", held=(
-        "add-associative", "bracket-additive-left", "bracket-additive-right",
-        "jacobi-contains-zero"))
+    report = CheckReport("lie_hyperalgebra")
     if field_report is None:
         field_report = check_hyperfield(L.field)
-    report.record("scalar-field", field_report.ok, None,
-                  "" if field_report.ok else f"field fails: {field_report.failures}")
     n = L.size
     F = L.field
     triv = L.is_trivial
@@ -414,14 +402,16 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra, field_report=None) -> Check
     else:
         add, smul, br = L.add_ops, L.smul_ops, L.bracket_ops
         fadd, fmul = F.add_ops, F.mul_ops
+    decided = triv and L.zero is not None and holds_on_generators(add, br, L.zero)
     vec = _values(triv, n)
     sca = _values(triv, F.size)
-    check_hypergroup_tables(L.add, add, vec, full_mask(n), report, prefix="add")
+    report.record("scalar-field", field_report.ok, None,
+                  "" if field_report.ok else f"field fails: {field_report.failures}")
+    check_hypergroup_tables(L.add, add, vec, full_mask(n), report, decided=decided)
 
     report.record("zero-vector", L.zero is not None, None,
                   "" if L.zero is not None else "0_F * x is not a consistent singleton")
     if L.zero is None or F.zero is None or F.one is None:
-        report.settle(False)
         return report
     zi, fz, fo = L.zero, F.zero, F.one
 
@@ -482,7 +472,7 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra, field_report=None) -> Check
                     if bs[vy] != add[b1[vy]][b2[vy]]:
                         yield (x1, x2, y)
 
-    report.record_first("bracket-additive-left", br_add_left_fails())
+    report.record_first("bracket-additive-left", () if decided else br_add_left_fails())
 
     def br_add_right_fails():
         for y1, v1 in enumerate(vec):
@@ -493,7 +483,7 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra, field_report=None) -> Check
                     if bx[s] != add[bx[v1]][bx[v2]]:
                         yield (x, y1, y2)
 
-    report.record_first("bracket-additive-right", br_add_right_fails())
+    report.record_first("bracket-additive-right", () if decided else br_add_right_fails())
 
     def br_hom_left_fails():
         for a, va in enumerate(sca):
@@ -530,11 +520,7 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra, field_report=None) -> Check
                     if (t != zero) if triv else not t & zero:
                         yield (x, y, z)
 
-    report.record_first("jacobi-contains-zero", jacobi_fails())
-    report.settle(triv and L.commutative_add and all(report.axioms[a]["ok"] for a in (
-        "add-reproduction", "zero-vector-identity", "scalar-zero",
-        "bracket-homogeneous-left", "bracket-homogeneous-right"))
-        and holds_on_generators(add, br, zi))
+    report.record_first("jacobi-contains-zero", () if decided else jacobi_fails())
     return report
 
 

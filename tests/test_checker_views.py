@@ -11,7 +11,9 @@ On singleton-valued algebras whose + is a commutative group, the Lie
 checker decides associativity, bracket additivity and Jacobi on additive
 generators; with that decision patched to fail it runs their loops. The
 two reports must be equal, witnesses included, on the quotient decider
-tests' corruptions of classical algebras lifted to singleton masks.
+tests' corruptions of classical algebras lifted to singleton masks. The
+decider checks its own premises, so on unchecked element tables a True
+must survive the exhaustive loops.
 """
 
 from functools import lru_cache
@@ -158,7 +160,7 @@ def test_checker_agrees_with_instance_replay(structure):
             assert reevaluate(structure, name, entry["witness"]) is False, name
 
 
-_HELD = ("add-associative", "bracket-additive-left", "bracket-additive-right",
+_DECIDED = ("add-associative", "bracket-additive-left", "bracket-additive-right",
          "jacobi-contains-zero")
 
 
@@ -179,7 +181,7 @@ def test_generator_decision_agrees_with_loops():
         with mock.patch.object(structures, "holds_on_generators", return_value=False):
             loops = check_lie_hyperalgebra(L)
         assert report.axioms == loops.axioms
-        for name in _HELD:
+        for name in _DECIDED:
             entry = report.axioms[name]
             if not entry["ok"]:
                 assert reevaluate(L, name, entry["witness"]) is False, name
@@ -192,10 +194,11 @@ def test_generator_decision_agrees_with_loops():
 
 def test_generator_decision_needs_its_premises():
     # commutative, 0 + 0 = 0, but 0 is no identity and + no Latin square:
-    # the generator clauses hold and + is not associative
+    # the generator clauses hold and + is not associative, so the decider
+    # must refuse on its premises
     add = [[0, 2, 1], [2, 1, 2], [1, 2, 1]]
     zeros = [[0] * 3 for _ in range(3)]
-    assert structures.holds_on_generators(add, zeros, 0)
+    assert not structures.holds_on_generators(add, zeros, 0)
     F = gen_trivial_field(2)
     L = FiniteLieHyperalgebra(F, ["0", "1", "2"], [[1 << v for v in r] for r in add],
                               [[1] * 3, [1, 2, 4]], [[1] * 3 for _ in range(3)])
@@ -203,3 +206,49 @@ def test_generator_decision_needs_its_premises():
     assert report.axioms["add-associative"]["ok"] is False
     with mock.patch.object(structures, "holds_on_generators", return_value=False):
         assert check_lie_hyperalgebra(L).axioms == report.axioms
+
+
+@st.composite
+def element_tables(draw):
+    """(add, br, zero): random tables of at most 9 elements, half of them
+    with zero an identity of a commutative +, or the element tables of a
+    corrupted classical algebra lifted to singleton masks."""
+    if draw(st.booleans()):
+        L = _singleton_lift(draw(corrupted_algebras()))
+        return L.add_elt, L.br_elt, L.zero
+    n = draw(st.integers(1, 9))
+    cell = st.integers(0, n - 1)
+    table = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    add, br, zero = draw(table), draw(table), draw(cell)
+    if draw(st.booleans()):
+        for x in range(n):
+            for y in range(x):
+                add[x][y] = add[y][x]
+        for x in range(n):
+            add[zero][x] = add[x][zero] = x
+    return add, br, zero
+
+
+def test_generator_decision_is_sound_on_unchecked_tables():
+    outcomes, premises = set(), set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(element_tables())
+    def sound(tables):
+        add, br, zero = tables
+        rng = range(len(add))
+        premises.add(all(add[zero][x] == x == add[x][zero] for x in rng)
+                     and all(add[x][y] == add[y][x] for x in rng for y in rng)
+                     and all(add[a][b] != b for a in rng for b in rng if a != zero))
+        decided = structures.holds_on_generators(add, br, zero)
+        outcomes.add(decided)
+        if decided:
+            for x, y, c in product(rng, repeat=3):
+                assert add[add[x][y]][c] == add[x][add[y][c]]
+                assert br[add[x][y]][c] == add[br[x][c]][br[y][c]]
+                assert br[c][add[x][y]] == add[br[c][x]][br[c][y]]
+                assert add[add[br[x][br[y][c]]][br[y][br[c][x]]]][br[c][br[x][y]]] == zero
+
+    sound()
+    assert outcomes == {True, False}
+    assert False in premises

@@ -13,7 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import _self_module
 from hyperlie import cli, errors
 from hyperlie.cli import main
-from hyperlie.generators import gen_coset_hypergroup, gen_quotient_hyperfield, gen_trivial_from_lie
+from hyperlie.generators import (
+    gen_coset_hypergroup,
+    gen_quotient_hyperfield,
+    gen_trivial_from_lie,
+    make_cyclic_group,
+)
 from hyperlie.interchange import serialize_structure
 
 
@@ -217,6 +222,24 @@ def test_gen_qhyperfield_checks_cap_before_building_tables(capsys, monkeypatch):
     code, _, err = run(capsys, "gen", "qhyperfield", "--q", "1009", "--subgroup", "1")
     assert code == 3
     assert "carrier size 1009 exceeds cap 256" in err
+
+
+def test_gen_coset_checks_cap_before_the_group_checks(capsys, monkeypatch):
+    _refuse_tables(monkeypatch)
+    monkeypatch.setattr("hyperlie.generators._group_checks", lambda *_: pytest.fail(
+        "the group was checked above the carrier cap"))
+    code, _, err = run(capsys, "gen", "coset", "--group", "zn:400", "--subgroup", "0")
+    assert code == 3
+    assert "carrier size 400 exceeds cap 256" in err
+
+
+def test_hypergroup_file_over_cap_exit_3(capsys, tmp_path, monkeypatch):
+    p = tmp_path / "z6.json"
+    p.write_text(serialize_structure(gen_coset_hypergroup(make_cyclic_group(6)[0], [0])))
+    monkeypatch.setenv("HYPERLIE_MAX_CARRIER", "4")
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 3
+    assert "carrier size 6 exceeds cap 4" in err
 
 
 def test_field_shorthand_checks_cap_before_building_the_field(capsys, tmp_path, monkeypatch):
