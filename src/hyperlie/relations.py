@@ -3,13 +3,14 @@
 The relations are defined by unbounded families of expressions; this engine
 covers every expression within ExpressionBounds without evaluating them one
 by one. The swap relations A and Sn build bracket trees bottom-up in one
-tree DP over distinct subtree states (the written and permuted values,
-with the gated values a leaf permutation still owes). Every comparison of
-a written order with its permutations is one fold, combine_levels: scalar
+tree DP over distinct subtree states (the written and permuted values, with
+the gated values a leaf permutation still owes). Every comparison of a
+written order with its permutations is one fold, combine_levels: scalar
 products, the sums of products that make coefficients, and the sums of
-summands for A, Sn and alpha. L compares no permutations, so it builds
-the written values alone and folds its sums over values, not pairs (the
-pair fold was measured slower on cold L). Every stage dedupes by
+summands for A, Sn and alpha, folded over rectangles of pairs up to a fixed
+level where + commutes and associates. L compares no permutations, so it
+builds the written values alone and folds its sums over values, not pairs
+(the pair fold was measured slower on cold L). Every stage dedupes by
 evaluated value sets. RelationStatus reports how the finite run should be
 read (exact against an oracle, stabilized, or bound-limited).
 """
@@ -17,8 +18,8 @@ read (exact against an oracle, stabilized, or bound-limited).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from operator import or_
+from itertools import groupby, permutations, product
+from operator import itemgetter, or_
 
 from .errors import AxiomFailure, BoundsExceeded, InternalInvariant, NotSymmetric
 from .sets import full_mask, iter_bits
@@ -387,24 +388,45 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     return sorted(pairs)
 
 
+def _blocks(level):
+    """A sorted level as rectangles (Xs, Ys) that partition it: the pairs
+    grouped by X, then the Xs that share one tuple of Ys."""
+    rects = {}
+    for X, group in groupby(level, itemgetter(0)):
+        rects.setdefault(tuple(map(itemgetter(1), group)), []).append(X)
+    return [(Xs, Ys) for Ys, Xs in rects.items()]
+
+
 def combine_levels(pairs, ops, t_max: int, commutative: bool):
     """Per-length levels of folded pairs, each sorted.
 
     Level t holds the (written order, permuted order) values of t-term
     folds of pairs under ops, the SetOps of the operation: sums of
-    summands, sums of products, or products of scalars. A commutative
-    operation makes term order and the top permutation irrelevant, so a
-    value-deduplicating DP suffices; otherwise ordered tuples and every
-    top permutation are evaluated explicitly.
+    summands, sums of products, or products of scalars. If ops commutes,
+    and from three terms on associates, level t + 1 is every (X + U, Y + V)
+    over (X, Y) of level t and (U, V) of level 1; rectangles Xs x Ys and
+    Us x Vs give {X + U} x {Y + V} in |Xs||Us| + |Ys||Vs| sums, taken when
+    |Xs| + |Ys| < |Xs||Ys|. A level equal to the one before is fixed and
+    repeats (the same list). Otherwise every order is evaluated.
     """
     levels = [sorted(set(pairs))]
     if commutative:
-        for _ in range(t_max - 1):
+        right = _blocks(levels[0])
+        for t in range(2, t_max + 1):
             nxt = set()
-            for X, Y in levels[-1]:
-                rx, ry = ops[X], ops[Y]
-                nxt.update([(rx[U], ry[V]) for U, V in levels[0]])
-            levels.append(sorted(nxt))
+            for Xs, Ys in right if t == 2 else _blocks(levels[-1]):
+                if len(Xs) + len(Ys) < len(Xs) * len(Ys):
+                    for Us, Vs in right:
+                        nxt.update(product({ops[X][U] for X in Xs for U in Us},
+                                           {ops[Y][V] for Y in Ys for V in Vs}))
+                else:
+                    for X, Y in product(Xs, Ys):
+                        rx, ry = ops[X], ops[Y]
+                        nxt.update([(rx[U], ry[V]) for U, V in levels[0]])
+            lvl = sorted(nxt)
+            if lvl == levels[-1]:
+                return levels + [levels[-1]] * (t_max + 1 - t)
+            levels.append(lvl)
         return levels
     for t in range(2, t_max + 1):
         lvl = set()
@@ -421,13 +443,18 @@ def combine_levels(pairs, ops, t_max: int, commutative: bool):
     return levels
 
 
+def _sums_commute(S, t: int) -> bool:
+    """Whether + commutes and, for sums of t >= 3 terms, associates."""
+    return S.commutative_add and (t < 3 or S.associative_add)
+
+
 def _relation_from_levels(levels, names) -> BinaryRelation:
     """x related to every element of Y for each pair (X, Y) of the levels
     with x in X. The pair families are closed under swapping, so the
     relation is symmetric; it is reflexive unless an element lies in no
     value, which only tables that fail their axioms allow."""
     rows = [0] * len(names)
-    for lvl in levels:
+    for lvl in {id(lvl): lvl for lvl in levels}.values():  # a fixed level once
         for X, Y in lvl:
             for x in iter_bits(X):
                 rows[x] |= Y
@@ -500,7 +527,7 @@ def relation_alpha(F: FiniteHyperfield, bounds: ExpressionBounds) -> BinaryRelat
     """
     validate_bounds(bounds)
     levels = combine_levels(_product_pairs(F, bounds.q), F.add_ops, bounds.t,
-                            F.commutative_add)
+                            _sums_commute(F, bounds.t))
     return _relation_from_levels(levels, F.names)
 
 
@@ -628,10 +655,9 @@ def sn_pair_levels(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds):
     hit = _REL_CACHE.get(key)
     if hit is not None:
         return hit
-    gate_mask = hyper_derived_sets(L, n - 1)[-1]
-    pairs = summand_pair_family(L, bounds, gate_mask)
-    levels = combine_levels(pairs, L.add_ops, bounds.t, L.commutative_add)
-    _REL_CACHE[key] = levels
+    pairs = summand_pair_family(L, bounds, hyper_derived_sets(L, n - 1)[-1])
+    levels = _REL_CACHE[key] = combine_levels(pairs, L.add_ops, bounds.t,
+                                              _sums_commute(L, bounds.t))
     return levels
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from functools import cached_property
 
 from .errors import (
     AxiomFailure,
@@ -96,6 +97,17 @@ def additive_generators(add, zero):
     return gens
 
 
+def _associative(S) -> bool:
+    """Whether + associates: if zero is an identity of an element table, by
+    Light's test (step 1 of holds_on_generators); else setwise on triples."""
+    add, zero, ops, n = S.add_elt, S.zero, S.add_ops, S.size
+    if add and zero is not None and add[zero] == [r[zero] for r in add] == list(range(n)):
+        return all(add[ax[g]] == [ax[v] for v in add[g]]
+                   for g in additive_generators(add, zero) for ax in add)
+    return all([ops[xy][1 << z] for z in range(n)] == [ops[1 << x][yz] for yz in S.add[y]]
+               for x, row in enumerate(S.add) for y, xy in enumerate(row))
+
+
 def holds_on_generators(add, br, zero) -> bool:
     """Whether + is associative, the bracket bi-additive and the Jacobiator
     zero, on element tables. False unless the premises of the proof hold:
@@ -161,6 +173,7 @@ class FiniteHyperfield:
     failures surface later in check_hyperfield, not here, so malformed
     candidates can still be inspected.
     """
+    associative_add = cached_property(_associative)
 
     def __init__(self, names, add, mul, gf_order=None):
         self.names = list(names)
@@ -196,6 +209,7 @@ class FiniteLieHyperalgebra:
     vector is located as the common value of 0_F * x (standing assumption;
     verified by the checker).
     """
+    associative_add = cached_property(_associative)
 
     def __init__(self, field, names, add, smul, bracket):
         if not isinstance(field, FiniteHyperfield):

@@ -9,7 +9,7 @@ enumerated here too, one scalar tuple and one permutation at a time, so
 the reference shares no enumeration code with the engine.
 """
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import permutations, product
 
 from hyperlie.relations import _leaf_pool
@@ -95,11 +95,42 @@ def summand_pair_family(L, bounds, gate_mask: int):
     return sorted(pairs)
 
 
-def combine_levels(pairs, add_apply, t_max: int, commutative: bool):
-    """Per-summand-count levels of sum-combined pairs, each sorted; add_apply
-    is the setwise addition as a function of two masks."""
+def _setwise(table):
+    """Setwise extension of a mask table: the union of table[x][y] over
+    x in A and y in B, each element pair looked up (memoized)."""
+    n = len(table)
+
+    @cache
+    def apply(A, B):
+        out = 0
+        for x in range(n):
+            for y in range(n):
+                if A >> x & 1 and B >> y & 1:
+                    out |= table[x][y]
+        return out
+
+    return apply
+
+
+def sums_ignore_order(table, t_max: int) -> bool:
+    """Whether every sum of at most t_max terms under the mask table has
+    the same value in every order: the table commutes and, from three
+    terms on, associates, each checked on every element pair or triple."""
+    n, apply = len(table), _setwise(table)
+    if any(table[x][y] != table[y][x] for x in range(n) for y in range(n)):
+        return False
+    return t_max < 3 or all(apply(table[x][y], 1 << z) == apply(1 << x, table[y][z])
+                            for x in range(n) for y in range(n) for z in range(n))
+
+
+def combine_levels(pairs, table, t_max: int):
+    """Per-summand-count levels of sum-combined pairs, each sorted, under
+    the setwise extension of the mask table. Level t + 1 is every level t
+    pair plus every level 1 pair when sums ignore term order; otherwise
+    every ordered tuple is evaluated in every order."""
+    add_apply = _setwise(table)
     levels = [sorted(set(pairs))]
-    if commutative:
+    if sums_ignore_order(table, t_max):
         for _ in range(t_max - 1):
             nxt = set()
             for X, Y in levels[-1]:
@@ -149,8 +180,7 @@ def relation_alpha_rows(F, bounds):
     """Rows of the scalar relation: x related to every element of the
     permuted value of a sum of at most t products whose written value
     holds x."""
-    levels = combine_levels(_product_pairs(F, bounds.q), F.add_ops.apply, bounds.t,
-                            F.commutative_add)
+    levels = combine_levels(_product_pairs(F, bounds.q), F.add, bounds.t)
     rows = [0] * F.size
     for lvl in levels:
         for X, Y in lvl:

@@ -29,6 +29,7 @@ from hyperlie.relations import (
 from hyperlie.generators import gen_trivial_field
 from hyperlie.quotients import linear_oracle_partition
 from hyperlie.sets import bit_count, iter_bits
+from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra
 
 
 def _names(L, mask):
@@ -160,6 +161,20 @@ def test_alpha_trivial_field_is_diagonal():
     part = transitive_closure(relation_alpha(F, DEFAULT_BOUNDS))
     assert part.is_diagonal()
     assert is_strongly_regular_field(F, part)[0]
+
+
+def test_sums_on_a_commutative_nonassociative_addition_fold_every_order():
+    # a + a = b, a + b = b + a = a, b + b = a: (a + a) + b = a but
+    # (a + b) + a = b, so the three-term sums relate a and b, which the
+    # order-free fold (every two-term sum plus one term) never shows
+    add = [[2, 1], [1, 1]]
+    F = FiniteHyperfield(["a", "b"], add, [[1, 1], [1, 2]])
+    L = FiniteLieHyperalgebra(F, ["a", "b"], add, [[1, 1], [1, 2]], [[1, 1], [1, 1]])
+    assert F.commutative_add and not F.associative_add and not L.associative_add
+    for t, rows in ((2, [1, 2]), (3, [3, 3])):
+        bounds = ExpressionBounds(t, 1, 1, 1)
+        assert relation_alpha(F, bounds).rows == rows
+        assert relation_A(L, bounds).rows == rows
 
 
 def test_alpha_coset_field_collapses(m1):

@@ -1,5 +1,7 @@
 """Axiom checkers and witness replay on hand-built and generated tables."""
 
+import random
+
 import pytest
 
 from hyperlie.errors import CarrierCapExceeded, FieldMismatch, MalformedTable
@@ -107,3 +109,46 @@ def test_broken_hyperfield_distributivity_witnessed():
     assert not rep.ok
     name = rep.failures[0]
     assert reevaluate(F, name, rep.axioms[name]["witness"]) is False
+
+
+def _commutative_loops(n):
+    """Every symmetric Latin square on 0..n-1 with identity 0."""
+    cells = [(x, y) for x in range(1, n) for y in range(x, n)]
+    table = [[x + y if 0 in (x, y) else None for y in range(n)] for x in range(n)]
+
+    def fill(i):
+        if i == len(cells):
+            yield [row[:] for row in table]
+            return
+        x, y = cells[i]
+        for v in range(n):
+            if v not in table[x] and v not in table[y]:
+                table[x][y] = table[y][x] = v
+                yield from fill(i + 1)
+                table[x][y] = table[y][x] = None
+
+    return fill(0)
+
+
+def test_associative_add_matches_every_triple_on_commutative_loops():
+    # the 456 commutative loops of order 6, relabelled: 60 are groups, so
+    # Light's test on additive generators (zero located) and the setwise
+    # scan (no zero vector) must each tell the other 396 apart
+    rng = random.Random(6)
+    names, n = [f"e{i}" for i in range(6)], 6
+    F2 = gen_trivial_field(2)
+    verdicts = []
+    for loop in _commutative_loops(n):
+        sigma = rng.sample(range(n), n)
+        add = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                add[sigma[x]][sigma[y]] = 1 << sigma[loop[x][y]]
+        truth = all(loop[loop[x][y]][z] == loop[x][loop[y][z]]
+                    for x in range(n) for y in range(n) for z in range(n))
+        F = FiniteHyperfield(names, add, add)
+        L = FiniteLieHyperalgebra(F2, names, add, [[3] * n] * 2, add)
+        assert F.zero == sigma[0] and L.zero is None
+        assert F.associative_add == L.associative_add == truth
+        verdicts.append(truth)
+    assert (len(verdicts), sum(verdicts)) == (456, 60)
