@@ -100,7 +100,7 @@ def additive_generators(add, zero):
 def _associative(S) -> bool:
     """Whether + associates: if zero is an identity of an element table, by
     Light's test (step 1 of holds_on_generators); else setwise on triples."""
-    add, zero, ops, n = S.add_elt, S.zero, S.add_ops, S.size
+    add, zero, ops, n = S.add_elt, S.zero, SetOps(S.add), S.size
     if add and zero is not None and add[zero] == [r[zero] for r in add] == list(range(n)):
         return all(add[ax[g]] == [ax[v] for v in add[g]]
                    for g in additive_generators(add, zero) for ax in add)

@@ -6,7 +6,9 @@ pool^m x shapes x g!. The engine in hyperlie.relations reaches the same
 values through a dynamic programme over distinct subtree values; the
 property tests compare the two on small structures. Coefficients are
 enumerated here too, one scalar tuple and one permutation at a time, so
-the reference shares no enumeration code with the engine.
+the reference shares no enumeration code with the engine. Sums are folded
+in every order unless the reference's own check on every element pair and
+triple finds that + commutes and, from three terms on, associates.
 """
 
 from functools import cache, reduce

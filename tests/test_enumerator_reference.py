@@ -12,8 +12,11 @@ Fixtures are small: trivial algebras over GF(3), orbit quotients, the
 self-modules of quotient hyperfields, and unchecked random tables. Lawful
 structures over commutative hyperfields only give coefficient pairs with
 equal sides; the random tables are what give leaves whose two sides differ
-and non-commutative addition. Bounds shrink until the reference stays
-cheap, so every example runs in milliseconds.
+and non-commutative addition. Sum levels are also drawn from unions of
+rectangles of pairs under relabelled commutative, associative tables up to
+t = 4, where the engine folds rectangle by rectangle and levels become
+fixed. Bounds shrink until the reference stays cheap, so every example
+runs in milliseconds.
 """
 
 import functools

@@ -1,0 +1,146 @@
+"""Paired benchmark runs of a base commit and the working tree.
+
+    python3 tools/bench_pairs.py --base <rev> --seeds 1-10 --out BENCH_<n>.json
+
+Run from the root of a git checkout. The base commit's files are extracted
+with ``git archive`` into a temporary directory, so each side runs its own
+``perfbench/`` on its own ``src/``. For every workload in BENCHMARK.json and
+every seed, the tool runs ``perfbench/run.py`` (untraced, for the
+benchmark's ``run_seconds``) once on each side, alternating which side
+goes first, one process at a time.
+
+The output holds, per workload and end-to-end metric, each side's median
+and quartiles, the parent IQR, the number of pairs the change won (ties
+count for neither), whether that is a gain (the change wins at least nine
+tenths of the pairs and the medians differ by more than the parent IQR)
+and whether the change's median is within the metric's bound of the
+parent's. It also records every run, the seeds, the Python version, nproc
+and both commits. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def extract(rev: str, dest: str) -> None:
+    """The committed files of rev, written under dest."""
+    with tempfile.TemporaryFile() as fh:
+        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, stdout=fh)
+        fh.seek(0)
+        with tarfile.open(fileobj=fh) as tar:
+            tar.extractall(dest)
+
+
+def parse_seeds(text: str):
+    """'1-10' or '3,5,8' -> list of ints."""
+    if "-" in text:
+        lo, hi = text.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def run_once(tree: str, command, workload: str, seed: int, seconds: float):
+    """The result object of one untraced benchmark run in tree."""
+    out = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
+                          "--seconds", str(seconds), "--trace", "0"],
+                         cwd=tree, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def summarize(metric, pairs):
+    """Medians, quartiles, wins and verdicts of one metric over the pairs."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    base = [p["parent"]["metrics"][name] for p in pairs]
+    change = [p["change"]["metrics"][name] for p in pairs]
+    bq, cq = (statistics.quantiles(xs, n=4, method="inclusive") for xs in (base, change))
+    wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+    iqr = bq[2] - bq[0]
+    delta = cq[1] - bq[1]
+    worse = delta if lower else -delta
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "parent_median": bq[1],
+        "change_median": cq[1],
+        "parent_quartiles": [bq[0], bq[2]],
+        "change_quartiles": [cq[0], cq[2]],
+        "parent_iqr": iqr,
+        "change_vs_parent": cq[1] / bq[1] - 1 if bq[1] else None,
+        "change_wins": wins,
+        "pairs": len(pairs),
+        "gain": wins * 10 >= 9 * len(pairs) and -worse > iqr,
+        "bound": metric["bound"],
+        "within_bound": worse <= metric["bound"] * bq[1],
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", default="HEAD", help="commit to compare with (default HEAD)")
+    ap.add_argument("--seeds", default="1-10", help="'1-10' or '3,5,8' (default 1-10)")
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    args = ap.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
+    seeds = parse_seeds(args.seeds)
+    base_commit = git("rev-parse", args.base)
+    doc = {
+        "base_commit": base_commit,
+        "change_commit": git("rev-parse", "HEAD"),
+        "change_dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "seconds": seconds,
+        "seeds": seeds,
+        "quartile_method": "statistics.quantiles(n=4, method='inclusive')",
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree:
+        extract(base_commit, base_tree)
+        trees = {"parent": base_tree, "change": ROOT}
+        for workload in (w["name"] for w in bench["workloads"]):
+            pairs = []
+            for i, seed in enumerate(seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(trees[side], bench["command"], workload, seed, seconds)
+                    print(f"{workload} seed={seed} {side}: "
+                          f"wall_s={pair[side]['metrics']['wall_s']:.4f} "
+                          f"failed={pair[side]['failed']}", file=sys.stderr, flush=True)
+                pairs.append(pair)
+            doc["workloads"][workload] = {
+                "metrics": {m["name"]: summarize(m, pairs) for m in bench["end_to_end"]},
+                "failed": {side: sum(p[side]["failed"] for p in pairs) for side in trees},
+                "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in trees},
+                "runs": pairs,
+            }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
