@@ -7,10 +7,10 @@ tree DP over distinct subtree states (the written and permuted values, with
 the gated values a leaf permutation still owes). Every comparison of a
 written order with its permutations is one fold, combine_levels: scalar
 products, the sums of products that make coefficients, and the sums of
-summands for A, Sn and alpha, folded over rectangles of pairs up to a fixed
-level where + commutes and associates. L compares no permutations, so it
-builds the written values alone and folds its sums over values, not pairs
-(the pair fold was measured slower on cold L). Every stage dedupes by
+summands for A, Sn and alpha, folded over rectangles of pairs where +
+commutes and associates. L compares no permutations, so it builds the
+written values alone and folds its sums over values, not pairs (the pair
+fold was measured slower on cold L). Every stage dedupes by
 evaluated value sets. RelationStatus reports how the finite run should be
 read (exact against an oracle, stabilized, or bound-limited).
 """
@@ -406,8 +406,7 @@ def combine_levels(pairs, ops, t_max: int, commutative: bool):
     and from three terms on associates, level t + 1 is every (X + U, Y + V)
     over (X, Y) of level t and (U, V) of level 1; rectangles Xs x Ys and
     Us x Vs give {X + U} x {Y + V} in |Xs||Us| + |Ys||Vs| sums, taken when
-    |Xs| + |Ys| < |Xs||Ys|. A level equal to the one before is fixed and
-    repeats (the same list). Otherwise every order is evaluated.
+    |Xs| + |Ys| < |Xs||Ys|. Otherwise every order is evaluated.
     """
     levels = [sorted(set(pairs))]
     if commutative:
@@ -423,10 +422,7 @@ def combine_levels(pairs, ops, t_max: int, commutative: bool):
                     for X, Y in product(Xs, Ys):
                         rx, ry = ops[X], ops[Y]
                         nxt.update([(rx[U], ry[V]) for U, V in levels[0]])
-            lvl = sorted(nxt)
-            if lvl == levels[-1]:
-                return levels + [levels[-1]] * (t_max + 1 - t)
-            levels.append(lvl)
+            levels.append(sorted(nxt))
         return levels
     for t in range(2, t_max + 1):
         lvl = set()
@@ -454,7 +450,7 @@ def _relation_from_levels(levels, names) -> BinaryRelation:
     relation is symmetric; it is reflexive unless an element lies in no
     value, which only tables that fail their axioms allow."""
     rows = [0] * len(names)
-    for lvl in {id(lvl): lvl for lvl in levels}.values():  # a fixed level once
+    for lvl in levels:
         for X, Y in lvl:
             for x in iter_bits(X):
                 rows[x] |= Y

@@ -97,13 +97,18 @@ def additive_generators(add, zero):
     return gens
 
 
+def associates_on_generators(add, gens) -> bool:
+    """Light's test: (x + y) + c = x + (y + c) for all x, y, c, on an element
+    table with identity zero and additive generators gens (the y that satisfy
+    the law are closed under it and hold zero, so y in gens suffices)."""
+    return all(add[ax[g]] == [ax[v] for v in add[g]] for g in gens for ax in add)
+
+
 def _associative(S) -> bool:
-    """Whether + associates: if zero is an identity of an element table, by
-    Light's test (step 1 of holds_on_generators); else setwise on triples."""
+    """Whether + associates: by Light's test if zero is an identity, else setwise."""
     add, zero, ops, n = S.add_elt, S.zero, SetOps(S.add), S.size
     if add and zero is not None and add[zero] == [r[zero] for r in add] == list(range(n)):
-        return all(add[ax[g]] == [ax[v] for v in add[g]]
-                   for g in additive_generators(add, zero) for ax in add)
+        return associates_on_generators(add, additive_generators(add, zero))
     return all([ops[xy][1 << z] for z in range(n)] == [ops[1 << x][yz] for yz in S.add[y]]
                for x, row in enumerate(S.add) for y, xy in enumerate(row))
 
@@ -117,8 +122,7 @@ def holds_on_generators(add, br, zero) -> bool:
     adding the smallest element not reached to G until all are (|G| is d
     over GF(p), d r over GF(p^r)). In 1 and 2 the y that satisfy the law
     are closed under + and hold zero, so y in G suffices.
-    1. (x + y) + c = x + (y + c) for all x, c (Light's test): closed by the
-       law itself, zero by I.
+    1. + associates, by associates_on_generators (premise I).
     2. [x + y, c] = [x, c] + [y, c] for all x, c: closed by 1, zero as the
        law at x = zero, y = g gives [0, c] = 0 by I and C. So on the right.
     3. By 1, 2 and K the Jacobiator is additive in each argument, and by I
@@ -132,14 +136,13 @@ def holds_on_generators(add, br, zero) -> bool:
     cols = [list(c) for c in zip(*br)]
     gens = additive_generators(add, zero)
     for g in gens:
-        ag, bg, cg = add[g], br[g], cols[g]
+        bg, cg = br[g], cols[g]
         for x, ax in enumerate(add):
             xg = ax[g]
-            if (add[xg] != [ax[v] for v in ag]
-                    or br[xg] != [add[a][b] for a, b in zip(br[x], bg)]
+            if (br[xg] != [add[a][b] for a, b in zip(br[x], bg)]
                     or cols[xg] != [add[a][b] for a, b in zip(cols[x], cg)]):
                 return False
-    return all(
+    return associates_on_generators(add, gens) and all(
         add[add[br[x][br[y][c]]][br[y][br[c][x]]]][br[c][br[x][y]]] == zero
         for x in gens for y in gens for c in gens
     )

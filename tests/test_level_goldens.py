@@ -2,10 +2,10 @@
 
 The digests in tests/data/level_goldens.json were captured from the
 product fold of combine_levels, which formed every |level t| x |level 1|
-sum, before it read levels as rectangles of pairs and stopped at a level
-equal to the one before. Each Sn rung reaches t = 4 or a fixed level, so
-both the rectangle kernel and the cut are compared, level by level. The
-alpha case pins the rows of the scalar relation at the hard cap.
+sum, before it read levels as rectangles of pairs. Each Sn rung reaches
+t = 4 or a level equal to the one before, so the rectangle kernel is
+compared level by level, also on levels built from rectangles. The alpha
+case pins the rows of the scalar relation at the hard cap.
 
 Regenerate (only when the level format changes on purpose):
     PYTHONPATH=src python tests/test_level_goldens.py
