@@ -22,6 +22,7 @@ from .errors import (
     InternalInvariant,
     MalformedTable,
     NoStabilization,
+    NotAField,
     NotLie,
     NotSymmetric,
     ParseError,
@@ -35,11 +36,10 @@ from .generators import (
     make_cyclic_group,
     make_s3,
 )
-from .gf import factor_prime_power, normalize_constants
+from .gf import FiniteField, factor_prime_power, normalize_constants
 from .interchange import parse_structure, serialize_structure
 from .quotients import (
     derived_dims,
-    detect_trivial,
     linear_oracle_partition,
     quotient_lie_algebra,
     solvable_length,
@@ -112,17 +112,21 @@ def _resolve_rel(args):
 
 
 def _oracle_for(structure, rel: str, n: int):
-    """Reference partition for escalation, or None where none applies: off
-    trivial presentations, and for A and Sn:k in characteristic 2, where
-    the linear oracle is not stated."""
+    """Reference partition for escalation, or None where none applies. The
+    diagonal is exact for alpha on a field, and for L on a singleton-valued
+    algebra, whose every expression value is a singleton. A and Sn:k take
+    the linear oracle, stated on trivial presentations outside
+    characteristic 2."""
     if rel == "alpha":
-        F = structure
-        if F.is_trivial:
-            return Partition.diagonal(F.size)
-        return None
+        try:
+            if structure.gf_order is None:  # GF(q)'s own tables need no cubic check
+                FiniteField.from_trivial_hyperfield(structure).validate()
+        except NotAField:
+            return None
+        return Partition.diagonal(structure.size)
     L = structure
     if rel == "L":
-        return Partition.diagonal(L.size) if detect_trivial(L) is not None else None
+        return Partition.diagonal(L.size) if L.is_trivial else None
     try:
         return linear_oracle_partition(L, 1 if rel == "A" else n)
     except (NotLie, CharTwoGate):

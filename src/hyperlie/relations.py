@@ -241,7 +241,7 @@ def hyper_derived_sets(L: FiniteLieHyperalgebra, depth: int):
     """Setwise chain: start at the carrier, repeatedly bracket with itself."""
     out = [full_mask(L.size)]
     for _ in range(depth):
-        nxt = L.set_bracket(out[-1], out[-1])
+        nxt = L.bracket_ops[out[-1]][out[-1]]
         if nxt & ~out[-1]:
             # cannot happen: the setwise bracket is monotone in both arguments
             raise InternalInvariant("hyper-derived chain is not descending")
@@ -252,12 +252,12 @@ def hyper_derived_sets(L: FiniteLieHyperalgebra, depth: int):
 def _leaf_pool(L: FiniteLieHyperalgebra, coeff_pairs, gate_mask: int):
     """Dedup (left value, right value) leaf pairs; swap flag is OR-ed over
     the witnesses h, sound because eligibility depends only on h."""
-    pool = {}
+    pool, smul = {}, L.smul_ops
     for h in range(L.size):
         hm = 1 << h
         sw = bool(gate_mask >> h & 1)
         for cl, cr in coeff_pairs:
-            key = (L.set_scalar(cl, hm), L.set_scalar(cr, hm))
+            key = (smul[cl][hm], smul[cr][hm])
             pool[key] = pool.get(key, False) or sw
     return [(vl, vr, sw) for (vl, vr), sw in sorted(pool.items())]
 
@@ -486,8 +486,8 @@ def relation_L_values(L: FiniteLieHyperalgebra, bounds: ExpressionBounds):
     """
     validate_bounds(bounds)
     coeff_pairs = coefficient_pair_family(L.field, bounds)
-    br, add = L.bracket_ops, L.add_ops
-    layers = [None, {L.set_scalar(cl, 1 << h) for cl, _ in coeff_pairs for h in range(L.size)}]
+    br, add, smul = L.bracket_ops, L.add_ops, L.smul_ops
+    layers = [None, {smul[cl][1 << h] for cl, _ in coeff_pairs for h in range(L.size)}]
     for k in range(2, bounds.m + 1):
         layer = set()
         for i in range(1, k):

@@ -27,22 +27,16 @@ def bit_count(mask: int) -> int:
     return mask.bit_count()
 
 
-def is_singleton(mask: int) -> bool:
-    return mask != 0 and mask & (mask - 1) == 0
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
 class SetOps(dict):
-    """Memoized setwise extensions of a binary hyperoperation table.
+    """Memoized setwise extension of a binary hyperoperation table.
 
-    table[x][y] is the mask of the hyperoperation value at elements x, y.
-    ops[A][B] is the union of table[x][y] over x in A, y in B, memoized
-    per row (the SetOps is the dict of its rows), for loops that index it
-    like a list-of-lists table. apply(A, B) is the same value, with
-    singleton arguments short-circuited to direct table lookups.
+    table[x][y] is the mask of the value at elements x, y. ops[A][B], the
+    one entry point, is setwise(table, A, B) memoized per row (the SetOps is
+    the dict of its rows); a cold cell of two singletons is one lookup.
     """
 
     def __init__(self, table):
@@ -50,18 +44,15 @@ class SetOps(dict):
         self.table = table
 
     def __missing__(self, a_mask: int) -> "_Row":
-        """Memoized row: ops[A][B] == ops.apply(A, B)."""
         row = self[a_mask] = _Row(self.table, a_mask)
         return row
 
-    def apply(self, a_mask: int, b_mask: int) -> int:
-        if is_singleton(a_mask) and is_singleton(b_mask):
-            return self.table[a_mask.bit_length() - 1][b_mask.bit_length() - 1]
-        return self[a_mask][b_mask]
 
-
-def _union(table, a_mask: int, b_mask: int) -> int:
-    """Union of table[x][y] over x in a_mask, y in b_mask."""
+def setwise(table, a_mask: int, b_mask: int) -> int:
+    """Union of table[x][y] over x in a_mask, y in b_mask; one lookup
+    when both masks are singletons."""
+    if not (a_mask & (a_mask - 1) or b_mask & (b_mask - 1)) and a_mask and b_mask:
+        return table[a_mask.bit_length() - 1][b_mask.bit_length() - 1]
     out = 0
     for x in iter_bits(a_mask):
         row = table[x]
@@ -71,7 +62,7 @@ def _union(table, a_mask: int, b_mask: int) -> int:
 
 
 class _Row(dict):
-    """Row A of a SetOps table; a missing B is filled in with the union.
+    """Row A of a SetOps table; a missing B is filled in with setwise.
 
     It holds the table, not the SetOps, so the row cache forms no
     reference cycle and is freed with its structure.
@@ -85,5 +76,5 @@ class _Row(dict):
         self.a_mask = a_mask
 
     def __missing__(self, b_mask: int) -> int:
-        out = self[b_mask] = _union(self.table, self.a_mask, b_mask)
+        out = self[b_mask] = setwise(self.table, self.a_mask, b_mask)
         return out

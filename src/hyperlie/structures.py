@@ -8,7 +8,9 @@ the element-index tables when every table is singleton-valued, the SetOps
 set lifts otherwise. Both views decide every instance alike, but on
 element-index tables the Lie checker decides its three-vector axioms on
 additive generators (holds_on_generators) and loops only if that fails.
-reevaluate replays single instances on the mask tables, independently.
+reevaluate replays single instances independently of both views: LAWS
+states each witnessed axiom as equations between expression trees, and
+evaluate computes a tree from the raw mask tables, through no SetOps.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     HyperlieError,
     MalformedTable,
 )
-from .sets import SetOps, full_mask, is_singleton, iter_bits
+from .sets import SetOps, full_mask, iter_bits, setwise
 
 DEFAULT_CARRIER_CAP = 256
 
@@ -231,7 +233,7 @@ class FiniteLieHyperalgebra:
         self.bracket_ops = SetOps(self.bracket)
         self.index = {nm: i for i, nm in enumerate(self.names)}
         cell = self.smul[field.zero][0] if field.zero is not None else 0
-        self.zero = cell.bit_length() - 1 if is_singleton(cell) else None
+        self.zero = cell.bit_length() - 1 if cell and not cell & (cell - 1) else None
         self.is_trivial = field.is_trivial and all(
             t is not None for t in (self.add_elt, self.smul_elt, self.br_elt))
         self.commutative_add = _commutative(self.add)
@@ -239,22 +241,13 @@ class FiniteLieHyperalgebra:
             "lie_hyperalgebra", field.fingerprint, self.names, self.add, self.smul, self.bracket
         )
 
-    def set_add(self, a_mask: int, b_mask: int) -> int:
-        return self.add_ops.apply(a_mask, b_mask)
-
-    def set_bracket(self, a_mask: int, b_mask: int) -> int:
-        return self.bracket_ops.apply(a_mask, b_mask)
-
-    def set_scalar(self, f_mask: int, x_mask: int) -> int:
-        """Union of smul over a set of scalars and a set of vectors."""
-        return self.smul_ops.apply(f_mask, x_mask)
-
 
 class CheckReport:
     """Outcome of an axiom check.
 
     axioms maps axiom name to a dict with keys ok, witness, detail.
-    Witnesses are element-index tuples replayable via reevaluate().
+    Witnesses are element-index tuples, the witness positions of the
+    axiom's trees in LAWS; reevaluate() replays one.
     """
 
     def __init__(self, kind):
@@ -541,113 +534,100 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra, field_report=None) -> Check
     return report
 
 
+# Each witnessed axiom as equations (relation, s, t) between expression
+# trees, asking for s = t or for s to meet or miss t. A leaf is a witness
+# position or a named set (carrier, nonzero, zero, one, scalar-zero); a node
+# (op, left, right) applies setwise + (addition), * (hyperfield product),
+# . (scalar action), [] (bracket), or the scalar field's F+ and F*.
+def _associative(op):
+    return [("=", (op, (op, 0, 1), 2), (op, 0, (op, 1, 2)))]
+
+
+def _reproductive(op, carrier):
+    return [("=", (op, 0, carrier), carrier), ("=", (op, carrier, 0), carrier)]
+
+
+_HYPERGROUP_LAWS = {"add-associative": _associative("+"),
+                    "add-reproduction": _reproductive("+", "carrier")}
+
+LAWS = {
+    "hypergroup": _HYPERGROUP_LAWS,
+    "hyperfield": {
+        **_HYPERGROUP_LAWS,
+        "mul-nonzero-closure": [("misses", ("*", 0, 1), "zero")],
+        "mul-associative": _associative("*"),
+        "mul-reproduction": _reproductive("*", "nonzero"),
+        "zero-absorbing": [("=", ("*", "zero", 0), "zero"), ("=", ("*", 0, "zero"), "zero")],
+        "distributive-left": [("=", ("*", 0, ("+", 1, 2)), ("+", ("*", 0, 1), ("*", 0, 2)))],
+        "distributive-right": [("=", ("*", ("+", 0, 1), 2), ("+", ("*", 0, 2), ("*", 1, 2)))],
+    },
+    "lie_hyperalgebra": {
+        **_HYPERGROUP_LAWS,
+        "scalar-zero": [("=", (".", "scalar-zero", 0), "zero")],
+        "scalar-one": [("=", (".", "one", 0), 0)],
+        "zero-vector-identity": [("=", ("+", "zero", 0), 0), ("=", ("+", 0, "zero"), 0)],
+        "scalar-dist-vector-add": [("=", (".", 0, ("+", 1, 2)), ("+", (".", 0, 1), (".", 0, 2)))],
+        "scalar-dist-scalar-add": [("=", (".", ("F+", 0, 1), 2), ("+", (".", 0, 2), (".", 1, 2)))],
+        "scalar-associative": [("=", (".", ("F*", 0, 1), 2), (".", 0, (".", 1, 2)))],
+        "bracket-additive-left": [("=", ("[]", ("+", 0, 1), 2), ("+", ("[]", 0, 2), ("[]", 1, 2)))],
+        "bracket-additive-right": [("=", ("[]", 0, ("+", 1, 2)),
+                                    ("+", ("[]", 0, 1), ("[]", 0, 2)))],
+        "bracket-homogeneous-left": [("=", ("[]", (".", 0, 1), 2), (".", 0, ("[]", 1, 2)))],
+        "bracket-homogeneous-right": [("=", ("[]", 1, (".", 0, 2)), (".", 0, ("[]", 1, 2)))],
+        "bracket-alternating": [("meets", ("[]", 0, 0), "zero")],
+        "jacobi-contains-zero": [("meets", ("+", ("+", ("[]", 0, ("[]", 1, 2)),
+                                                   ("[]", 1, ("[]", 2, 0))),
+                                            ("[]", 2, ("[]", 0, 1))), "zero")],
+    },
+}
+# laws on the nonzeros, whose every operation value is cut to them
+_NONZERO_LAWS = {"mul-associative", "mul-reproduction"}
+_RELATIONS = {"=": int.__eq__, "meets": int.__and__, "misses": lambda s, t: not s & t}
+
+
+def evaluate(tree, values, tables, cut=-1) -> int:
+    """Mask value of an expression tree: values[tree] at a leaf, setwise
+    tables[op] at a node (op, left, right), each node's value cut to cut."""
+    if type(tree) is not tuple:
+        return values[tree]
+    op, left, right = tree
+    return setwise(tables[op], evaluate(left, values, tables, cut),
+                   evaluate(right, values, tables, cut)) & cut
+
+
+def _point(i) -> int:
+    return 0 if i is None else 1 << i
+
+
+def _operands(S):
+    """(kind, operation tables, named sets) of a structure: its raw mask
+    tables, and the empty set for an element it lacks."""
+    sets = {"carrier": full_mask(S.size)}
+    if isinstance(S, FiniteLieHyperalgebra):
+        F = S.field
+        sets.update({"zero": _point(S.zero), "one": _point(F.one), "scalar-zero": _point(F.zero)})
+        return "lie_hyperalgebra", {"+": S.add, ".": S.smul, "[]": S.bracket,
+                                    "F+": F.add, "F*": F.mul}, sets
+    if isinstance(S, FiniteHyperfield):
+        sets.update({"zero": _point(S.zero), "nonzero": S.nonzero_mask})
+        return "hyperfield", {"+": S.add, "*": S.mul}, sets
+    if isinstance(S, Hypergroup):
+        return "hypergroup", {"+": S.add}, sets
+    raise HyperlieError(f"cannot reevaluate on {type(S).__name__}")
+
+
 def reevaluate(structure, axiom: str, witness) -> bool:
     """Recheck a single axiom instance at the given witness.
 
     Returns True when the instance holds (i.e. the witness does NOT violate
-    the axiom). Accepts the axiom names produced by the checkers above.
+    the axiom). Accepts the axiom names produced by the checkers above and
+    evaluates their LAWS on the raw mask tables, never through a SetOps; a
+    law on the nonzeros cuts every operation value to them.
     """
-    w = tuple(witness)
-    if isinstance(structure, FiniteHyperfield):
-        return _reevaluate_field(structure, axiom, w)
-    if isinstance(structure, FiniteLieHyperalgebra):
-        return _reevaluate_lie(structure, axiom, w)
-    if isinstance(structure, Hypergroup):
-        return _reevaluate_hypergroup(structure, axiom, w)
-    raise HyperlieError(f"cannot reevaluate on {type(structure).__name__}")
-
-
-def _assoc_instance(ops: SetOps, carrier_mask, x, y, z) -> bool:
-    left = ops.apply(ops.table[x][y] & carrier_mask, 1 << z) & carrier_mask
-    right = ops.apply(1 << x, ops.table[y][z] & carrier_mask) & carrier_mask
-    return left == right
-
-
-def _repro_instance(ops: SetOps, carrier_mask, x) -> bool:
-    left = 0
-    right = 0
-    for y in iter_bits(carrier_mask):
-        left |= ops.table[x][y] & carrier_mask
-        right |= ops.table[y][x] & carrier_mask
-    return left == carrier_mask and right == carrier_mask
-
-
-def _reevaluate_hypergroup(hg: Hypergroup, axiom, w):
-    fullm = full_mask(hg.size)
-    if axiom == "add-associative":
-        return _assoc_instance(hg.add_ops, fullm, *w)
-    if axiom == "add-reproduction":
-        return _repro_instance(hg.add_ops, fullm, w[0])
-    raise HyperlieError(f"unknown hypergroup axiom {axiom}")
-
-
-def _reevaluate_field(F: FiniteHyperfield, axiom, w):
-    fullm = full_mask(F.size)
-    z = F.zero
-    if axiom == "add-associative":
-        return _assoc_instance(F.add_ops, fullm, *w)
-    if axiom == "add-reproduction":
-        return _repro_instance(F.add_ops, fullm, w[0])
-    if axiom == "mul-associative":
-        return _assoc_instance(F.mul_ops, F.nonzero_mask, *w)
-    if axiom == "mul-reproduction":
-        return _repro_instance(F.mul_ops, F.nonzero_mask, w[0])
-    if axiom == "mul-nonzero-closure":
-        return not F.mul[w[0]][w[1]] & (1 << z)
-    if axiom == "zero-absorbing":
-        x = w[0]
-        return F.mul[z][x] == 1 << z and F.mul[x][z] == 1 << z
-    if axiom == "distributive-left":
-        a, b, c = w
-        return F.mul_ops.apply(1 << a, F.add[b][c]) == F.add_ops.apply(F.mul[a][b], F.mul[a][c])
-    if axiom == "distributive-right":
-        a, b, c = w
-        return F.mul_ops.apply(F.add[a][b], 1 << c) == F.add_ops.apply(F.mul[a][c], F.mul[b][c])
-    raise HyperlieError(f"unknown hyperfield axiom {axiom}")
-
-
-def _reevaluate_lie(L: FiniteLieHyperalgebra, axiom, w):
-    F = L.field
-    fullm = full_mask(L.size)
-    zi = L.zero
-    if axiom == "add-associative":
-        return _assoc_instance(L.add_ops, fullm, *w)
-    if axiom == "add-reproduction":
-        return _repro_instance(L.add_ops, fullm, w[0])
-    if axiom == "scalar-zero":
-        return L.smul[F.zero][w[0]] == 1 << zi
-    if axiom == "scalar-one":
-        return L.smul[F.one][w[0]] == 1 << w[0]
-    if axiom == "zero-vector-identity":
-        x = w[0]
-        return L.add[zi][x] == 1 << x and L.add[x][zi] == 1 << x
-    if axiom == "scalar-dist-vector-add":
-        a, x, y = w
-        return L.set_scalar(1 << a, L.add[x][y]) == L.set_add(L.smul[a][x], L.smul[a][y])
-    if axiom == "scalar-dist-scalar-add":
-        a, b, x = w
-        return L.set_scalar(F.add[a][b], 1 << x) == L.set_add(L.smul[a][x], L.smul[b][x])
-    if axiom == "scalar-associative":
-        a, b, x = w
-        return L.set_scalar(F.mul[a][b], 1 << x) == L.set_scalar(1 << a, L.smul[b][x])
-    if axiom == "bracket-additive-left":
-        x1, x2, y = w
-        return L.set_bracket(L.add[x1][x2], 1 << y) == L.set_add(L.bracket[x1][y], L.bracket[x2][y])
-    if axiom == "bracket-additive-right":
-        x, y1, y2 = w
-        return L.set_bracket(1 << x, L.add[y1][y2]) == L.set_add(L.bracket[x][y1], L.bracket[x][y2])
-    if axiom == "bracket-homogeneous-left":
-        a, x, y = w
-        return L.set_bracket(L.smul[a][x], 1 << y) == L.set_scalar(1 << a, L.bracket[x][y])
-    if axiom == "bracket-homogeneous-right":
-        a, x, y = w
-        return L.set_bracket(1 << x, L.smul[a][y]) == L.set_scalar(1 << a, L.bracket[x][y])
-    if axiom == "bracket-alternating":
-        return bool(L.bracket[w[0]][w[0]] & (1 << zi))
-    if axiom == "jacobi-contains-zero":
-        x, y, z = w
-        t1 = L.set_bracket(1 << x, L.bracket[y][z])
-        t2 = L.set_bracket(1 << y, L.bracket[z][x])
-        t3 = L.set_bracket(1 << z, L.bracket[x][y])
-        return bool(L.set_add(L.set_add(t1, t2), t3) & (1 << zi))
-    raise HyperlieError(f"unknown Lie hyperalgebra axiom {axiom}")
+    kind, tables, values = _operands(structure)
+    if axiom not in LAWS[kind]:
+        raise HyperlieError(f"unknown {kind} axiom {axiom}")
+    cut = values["nonzero"] if axiom in _NONZERO_LAWS else -1
+    values.update(enumerate(1 << x for x in witness))
+    return all(_RELATIONS[rel](evaluate(s, values, tables, cut), evaluate(t, values, tables, cut))
+               for rel, s, t in LAWS[kind][axiom])

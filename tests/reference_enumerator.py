@@ -6,7 +6,8 @@ pool^m x shapes x g!. The engine in hyperlie.relations reaches the same
 values through a dynamic programme over distinct subtree values; the
 property tests compare the two on small structures. Coefficients are
 enumerated here too, one scalar tuple and one permutation at a time, so
-the reference shares no enumeration code with the engine. Sums are folded
+the reference shares no enumeration code with the engine; every set value
+comes from its own _setwise, so it shares no memo either. Sums are folded
 in every order unless the reference's own check on every element pair and
 triple finds that + commutes and, from three terms on, associates.
 """
@@ -19,15 +20,33 @@ from hyperlie.relations import _leaf_pool
 _LEAF = None
 
 
+def _setwise(table):
+    """Setwise extension of a mask table, square or rectangular: the union
+    of table[x][y] over x in A and y in B, each element pair looked up
+    (memoized)."""
+    rows, cols = len(table), len(table[0])
+
+    @cache
+    def apply(A, B):
+        out = 0
+        for x in range(rows):
+            for y in range(cols):
+                if A >> x & 1 and B >> y & 1:
+                    out |= table[x][y]
+        return out
+
+    return apply
+
+
 def _product_pairs(F, q: int):
     """Sorted (written order, permuted order) values of products of at most
     q scalars, each scalar tuple and each permutation evaluated."""
-    pairs = set()
+    pairs, mul = set(), _setwise(F.mul)
     for ln in range(1, q + 1):
         for tup in product(range(F.size), repeat=ln):
-            left = reduce(F.mul_ops.apply, [1 << e for e in tup])
+            left = reduce(mul, [1 << e for e in tup])
             for perm in permutations(tup):
-                pairs.add((left, reduce(F.mul_ops.apply, [1 << e for e in perm])))
+                pairs.add((left, reduce(mul, [1 << e for e in perm])))
     return sorted(pairs)
 
 
@@ -36,12 +55,12 @@ def coefficient_pair_family(F, bounds):
     each tuple of product pairs and each permutation evaluated; closed
     under swapping."""
     prod_pairs = _product_pairs(F, bounds.q)
-    family = set()
+    family, add = set(), _setwise(F.add)
     for ln in range(1, bounds.p + 1):
         for tup in product(prod_pairs, repeat=ln):
-            left = reduce(F.add_ops.apply, [p[0] for p in tup])
+            left = reduce(add, [p[0] for p in tup])
             for perm in permutations(tup):
-                family.add((left, reduce(F.add_ops.apply, [p[1] for p in perm])))
+                family.add((left, reduce(add, [p[1] for p in perm])))
     family |= {(r, l) for (l, r) in family}
     return sorted(family)
 
@@ -73,7 +92,7 @@ def summand_pair_family(L, bounds, gate_mask: int):
     each leaf tuple and each gate-preserving permutation evaluated."""
     coeff_pairs = coefficient_pair_family(L.field, bounds)
     pool = _leaf_pool(L, coeff_pairs, gate_mask)
-    bracket = L.set_bracket
+    bracket = _setwise(L.bracket)
     pairs = set()
     for m in range(1, bounds.m + 1):
         for shape in _tree_shapes(m):
@@ -95,23 +114,6 @@ def summand_pair_family(L, bounds, gate_mask: int):
                     pairs.add((U, V))
                     pairs.add((V, U))
     return sorted(pairs)
-
-
-def _setwise(table):
-    """Setwise extension of a mask table: the union of table[x][y] over
-    x in A and y in B, each element pair looked up (memoized)."""
-    n = len(table)
-
-    @cache
-    def apply(A, B):
-        out = 0
-        for x in range(n):
-            for y in range(n):
-                if A >> x & 1 and B >> y & 1:
-                    out |= table[x][y]
-        return out
-
-    return apply
 
 
 def sums_ignore_order(table, t_max: int) -> bool:
@@ -159,8 +161,8 @@ def relation_L_values(L, bounds):
     """Family of value sets of unpermuted bounded expressions, each leaf
     tuple evaluated on each bracket shape."""
     coeff_pairs = coefficient_pair_family(L.field, bounds)
-    leaf_values = sorted({L.set_scalar(cl, 1 << h) for cl, _ in coeff_pairs for h in range(L.size)})
-    bracket = L.set_bracket
+    scalar, bracket, add = _setwise(L.smul), _setwise(L.bracket), _setwise(L.add)
+    leaf_values = sorted({scalar(cl, 1 << h) for cl, _ in coeff_pairs for h in range(L.size)})
     tree_values = set()
     for m in range(1, bounds.m + 1):
         for shape in _tree_shapes(m):
@@ -172,7 +174,7 @@ def relation_L_values(L, bounds):
         nxt = set()
         for X in prev:
             for U in tree_values:
-                nxt.add(L.set_add(X, U))
+                nxt.add(add(X, U))
         total |= nxt
         prev = nxt
     return sorted(total)

@@ -160,6 +160,34 @@ def test_checker_agrees_with_instance_replay(structure):
             assert reevaluate(structure, name, entry["witness"]) is False, name
 
 
+class _Unusable:
+    """Stands where a set lift was: any attribute or index raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the replay read .{name} of a set lift")
+
+    def __getitem__(self, key):
+        raise AssertionError("the replay indexed a set lift")
+
+
+def test_replay_reads_no_set_lift():
+    # the replay is independent of the checker's set lifts: with every
+    # SetOps of a fresh structure made unusable, every instance of every
+    # witnessed axiom still replays, and as the checker reported
+    for structure in (gen_orbit_quotient(7, 2, {(0, 1): (0, 1)}, [1, 2, 4]),
+                      gen_quotient_hyperfield(7, [1, 6])):
+        report, domains, carriers = _report_and_domains(structure)
+        for owner in {structure, getattr(structure, "field", structure)}:
+            for attr in [a for a in vars(owner) if a.endswith("_ops")]:
+                setattr(owner, attr, _Unusable())
+        replayed = {name: all([reevaluate(structure, name, w)
+                               for w in product(*(carriers[c] for c in domains[name]))])
+                    for name in report.axioms if name not in _UNWITNESSED}
+        assert replayed == {name: entry["ok"] for name, entry in report.axioms.items()
+                            if name not in _UNWITNESSED}
+        assert len(replayed) == len(domains)
+
+
 _DECIDED = ("add-associative", "bracket-additive-left", "bracket-additive-right",
          "jacobi-contains-zero")
 

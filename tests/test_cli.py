@@ -5,17 +5,19 @@ failure, 2 input error, 3 resource limit, 4 internal)."""
 import copy
 import functools
 import json
+from itertools import product
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import _self_module
-from hyperlie import cli, errors
+from hyperlie import cli, errors, quotients
 from hyperlie.cli import main
 from hyperlie.generators import (
     gen_coset_hypergroup,
     gen_quotient_hyperfield,
+    gen_trivial_field,
     gen_trivial_from_lie,
     make_cyclic_group,
 )
@@ -282,19 +284,48 @@ def test_relation_auto_oracle_in_characteristic_2(capsys, tmp_path, rel, mode):
 
 
 def test_oracle_for_detects_trivial_presentation_once(ex1):
+    # A and Sn read the presentation once; L takes the diagonal from its
+    # singleton-valued tables without reading it
     calls = []
-    real = cli.detect_trivial
+    real = quotients.detect_trivial
 
     def counted(L):
         calls.append(L)
         return real(L)
 
-    with mock.patch("hyperlie.cli.detect_trivial", counted), \
-            mock.patch("hyperlie.quotients.detect_trivial", counted):
-        for rel in ("A", "Sn", "L"):
+    with mock.patch("hyperlie.quotients.detect_trivial", counted):
+        for rel, reads in (("A", 1), ("Sn", 1), ("L", 0)):
             calls.clear()
             assert cli._oracle_for(ex1, rel, 2) is not None
-            assert len(calls) == 1, rel
+            assert len(calls) == reads, rel
+
+
+def _gf3_document():
+    return json.loads(serialize_structure(gen_trivial_field(3)))
+
+
+def test_alpha_oracle_only_on_a_field(capsys, tmp_path):
+    # a singleton-valued table that is not a field may relate a product
+    # with a permuted product, so the diagonal is no oracle for it; every
+    # single-cell corruption of GF(3) must end in an exit code, not in the
+    # refinement assertion
+    doc = _gf3_document()
+    p = tmp_path / "gf3.json"
+    order = [0, 2, 1]  # GF(3)'s tables, then the same field listed as 0, 2, 1
+    relisted = dict(doc, elements=[doc["elements"][i] for i in order],
+                    **{t: [[doc[t][i][j] for j in order] for i in order] for t in ("add", "mul")})
+    for field in (doc, relisted):
+        p.write_text(json.dumps(field))
+        code, out, _ = run(capsys, "relation", str(p), "--rel", "alpha")
+        assert code == 0 and "mode=exact-oracle-match" in out
+    codes = []
+    for table, i, j, e in product(("add", "mul"), range(3), range(3), doc["elements"]):
+        if doc[table][i][j] != [e]:
+            bad = copy.deepcopy(doc)
+            bad[table][i][j] = [e]
+            p.write_text(json.dumps(bad))
+            codes.append(run(capsys, "relation", str(p), "--rel", "alpha")[0])
+    assert len(codes) == 36 and set(codes) <= {0, 1, 2, 3}
 
 
 def test_gen_qhyperfield(capsys, tmp_path):
@@ -408,11 +439,12 @@ def test_error_exit_code(capsys, cls):
 @functools.cache
 def _fuzz_bases():
     """Small interchange documents of each kind; the self-module of m3
-    embeds its field, the trivial algebras use the shorthand."""
+    embeds its field, the trivial algebras use the shorthand, and GF(3) is
+    written out as singleton-valued tables."""
     m3 = gen_quotient_hyperfield(5, [1, 4])
     structures = (gen_coset_hypergroup([[0, 1], [1, 0]], [0]), m3, _self_module(m3),
                   gen_trivial_from_lie(2, 1, {}), gen_trivial_from_lie(3, 1, {}))
-    return [json.loads(serialize_structure(x)) for x in structures]
+    return [json.loads(serialize_structure(x)) for x in structures] + [_gf3_document()]
 
 
 # values that stand where an identifier, a cell, a row, a table or a field
@@ -459,8 +491,8 @@ def test_mutated_interchange_files_end_in_an_exit_code(capsys, tmp_path, text):
     # any exception that escapes main fails the example
     p = tmp_path / "mutated.json"
     p.write_text(text)
-    for argv in (["check"], ["relation", "--rel", "L", "--oracle", "off",
-                             "--bounds", "1,1,1,1"]):
+    for argv in (["check"], ["relation", "--rel", "L", "--oracle", "off", "--bounds", "1,1,1,1"],
+                 ["relation", "--rel", "alpha"]):
         code, _, _ = run(capsys, argv[0], str(p), *argv[1:])
         assert code in (0, 1, 2, 3)
 

@@ -212,7 +212,7 @@ def test_rectangle_levels_match_reference(case):
 @given(cases())
 def test_expression_values_match_reference(case):
     L, bounds, _ = case
-    leaves = len({L.set_scalar(cl, 1 << h)
+    leaves = len({L.smul_ops[cl][1 << h]
                   for cl, _ in coefficient_pair_family(L.field, bounds) for h in range(L.size)})
     m = _affordable_m(leaves, bounds.m, 1)
     trees = len(relation_L_values(L, ExpressionBounds(1, m, bounds.p, bounds.q)))

@@ -1,6 +1,8 @@
 """Module layering: gf.py is the one home of GF(q) and structure-constant
 arithmetic, so it depends on no other hyperlie module but errors, the
-quotients module (the linear oracle) does not reach into the generators,
+structures module (the checkers and the axiom replay) imports only errors
+and sets, so the replay never reaches the relation engine, the quotients
+module (the linear oracle) does not reach into the generators,
 the brute-force reference enumerator does not reuse the engine's
 enumeration, and no module but the package's __init__ imports a name it
 does not use."""
@@ -32,6 +34,10 @@ def package_imports(module: str):
 
 def test_gf_imports_only_errors():
     assert package_imports("gf") <= {"errors"}
+
+
+def test_structures_imports_only_errors_and_sets():
+    assert package_imports("structures") <= {"errors", "sets"}
 
 
 def test_quotients_does_not_import_generators():

@@ -111,6 +111,23 @@ def test_broken_hyperfield_distributivity_witnessed():
     assert reevaluate(F, name, rep.axioms[name]["witness"]) is False
 
 
+def test_replay_reads_both_sides_of_two_sided_laws():
+    # at each witness the first side of the law holds and the second fails
+    hg = Hypergroup(["u", "v"], [[1, 2], [1, 1]])  # u + {u, v} = {u, v}, {u, v} + u = {u}
+    assert reevaluate(hg, "add-reproduction", (0,)) is False
+    F0 = gen_trivial_field(3)
+    mul = [list(r) for r in F0.mul]
+    mul[1][0] = 1 << 1  # 0 * 1 = 0, but 1 * 0 = 1
+    F = FiniteHyperfield(F0.names, F0.add, mul)
+    assert reevaluate(F, "zero-absorbing", (1,)) is False
+    L0 = gen_trivial_from_lie(3, 1, {})
+    x = (L0.zero + 1) % 3
+    add = [list(r) for r in L0.add]
+    add[x][L0.zero] = 1 << L0.zero  # 0 + x = x, but x + 0 = 0
+    L = FiniteLieHyperalgebra(L0.field, L0.names, add, L0.smul, L0.bracket)
+    assert reevaluate(L, "zero-vector-identity", (x,)) is False
+
+
 def _commutative_loops(n):
     """Every symmetric Latin square on 0..n-1 with identity 0."""
     cells = [(x, y) for x in range(1, n) for y in range(x, n)]
