@@ -119,7 +119,9 @@ def _oracle_for(structure, rel: str, n: int):
     characteristic 2."""
     if rel == "alpha":
         try:
-            if structure.gf_order is None:  # GF(q)'s own tables need no cubic check
+            # GF(q)'s own tables skip validate, which is n³: seconds near the
+            # carrier cap, where the alpha run it precedes takes milliseconds
+            if structure.gf_order is None:
                 FiniteField.from_trivial_hyperfield(structure).validate()
         except NotAField:
             return None

@@ -27,6 +27,10 @@ def bit_count(mask: int) -> int:
     return mask.bit_count()
 
 
+def is_singleton(mask: int) -> bool:
+    return mask != 0 and mask & (mask - 1) == 0
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -51,7 +55,7 @@ class SetOps(dict):
 def setwise(table, a_mask: int, b_mask: int) -> int:
     """Union of table[x][y] over x in a_mask, y in b_mask; one lookup
     when both masks are singletons."""
-    if not (a_mask & (a_mask - 1) or b_mask & (b_mask - 1)) and a_mask and b_mask:
+    if is_singleton(a_mask) and is_singleton(b_mask):
         return table[a_mask.bit_length() - 1][b_mask.bit_length() - 1]
     out = 0
     for x in iter_bits(a_mask):

@@ -27,7 +27,7 @@ from .errors import (
     HyperlieError,
     MalformedTable,
 )
-from .sets import SetOps, full_mask, iter_bits, setwise
+from .sets import SetOps, full_mask, is_singleton, iter_bits, setwise
 
 DEFAULT_CARRIER_CAP = 256
 
@@ -233,7 +233,7 @@ class FiniteLieHyperalgebra:
         self.bracket_ops = SetOps(self.bracket)
         self.index = {nm: i for i, nm in enumerate(self.names)}
         cell = self.smul[field.zero][0] if field.zero is not None else 0
-        self.zero = cell.bit_length() - 1 if cell and not cell & (cell - 1) else None
+        self.zero = cell.bit_length() - 1 if is_singleton(cell) else None
         self.is_trivial = field.is_trivial and all(
             t is not None for t in (self.add_elt, self.smul_elt, self.br_elt))
         self.commutative_add = _commutative(self.add)
@@ -539,24 +539,24 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra, field_report=None) -> Check
 # position or a named set (carrier, nonzero, zero, one, scalar-zero); a node
 # (op, left, right) applies setwise + (addition), * (hyperfield product),
 # . (scalar action), [] (bracket), or the scalar field's F+ and F*.
-def _associative(op):
+def _associative_law(op):
     return [("=", (op, (op, 0, 1), 2), (op, 0, (op, 1, 2)))]
 
 
-def _reproductive(op, carrier):
+def _reproductive_law(op, carrier):
     return [("=", (op, 0, carrier), carrier), ("=", (op, carrier, 0), carrier)]
 
 
-_HYPERGROUP_LAWS = {"add-associative": _associative("+"),
-                    "add-reproduction": _reproductive("+", "carrier")}
+_HYPERGROUP_LAWS = {"add-associative": _associative_law("+"),
+                    "add-reproduction": _reproductive_law("+", "carrier")}
 
 LAWS = {
     "hypergroup": _HYPERGROUP_LAWS,
     "hyperfield": {
         **_HYPERGROUP_LAWS,
         "mul-nonzero-closure": [("misses", ("*", 0, 1), "zero")],
-        "mul-associative": _associative("*"),
-        "mul-reproduction": _reproductive("*", "nonzero"),
+        "mul-associative": _associative_law("*"),
+        "mul-reproduction": _reproductive_law("*", "nonzero"),
         "zero-absorbing": [("=", ("*", "zero", 0), "zero"), ("=", ("*", 0, "zero"), "zero")],
         "distributive-left": [("=", ("*", 0, ("+", 1, 2)), ("+", ("*", 0, 1), ("*", 0, 2)))],
         "distributive-right": [("=", ("*", ("+", 0, 1), 2), ("+", ("*", 0, 2), ("*", 1, 2)))],
@@ -595,6 +595,13 @@ def evaluate(tree, values, tables, cut=-1) -> int:
                    evaluate(right, values, tables, cut)) & cut
 
 
+def _arity(tree) -> int:
+    """One more than the highest witness position in a tree, 0 for none."""
+    if type(tree) is tuple:
+        return max(_arity(tree[1]), _arity(tree[2]))
+    return tree + 1 if type(tree) is int else 0
+
+
 def _point(i) -> int:
     return 0 if i is None else 1 << i
 
@@ -620,14 +627,19 @@ def reevaluate(structure, axiom: str, witness) -> bool:
     """Recheck a single axiom instance at the given witness.
 
     Returns True when the instance holds (i.e. the witness does NOT violate
-    the axiom). Accepts the axiom names produced by the checkers above and
+    the axiom); a witness whose length is not the law's arity raises
+    HyperlieError. Accepts the axiom names produced by the checkers above and
     evaluates their LAWS on the raw mask tables, never through a SetOps; a
     law on the nonzeros cuts every operation value to them.
     """
     kind, tables, values = _operands(structure)
     if axiom not in LAWS[kind]:
         raise HyperlieError(f"unknown {kind} axiom {axiom}")
+    laws = LAWS[kind][axiom]
+    arity = max(_arity(tree) for _, *trees in laws for tree in trees)
+    if len(witness) != arity:
+        raise HyperlieError(f"{axiom} takes {arity} witness elements, got {len(witness)}")
     cut = values["nonzero"] if axiom in _NONZERO_LAWS else -1
     values.update(enumerate(1 << x for x in witness))
     return all(_RELATIONS[rel](evaluate(s, values, tables, cut), evaluate(t, values, tables, cut))
-               for rel, s, t in LAWS[kind][axiom])
+               for rel, s, t in laws)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hyperlie.errors import CarrierCapExceeded, FieldMismatch, MalformedTable
+from hyperlie.errors import CarrierCapExceeded, FieldMismatch, HyperlieError, MalformedTable
 from hyperlie.generators import gen_trivial_field, gen_trivial_from_lie
 from hyperlie.structures import (
     FiniteHyperfield,
@@ -126,6 +126,13 @@ def test_replay_reads_both_sides_of_two_sided_laws():
     add[x][L0.zero] = 1 << L0.zero  # 0 + x = x, but x + 0 = 0
     L = FiniteLieHyperalgebra(L0.field, L0.names, add, L0.smul, L0.bracket)
     assert reevaluate(L, "zero-vector-identity", (x,)) is False
+
+
+
+@pytest.mark.parametrize("witness", [(0, 1), (0, 1, 2, 0)])
+def test_replay_rejects_a_witness_of_the_wrong_length(witness):
+    with pytest.raises(HyperlieError, match="takes 3 witness elements"):
+        reevaluate(gen_trivial_field(3), "add-associative", witness)
 
 
 def _commutative_loops(n):
