@@ -22,7 +22,6 @@ from .errors import (
     InternalInvariant,
     MalformedTable,
     NoStabilization,
-    NotAField,
     NotLie,
     NotSymmetric,
     ParseError,
@@ -36,7 +35,7 @@ from .generators import (
     make_cyclic_group,
     make_s3,
 )
-from .gf import FiniteField, factor_prime_power, normalize_constants
+from .gf import factor_prime_power, normalize_constants, trusted_field
 from .interchange import parse_structure, serialize_structure
 from .quotients import (
     derived_dims,
@@ -115,17 +114,10 @@ def _oracle_for(structure, rel: str, n: int):
     """Reference partition for escalation, or None where none applies. The
     diagonal is exact for alpha on a field, and for L on a singleton-valued
     algebra, whose every expression value is a singleton. A and Sn:k take
-    the linear oracle, stated on trivial presentations outside
-    characteristic 2."""
+    the linear oracle where the tables pass its premise, detect_trivial,
+    outside characteristic 2."""
     if rel == "alpha":
-        try:
-            # GF(q)'s own tables skip validate, which is n³: seconds near the
-            # carrier cap, where the alpha run it precedes takes milliseconds
-            if structure.gf_order is None:
-                FiniteField.from_trivial_hyperfield(structure).validate()
-        except NotAField:
-            return None
-        return Partition.diagonal(structure.size)
+        return None if trusted_field(structure) is None else Partition.diagonal(structure.size)
     L = structure
     if rel == "L":
         return Partition.diagonal(L.size) if L.is_trivial else None

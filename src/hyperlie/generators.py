@@ -17,13 +17,13 @@ from .errors import (
     NotASubgroup,
 )
 from .gf import (
-    bracket_coords,
     check_constants_lie,
     classical_tables,
     constants_table,
     digits_to_int,
     get_gf,
     identity,
+    int_to_digits,
     is_prime,
 )
 from .sets import mask_of
@@ -63,6 +63,15 @@ def vector_name(vec, q: int) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _classical(q: int, dim: int, constants):
+    """The add, scalar and bracket tables of GF(q)^dim under the checked
+    structure constants, as gf.classical_tables builds them."""
+    gf = get_gf(q)
+    C = constants_table(gf, dim, constants)
+    check_constants_lie(gf, dim, C)
+    return classical_tables(gf, dim, [[digits_to_int(c, q) for c in row] for row in C])
+
+
 def gen_trivial_from_lie(q: int, dim: int, constants) -> FiniteLieHyperalgebra:
     """Trivialize a classical Lie algebra over GF(q) given by structure constants.
 
@@ -74,14 +83,10 @@ def gen_trivial_from_lie(q: int, dim: int, constants) -> FiniteLieHyperalgebra:
     if dim < 1 or dim > len(BASIS_LETTERS):
         raise MalformedTable(f"dim must be in 1..{len(BASIS_LETTERS)}, got {dim}")
     check_carrier_size(q ** dim)
-    gf = get_gf(q)
-    C = constants_table(gf, dim, constants)
-    check_constants_lie(gf, dim, C)
-    vecs, add, smul = classical_tables(gf, dim)
-    bracket = [[digits_to_int(bracket_coords(gf, C, u, v), q) for v in vecs] for u in vecs]
-    add, smul, bracket = ([[1 << x for x in row] for row in t] for t in (add, smul, bracket))
-    L = FiniteLieHyperalgebra(gen_trivial_field(q), [vector_name(v, q) for v in vecs],
-                              add, smul, bracket)
+    add, smul, bracket = ([[1 << x for x in row] for row in t]
+                          for t in _classical(q, dim, constants))
+    names = [vector_name(int_to_digits(u, q, dim), q) for u in range(q ** dim)]
+    L = FiniteLieHyperalgebra(gen_trivial_field(q), names, add, smul, bracket)
     L.even_char_warning = q % 2 == 0
     check_lie_hyperalgebra(L).raise_if_failed()
     return L
@@ -224,25 +229,17 @@ def gen_orbit_quotient(q: int, dim: int, constants, subgroup) -> FiniteLieHypera
     F = gen_quotient_hyperfield(q, subgroup)
     field_members, _ = _unit_cosets(q, subgroup)
     H = field_members[1]  # the coset of 1
-    gf = get_gf(q)
-    C = constants_table(gf, dim, constants)
-    check_constants_lie(gf, dim, C)
     # H acts freely on the nonzero vectors, so the orbits number 1 + (n - 1) / |H|
     check_carrier_size(1 + (q ** dim - 1) // len(H))
-    vecs, vadd, vsmul = classical_tables(gf, dim)
-    orbits, orbit_of = _orbits(len(vecs), lambda u: (vsmul[h][u] for h in H))
-    names = [
-        "0" if members == [0] else f"[{vector_name(vecs[members[0]], q)}]"
-        for members in orbits
-    ]
+    vadd, vsmul, vbracket = _classical(q, dim, constants)
+    orbits, orbit_of = _orbits(len(vadd), lambda u: (vsmul[h][u] for h in H))
+    names = ["0" if members == [0] else f"[{vector_name(int_to_digits(members[0], q, dim), q)}]"
+             for members in orbits]
     reps = [members[0] for members in orbits]
     # h u + v = h (u + v / h) for h in H: a representative's sums meet every
     # orbit that its whole orbit's sums meet
     add = [[mask_of(orbit_of[vadd[a][v]] for v in b) for b in orbits] for a in reps]
-    bracket = [
-        [1 << orbit_of[digits_to_int(bracket_coords(gf, C, vecs[a], vecs[b]), q)] for b in reps]
-        for a in reps
-    ]
+    bracket = [[1 << orbit_of[vbracket[a][b]] for b in reps] for a in reps]
     # a field class acts by any representative scalar
     smul = [[1 << orbit_of[vsmul[lam][b]] for b in reps] for lam, *_ in field_members]
 

@@ -5,7 +5,7 @@ This module is the one home of that arithmetic:
 - FiniteField, a field given by element-valued tables. get_gf(q) returns
   the canonical GF(q): element x is the polynomial over F_p whose base-p
   digits are those of x, reduced modulo the first monic irreducible of
-  degree k (q = p^k). q stays small here (<= 256).
+  degree k (q = p^k), q <= 256. trusted_field reads a hyperfield as one.
 - The base-q packing of coordinate vectors, int_to_digits and
   digits_to_int: the vector (v_0, ..., v_{d-1}) has index sum v_i q^i, so
   basis vector 0 is the lowest digit. Every carrier built from GF(q)^d is
@@ -13,8 +13,8 @@ This module is the one home of that arithmetic:
 - Structure constants: normalize_constants, constants_table (the full
   antisymmetric table C[i][j] = [e_i, e_j]), the coordinate bracket
   bracket_coords and its Jacobi check check_constants_lie.
-- classical_tables, the packed vectors of GF(q)^d with their addition and
-  scalar tables, and row reduction, spans and inverses over GF(q).
+- classical_tables, the one builder of the add, scalar and bracket tables
+  of F^d, and row reduction, spans and inverses over GF(q).
 """
 
 from __future__ import annotations
@@ -212,6 +212,17 @@ class FiniteField:
         return self.add[a][self.neg(b)]
 
 
+def trusted_field(F):
+    """The FiniteField of the singleton-valued hyperfield F, or None when
+    F's tables are no field. GF(q)'s own tables (F.gf_order set) skip
+    validate, which is n³: seconds near the carrier cap."""
+    try:
+        fld = FiniteField.from_trivial_hyperfield(F)
+        return fld if F.gf_order is not None else fld.validate()
+    except NotAField:
+        return None
+
+
 @lru_cache(maxsize=None)
 def get_gf(q: int) -> FiniteField:
     """The canonical GF(q), built once per q."""
@@ -285,15 +296,29 @@ def check_constants_lie(gf: FiniteField, dim: int, C) -> None:
             raise NotLie("jacobi-constants", (i, j, k), "Jacobi fails on basis triple")
 
 
-def classical_tables(gf: FiniteField, dim: int):
-    """(vecs, add, smul) of GF(q)^dim in packed order: vecs[u] is the vector
-    with index u, add[u][v] the index of u + v, smul[lam][v] that of lam v."""
-    q = gf.size
-    vecs = [tuple(int_to_digits(u, q, dim)) for u in range(q ** dim)]
-    add = [[digits_to_int([gf.add[a][b] for a, b in zip(u, v)], q) for v in vecs]
-           for u in vecs]
-    smul = [[digits_to_int([gf.mul[lam][a] for a in v], q) for v in vecs] for lam in range(q)]
-    return vecs, add, smul
+def classical_tables(F: FiniteField, dim: int, C):
+    """(add, smul, bracket) of F^dim in packed order, over any field table F:
+    add[u][v] is the index of u + v, smul[lam][v] that of lam v and
+    bracket[u][v] that of [u, v], the bilinear extension of the basis
+    brackets C[i][j] = [e_i, e_j], given as packed indices. Each table is
+    extended one digit at a time; a digit is an element in F's labels.
+    """
+    rq = range(F.size)
+    add, smul = [[0]], [[0] for _ in rq]
+    for k in range(dim):
+        w = F.size ** k
+        add = [[s + w * F.add[a][b] for b in rq for s in row] for a in rq for row in add]
+        smul = [[s + w * F.mul[lam][a] for a in rq for s in row] for lam, row in zip(rq, smul)]
+    zero = smul[F.zero][0]
+    bracket = [[zero] * len(add)]
+    for Ci in C:
+        # [e_i, v] = sum_j v_j C[i][j], then [u, v] = sum_i u_i [e_i, v]
+        ei = [zero]
+        for Cij in Ci:
+            ei = [add[s][smul[b][Cij]] for b in rq for s in ei]
+        scaled = [[smul[a][r] for r in ei] for a in rq]
+        bracket = [[add[s][t] for s, t in zip(row, sc)] for sc in scaled for row in bracket]
+    return add, smul, bracket
 
 
 def row_reduce(gf: FiniteField, rows):

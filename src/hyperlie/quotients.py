@@ -1,5 +1,7 @@
 """Quotients by strongly regular partitions, classical structure checks,
-and the linear oracle for trivially-presented algebras."""
+and the linear oracle: linear_oracle_Sn in GF(q)^d coordinates, and
+linear_oracle_partition on the element tables of an algebra that passes
+detect_trivial's premise."""
 
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ from .errors import (
     DegenerateField,
     InternalInvariant,
     NoStabilization,
-    NotAField,
     NotAVectorSpace,
     NotLie,
     NotWellDefined,
@@ -20,12 +21,15 @@ from .gf import (
     FiniteField,
     bracket_coords,
     check_constants_lie,
+    classical_tables,
     constants_table,
     digits_to_int,
     get_gf,
     int_to_digits,
+    is_prime,
     row_reduce,
     span_indices,
+    trusted_field,
 )
 from .relations import ClassOfMask, Partition
 from .sets import iter_bits
@@ -325,98 +329,75 @@ def linear_oracle_Sn(q: int, dim: int, constants, n: int) -> Partition:
     ])
 
 
+def _span(add, smul, zero, q, gens):
+    """(elements, basis): the span of gens from zero in coordinate order
+    over the basis of the gens outside the span so far; None as soon as
+    the list repeats an element, which no vector space does."""
+    elts, seen, basis = [zero], {zero}, []
+    for g in gens:
+        if g not in seen:
+            basis.append(g)
+            elts = [add[s][smul[lam][g]] for lam in range(q) for s in elts]
+            seen = set(elts)
+            if len(seen) != len(elts):
+                return None
+    return elts, basis
+
+
 def detect_trivial(L: FiniteLieHyperalgebra):
-    """Recover (q, dim, constants table, packed-to-carrier map) from a
-    single-valued presentation, or None when the algebra is not trivially
-    presented over a standard prime field.
+    """(field, basis) when L is a classical Lie algebra over its field, read
+    on its element tables, else None.
 
-    The scalar field must match the canonical prime-field tables after
-    renaming k to the k-fold sum of one; prime powers must match directly.
+    field is gf.trusted_field's, with any labels on a prime field and only
+    GF(q)'s own tables otherwise. basis spans the carrier from zero; in its
+    coordinates L's tables must be classical_tables of the field and the
+    basis brackets, with an alternating bracket and Jacobi on basis triples.
     """
-    if not L.is_trivial or not L.field.is_trivial:
+    field = trusted_field(L.field) if L.is_trivial else None
+    if field is None:
         return None
-    F = L.field
-    q = F.size
-    try:
-        fld = FiniteField.from_trivial_hyperfield(F).validate()
-    except NotAField:
+    q = field.size
+    if not is_prime(q) and (field.add, field.mul) != (get_gf(q).add, get_gf(q).mul):
         return None
-    gf = get_gf(q)
-    if fld.add == gf.add and fld.mul == gf.mul:
-        remap = list(range(q))
-    else:
-        # prime-field remap: k maps to the k-fold sum of one
-        remap = [fld.zero] * q
-        acc = fld.zero
-        for k in range(1, q):
-            acc = fld.add[acc][fld.one]
-            remap[k] = acc
-        if len(set(remap)) != q:
-            return None
-        inv = {v: k for k, v in enumerate(remap)}
-        for a in range(q):
-            for b in range(q):
-                if (
-                    inv[fld.add[remap[a]][remap[b]]] != gf.add[a][b]
-                    or inv[fld.mul[remap[a]][remap[b]]] != gf.mul[a][b]
-                ):
-                    return None
-
-    add = L.add_elt
-    smul = L.smul_elt
-    zero = L.zero
-    spanned = {zero}
-    basis = []
-    for v in range(L.size):
-        if v in spanned:
-            continue
-        basis.append(v)
-        spanned = {add[s][smul[remap[lam]][v]] for s in spanned for lam in range(q)}
-    d = len(basis)
-    if q ** d != L.size or len(spanned) != L.size:
+    add, smul, br, z = L.add_elt, L.smul_elt, L.br_elt, L.zero
+    spanned = _span(add, smul, z, q, range(L.size))
+    if spanned is None:
         return None
-    elt_of_packed = [0] * L.size
-    for packed in range(L.size):
-        digits = int_to_digits(packed, q, d)
-        acc = zero
-        for i, lam in enumerate(digits):
-            acc = add[acc][smul[remap[lam]][basis[i]]]
-        elt_of_packed[packed] = acc
-    if len(set(elt_of_packed)) != L.size:
+    elts, basis = spanned
+    coord = {e: u for u, e in enumerate(elts)}
+    tables = classical_tables(field, len(basis), [[coord[br[x][y]] for y in basis] for x in basis])
+    for table, rows, classical in zip((add, smul, br), (elts, range(q), elts), tables):
+        for r, row in zip(rows, classical):
+            if list(map(table[r].__getitem__, elts)) != list(map(elts.__getitem__, row)):
+                return None
+    if any(br[x][x] != z for x in elts) or any(
+        add[add[br[x][br[y][w]]][br[y][br[w][x]]]][br[w][br[x][y]]] != z
+        for x, y, w in product(basis, repeat=3)
+    ):
         return None
-    packed_of_elt = {e: p for p, e in enumerate(elt_of_packed)}
-    table = [
-        [
-            tuple(int_to_digits(packed_of_elt[L.br_elt[basis[i]][basis[j]]], q, d))
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    try:
-        check_constants_lie(gf, d, table)
-    except NotLie:
-        return None
-    return q, d, table, elt_of_packed
+    return field, basis
 
 
 def linear_oracle_partition(L: FiniteLieHyperalgebra, n: int) -> Partition:
-    """linear_oracle_Sn transported onto the carrier order of L."""
+    """Cosets of the n-th derived subalgebra of L, read on L's own tables.
+
+    The brackets of basis pairs span each derived subalgebra in turn, and x
+    falls in the class of min(x + s for s in it). L must pass detect_trivial
+    (NotLie otherwise) and have odd characteristic (CharTwoGate after that).
+    """
     info = detect_trivial(L)
     if info is None:
-        raise NotLie(
-            "trivial-presentation",
-            None,
-            "linear oracle needs a single-valued algebra over a standard field",
-        )
-    q, d, table, elt_of_packed = info
-    packed_part = linear_oracle_Sn(q, d, table, n)
-    masks = []
-    for m in packed_part.classes:
-        out = 0
-        for packed in iter_bits(m):
-            out |= 1 << elt_of_packed[packed]
-        masks.append(out)
-    return Partition(masks)
+        raise NotLie("trivial-presentation", None,
+                     "linear oracle needs a single-valued algebra over a standard field")
+    field, basis = info
+    if field.size % 2 == 0:
+        raise CharTwoGate("linear oracle is stated for odd characteristic")
+    add, br = L.add_elt, L.br_elt
+    sub = range(L.size)
+    for _ in range(n):
+        brackets = (br[x][y] for i, x in enumerate(basis) for y in basis[i + 1:])
+        sub, basis = _span(add, L.smul_elt, L.zero, field.size, brackets)
+    return Partition.from_class_of([min(add[x][s] for s in sub) for x in range(L.size)])
 
 
 def classical_dims_chain(q: int, dim: int, constants, depth: int):

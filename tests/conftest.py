@@ -198,3 +198,20 @@ def _singleton_lift(A):
     F = A.field
     return FiniteLieHyperalgebra(FiniteHyperfield(F.names, masks(F.add), masks(F.mul)),
                                  A.names, masks(A.add), masks(A.smul), masks(A.bracket))
+
+
+def _relabelled(L, fperm, cperm):
+    """L written out again with field element i standing for fperm[i] and
+    carrier element i for cperm[i] of L; singleton-valued L only."""
+    F = L.field
+    finv, cinv = ({v: i for i, v in enumerate(p)} for p in (fperm, cperm))
+
+    def masks(table, rows, cols, inv):
+        return [[1 << inv[table[r][c]] for c in cols] for r in rows]
+
+    field = FiniteHyperfield([F.names[i] for i in fperm], masks(F.add_elt, fperm, fperm, finv),
+                             masks(F.mul_elt, fperm, fperm, finv))
+    return FiniteLieHyperalgebra(field, [L.names[x] for x in cperm],
+                                 masks(L.add_elt, cperm, cperm, cinv),
+                                 masks(L.smul_elt, fperm, cperm, cinv),
+                                 masks(L.br_elt, cperm, cperm, cinv))

@@ -20,8 +20,11 @@ from hyperlie.generators import (
     gen_trivial_field,
     gen_trivial_from_lie,
     make_cyclic_group,
+    vector_name,
 )
-from hyperlie.interchange import serialize_structure
+from hyperlie.gf import FiniteField, get_gf
+from hyperlie.interchange import parse_structure, serialize_structure
+from hyperlie.structures import FiniteLieHyperalgebra
 
 
 def run(capsys, *argv):
@@ -300,6 +303,47 @@ def test_oracle_for_detects_trivial_presentation_once(ex1):
             assert len(calls) == reads, rel
 
 
+def test_corrupted_bracket_runs_the_engine_without_the_oracle(capsys, tmp_path):
+    # [a, a] = b breaks the alternating bracket and Jacobi; the constants of
+    # the basis brackets describe another algebra, whose oracle the engine
+    # partition need not refine, so the oracle must not be used
+    p = tmp_path / "g9.json"
+    code, _, _ = run(capsys, "gen", "trivial", "--q", "3", "--dim", "2",
+                     "--constants", "(0,1):(1,0)", "-o", str(p))
+    assert code == 0
+    doc = json.loads(p.read_text())
+    a = doc["elements"].index("a")
+    doc["bracket"][a][a] = ["b"]
+    p.write_text(json.dumps(doc))
+    for argv in (["relation", "--rel", "A"], ["relation", "--rel", "Sn:2"],
+                 ["quotient", "--rel", "Sn:2"]):
+        code, _, err = run(capsys, argv[0], str(p), *argv[1:], "--oracle", "auto")
+        assert code in (0, 1), (argv, err)
+
+
+def test_gf_own_tables_skip_the_field_check(capsys, tmp_path, monkeypatch):
+    # GF(q)'s own tables are a field by construction; A takes the linear
+    # oracle on them without the n³ field check, as alpha does. The file is
+    # what gen trivial --q 243 --dim 1 writes, built from GF(243)'s tables
+    # here because the generator's own checks take seconds at this size
+    gf = get_gf(243)
+    names = [vector_name([x], 243) for x in range(243)]
+    cells = [[[names[x]] for x in row] for row in gf.add]
+    p = tmp_path / "gf243.json"
+    p.write_text(json.dumps({
+        "kind": "lie_hyperalgebra", "elements": names, "zero": "0", "add": cells,
+        "bracket": [[["0"]] * 243] * 243, "field": "trivial:F243",
+        "scalar": [[[names[x]] for x in row] for row in gf.mul]}))
+
+    def refuse(self):
+        raise AssertionError("GF(243)'s own tables were validated")
+
+    monkeypatch.setattr(FiniteField, "validate", refuse)
+    code, out, err = run(capsys, "relation", str(p), "--rel", "A")
+    assert code == 0, err
+    assert "mode=exact-oracle-match" in out
+
+
 def _gf3_document():
     return json.loads(serialize_structure(gen_trivial_field(3)))
 
@@ -491,8 +535,17 @@ def test_mutated_interchange_files_end_in_an_exit_code(capsys, tmp_path, text):
     # any exception that escapes main fails the example
     p = tmp_path / "mutated.json"
     p.write_text(text)
-    for argv in (["check"], ["relation", "--rel", "L", "--oracle", "off", "--bounds", "1,1,1,1"],
-                 ["relation", "--rel", "alpha"]):
+    runs = [["check"], ["relation", "--rel", "L", "--oracle", "off", "--bounds", "1,1,1,1"],
+            ["relation", "--rel", "alpha"]]
+    try:
+        parsed = parse_structure(text)
+    except errors.HyperlieError:
+        parsed = None
+    if isinstance(parsed, FiniteLieHyperalgebra) and parsed.is_trivial:
+        # the linear oracle runs only where the tables pass its premise
+        runs += [["relation", "--rel", "Sn:2", "--oracle", "auto"],
+                 ["quotient", "--rel", "Sn:2", "--oracle", "auto"]]
+    for argv in runs:
         code, _, _ = run(capsys, argv[0], str(p), *argv[1:])
         assert code in (0, 1, 2, 3)
 

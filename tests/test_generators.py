@@ -2,6 +2,7 @@
 
 import pytest
 
+from hyperlie import generators, gf
 from hyperlie.errors import (
     CarrierCapExceeded,
     MalformedTable,
@@ -139,3 +140,23 @@ def test_presets_table_complete():
         q, dim, constants = CONSTANT_PRESETS[name]
         L = gen_trivial_from_lie(q, dim, constants)
         assert check_lie_hyperalgebra(L).ok
+
+
+def test_generators_take_brackets_from_the_bilinear_builder(monkeypatch):
+    # gf.classical_tables extends the basis brackets over the carrier; only
+    # check_constants_lie's Jacobi check computes brackets in coordinates,
+    # 6 per basis triple, never one per carrier pair
+    calls = []
+    real = gf.bracket_coords
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (gf, generators):
+        monkeypatch.setattr(module, "bracket_coords", counted, raising=False)
+    for build, dim in ((lambda: preset_structure("ex1"), 4),
+                       (lambda: gen_orbit_quotient(7, 2, {(0, 1): (0, 1)}, [1, 2, 4]), 2)):
+        calls.clear()
+        build()
+        assert len(calls) == 6 * dim ** 3

@@ -2,17 +2,26 @@
 
 import json
 import random
+from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
+
+from conftest import _RANDOM_SPECS, _bilinear_algebra, _conjugated, _relabelled, _singleton_lift
 
 from hyperlie.generators import (
     gen_quotient_hyperfield,
     gen_trivial_field,
     gen_trivial_from_lie,
+    preset_structure,
 )
-from hyperlie.gf import get_gf, mat_inverse, random_invertible
+from hyperlie.gf import classical_tables, get_gf, mat_inverse, random_invertible
 from hyperlie.interchange import parse_structure, serialize_structure
-from hyperlie.quotients import linear_oracle_partition, quotient_lie_algebra
+from hyperlie.quotients import (
+    detect_trivial,
+    linear_oracle_partition,
+    linear_oracle_Sn,
+    quotient_lie_algebra,
+)
 from hyperlie.relations import (
     DEFAULT_BOUNDS,
     ExpressionBounds,
@@ -25,7 +34,7 @@ from hyperlie.relations import (
 )
 from hyperlie.errors import NotLie, NotWellDefined
 from hyperlie.sets import bit_count, iter_bits
-from hyperlie.structures import check_lie_hyperalgebra, reevaluate
+from hyperlie.structures import FiniteLieHyperalgebra, check_lie_hyperalgebra, reevaluate
 
 # known-good structure constants, conjugated by seeded random bases in
 # _algebra below so properties do not ride on a special basis
@@ -39,7 +48,8 @@ _FAMILY = [
 ]
 
 
-def _algebra(pick: int, seed: int):
+def _family_constants(pick: int, seed: int):
+    """(q, dim, constants) of a _FAMILY member in a seeded random basis."""
     q, dim, constants = _FAMILY[pick % len(_FAMILY)]
     gf = get_gf(q)
     rng = random.Random(seed)
@@ -63,7 +73,11 @@ def _algebra(pick: int, seed: int):
                             vec[l] = gf.add[vec[l]][gf.mul[term][Pinv[k][l]]]
             if any(vec):
                 newC[(i, j)] = tuple(vec)
-    return gen_trivial_from_lie(q, dim, newC)
+    return q, dim, newC
+
+
+def _algebra(pick: int, seed: int):
+    return gen_trivial_from_lie(*_family_constants(pick, seed))
 
 
 algebras = st.builds(_algebra, st.integers(0, 5), st.integers(0, 10**6))
@@ -195,3 +209,84 @@ def test_sn_classes_are_cosets(L, n):
         for z in iter_bits(zero_class):
             shifted |= L.add[r][z]  # singleton cells on trivial carriers
         assert shifted == cls
+
+
+@lru_cache(maxsize=None)
+def _premise_bases():
+    """The 9-element algebra, ex2 and the conftest random-basis algebras."""
+    return (gen_trivial_from_lie(3, 2, {(0, 1): (1, 0)}), preset_structure("ex2"),
+            *(_conjugated(*spec) for spec in _RANDOM_SPECS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_oracle_premise_implies_the_axioms(data):
+    # the linear oracle's theorem holds on Lie algebras only, so whatever
+    # detect_trivial accepts must pass the checker; one changed cell of
+    # the add, scalar or bracket table
+    L = data.draw(st.sampled_from(_premise_bases()))
+    tables = {"add": L.add, "smul": L.smul, "bracket": L.bracket}
+    kind = data.draw(st.sampled_from(sorted(tables)))
+    r = data.draw(st.integers(0, len(tables[kind]) - 1))
+    c = data.draw(st.integers(0, L.size - 1))
+    v = data.draw(st.integers(0, L.size - 1).filter(lambda v: 1 << v != tables[kind][r][c]))
+    tables = {k: [list(row) for row in t] for k, t in tables.items()}
+    tables[kind][r][c] = 1 << v
+    bad = FiniteLieHyperalgebra(L.field, L.names, **tables)
+    if detect_trivial(bad) is not None:
+        assert check_lie_hyperalgebra(bad).ok
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_oracle_premise_holds_on_a_relabelled_prime_field(data):
+    # a prime field in any labels, its zero included, keeps the oracle
+    L = data.draw(st.sampled_from(_premise_bases()))
+    fperm = data.draw(st.permutations(range(L.field.size)))
+    relabelled = _relabelled(L, fperm, range(L.size))
+    assert detect_trivial(L) is not None and detect_trivial(relabelled) is not None
+    for n in (1, 2):
+        assert linear_oracle_partition(relabelled, n) == linear_oracle_partition(L, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_oracle_premise_on_alternating_bilinear_brackets(rng):
+    # such tables equal classical_tables of their basis brackets, so Jacobi
+    # on basis triples decides the premise, as the checker decides the axioms
+    L = _singleton_lift(_bilinear_algebra(3, 3, rng))
+    assert (detect_trivial(L) is not None) == check_lie_hyperalgebra(L).ok
+
+
+def test_oracle_premise_needs_an_alternating_bracket():
+    # [a, a] = a extends to a bilinear bracket on GF(3), which is no Lie bracket
+    add, smul, bracket = classical_tables(get_gf(3), 1, [[1]])
+    masks = [[[1 << x for x in row] for row in t] for t in (add, smul, bracket)]
+    L = FiniteLieHyperalgebra(gen_trivial_field(3), ["0", "a", "2a"], *masks)
+    assert detect_trivial(L) is None
+
+
+def test_oracle_premise_needs_gf_own_tables_off_prime_order():
+    L = gen_trivial_from_lie(9, 1, {})
+    swapped = [0, 2, 1, *range(3, 9)]  # 1 and 2 trade labels: not GF(9)'s tables
+    assert detect_trivial(L) is not None
+    assert detect_trivial(_relabelled(L, swapped, range(L.size))) is None
+
+
+def _named_classes(L, part):
+    return {frozenset(L.names[x] for x in iter_bits(m)) for m in part.classes}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 10**6), st.randoms(use_true_random=False))
+def test_oracle_on_the_tables_matches_the_coordinate_oracle(pick, seed, rng):
+    q, dim, constants = _family_constants(pick, seed)
+    L = gen_trivial_from_lie(q, dim, constants)
+    cperm = list(range(L.size))
+    rng.shuffle(cperm)
+    shuffled = _relabelled(L, range(q), cperm)
+    for n in (1, 2, 3):
+        reference = linear_oracle_Sn(q, dim, constants, n)
+        assert linear_oracle_partition(L, n) == reference
+        assert _named_classes(shuffled, linear_oracle_partition(shuffled, n)) == \
+            _named_classes(L, reference)
