@@ -58,10 +58,17 @@ def _table(obj, key, nrows, ncols, index, path, required=True):
                          f"{len(rows) if isinstance(rows, list) else type(rows).__name__}")
     out = []
     table = f"{path}.{key}"
+    bit = {nm: 1 << i for nm, i in index.items()}.get
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ncols:
             raise ParseError(f"{table} row {r}: expected {ncols} entries")
-        out.append([_cell_mask(cell, index, table, r, c) for c, cell in enumerate(row)])
+        try:  # a row of one-identifier cells is read through bit alone
+            masks = [bit(c[0]) if type(c) is list and len(c) == 1 else None for c in row]
+        except TypeError:  # an unhashable identifier
+            masks = [None]
+        if not all(masks):
+            masks = [_cell_mask(cell, index, table, r, c) for c, cell in enumerate(row)]
+        out.append(masks)
     return out
 
 
@@ -163,50 +170,53 @@ def parse_structure(text: str):
     return _parse_lie(obj, "lie_hyperalgebra")
 
 
-def _cells(table, names):
-    return [
-        [[names[i] for i in iter_bits(mask)] for mask in row]
-        for row in table
-    ]
+def _layout(items, depth, brackets="[]"):
+    """Encoded items as json.dumps(indent=1) lays out an array, or with
+    brackets "{}" an object, that opens on a line indented by depth."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
 
 
-def _field_ref(F: FiniteHyperfield):
-    if _is_canonical(F):
-        return f"trivial:F{F.size}"
-    return _field_obj(F)
+def _table_text(table, quoted, depth):
+    """A mask table at depth, as lists of the encoded names quoted[i] of its
+    elements, each distinct cell encoded once."""
+    cells = {m: _layout([quoted[i] for i in iter_bits(m)], depth + 2)
+             for m in set().union(*table)}
+    return _layout([_layout(list(map(cells.__getitem__, row)), depth + 1) for row in table],
+                   depth)
 
 
-def _field_obj(F: FiniteHyperfield):
-    return {
-        "kind": "hyperfield",
-        "elements": list(F.names),
-        "zero": F.names[F.zero] if F.zero is not None else None,
-        "one": F.names[F.one] if F.one is not None else None,
-        "add": _cells(F.add, F.names),
-        "mul": _cells(F.mul, F.names),
-    }
+def _object_text(x, depth) -> str:
+    """x's interchange object, byte for byte as json.dumps(obj, indent=1,
+    ensure_ascii=False) writes it nested at depth."""
+    quoted = [json.dumps(nm, ensure_ascii=False) for nm in x.names]
+
+    def name(i):
+        return quoted[i] if i is not None else "null"
+
+    def table(t):
+        return _table_text(t, quoted, depth + 1)
+
+    if isinstance(x, FiniteLieHyperalgebra):
+        F = x.field
+        field = (json.dumps(f"trivial:F{F.size}") if _is_canonical(F)
+                 else _object_text(F, depth + 1))
+        kind, items = "lie_hyperalgebra", [
+            ("zero", name(x.zero)), ("add", table(x.add)), ("bracket", table(x.bracket)),
+            ("scalar", table(x.smul)), ("field", field)]
+    elif isinstance(x, FiniteHyperfield):
+        kind, items = "hyperfield", [("zero", name(x.zero)), ("one", name(x.one)),
+                                     ("add", table(x.add)), ("mul", table(x.mul))]
+    elif isinstance(x, Hypergroup):
+        kind, items = "hypergroup", [("add", table(x.add))]
+    else:
+        raise ParseError(f"cannot serialize {type(x).__name__}")
+    items = [("kind", json.dumps(kind)), ("elements", _layout(quoted, depth + 1)), *items]
+    return _layout([f"{json.dumps(k)}: {v}" for k, v in items], depth, "{}")
 
 
 def serialize_structure(x) -> str:
     """Canonical interchange JSON (value lists in element order)."""
-    if isinstance(x, FiniteLieHyperalgebra):
-        obj = {
-            "kind": "lie_hyperalgebra",
-            "elements": list(x.names),
-            "zero": x.names[x.zero] if x.zero is not None else None,
-            "add": _cells(x.add, x.names),
-            "bracket": _cells(x.bracket, x.names),
-            "scalar": _cells(x.smul, x.names),
-            "field": _field_ref(x.field),
-        }
-    elif isinstance(x, FiniteHyperfield):
-        obj = _field_obj(x)
-    elif isinstance(x, Hypergroup):
-        obj = {
-            "kind": "hypergroup",
-            "elements": list(x.names),
-            "add": _cells(x.add, x.names),
-        }
-    else:
-        raise ParseError(f"cannot serialize {type(x).__name__}")
-    return json.dumps(obj, indent=1, ensure_ascii=False) + "\n"
+    return _object_text(x, 0) + "\n"

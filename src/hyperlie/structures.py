@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 from functools import cached_property
+from itertools import chain
 
 from .errors import (
     AxiomFailure,
@@ -53,11 +54,18 @@ def check_carrier_size(size: int) -> None:
 
 def _intake(table, rows, cols, size, what):
     """Checked copy of a mask table, with its element-index form, or None
-    in its place unless every cell is a singleton."""
+    in its place unless every cell is a singleton. A table of int cells that
+    all hit {1 << i: i} is checked by that map alone, which also gives the
+    element-index form; any other table is checked cell by cell."""
     if len(table) != rows:
         raise MalformedTable(f"{what}: expected {rows} rows, got {len(table)}")
-    cap = full_mask(size)
     masks = [list(row) for row in table]
+    if {int}.issuperset(map(type, chain.from_iterable(masks))):
+        index_of = {1 << i: i for i in range(size)}.get
+        elt = [list(map(index_of, row)) for row in masks]
+        if all(len(row) == cols and None not in row for row in elt):
+            return masks, elt
+    cap = full_mask(size)
     for i, row in enumerate(masks):
         if len(row) != cols:
             raise MalformedTable(f"{what}[{i}]: expected {cols} cols, got {len(row)}")
@@ -81,8 +89,7 @@ def _identity(table, elems):
 
 
 def _commutative(table) -> bool:
-    n = len(table)
-    return all(table[x][y] == table[y][x] for x in range(n) for y in range(x + 1, n))
+    return [list(col) for col in zip(*table)] == table
 
 
 def additive_generators(add, zero):
@@ -167,7 +174,10 @@ class Hypergroup:
         self.add, self.add_elt = _intake(add, n, n, n, "add")
         self.add_ops = SetOps(self.add)
         self.index = {nm: i for i, nm in enumerate(self.names)}
-        self.fingerprint = _table_fingerprint("hypergroup", self.names, self.add)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return _table_fingerprint("hypergroup", self.names, self.add)
 
 
 class FiniteHyperfield:
@@ -197,7 +207,10 @@ class FiniteHyperfield:
         self.commutative_add = _commutative(self.add)
         # q when the tables are GF(q)'s: set by the generators and the parser
         self.gf_order = gf_order
-        self.fingerprint = _table_fingerprint("hyperfield", self.names, self.add, self.mul)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return _table_fingerprint("hyperfield", self.names, self.add, self.mul)
 
     @property
     def nonzero_mask(self) -> int:
@@ -237,9 +250,11 @@ class FiniteLieHyperalgebra:
         self.is_trivial = field.is_trivial and all(
             t is not None for t in (self.add_elt, self.smul_elt, self.br_elt))
         self.commutative_add = _commutative(self.add)
-        self.fingerprint = _table_fingerprint(
-            "lie_hyperalgebra", field.fingerprint, self.names, self.add, self.smul, self.bracket
-        )
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return _table_fingerprint("lie_hyperalgebra", self.field.fingerprint, self.names,
+                                  self.add, self.smul, self.bracket)
 
 
 class CheckReport:

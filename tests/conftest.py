@@ -8,6 +8,7 @@ from hyperlie.generators import (
     gen_trivial_field,
     gen_trivial_from_lie,
     preset_structure,
+    vector_name,
 )
 from hyperlie.gf import get_gf, int_to_digits, random_invertible
 from hyperlie.quotients import FiniteField, FiniteLieAlgebra, quotient_lie_algebra
@@ -215,3 +216,15 @@ def _relabelled(L, fperm, cperm):
                                  masks(L.add_elt, cperm, cperm, cinv),
                                  masks(L.smul_elt, fperm, cperm, cinv),
                                  masks(L.br_elt, cperm, cperm, cinv))
+
+
+def _gf_line_document(q):
+    """The file that gen trivial --q q --dim 1 writes, built from GF(q)'s
+    tables, because the generator's own checks take seconds near the cap."""
+    gf = get_gf(q)
+    names = [vector_name([x], q) for x in range(q)]
+    return {
+        "kind": "lie_hyperalgebra", "elements": names, "zero": "0",
+        "add": [[[names[x]] for x in row] for row in gf.add],
+        "bracket": [[["0"]] * q] * q, "field": f"trivial:F{q}",
+        "scalar": [[[names[x]] for x in row] for row in gf.mul]}

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import _self_module
+from conftest import _gf_line_document, _self_module
 from hyperlie import cli, errors, quotients
 from hyperlie.cli import main
 from hyperlie.generators import (
@@ -20,9 +20,8 @@ from hyperlie.generators import (
     gen_trivial_field,
     gen_trivial_from_lie,
     make_cyclic_group,
-    vector_name,
 )
-from hyperlie.gf import FiniteField, get_gf
+from hyperlie.gf import FiniteField
 from hyperlie.interchange import parse_structure, serialize_structure
 from hyperlie.structures import FiniteLieHyperalgebra
 
@@ -323,17 +322,9 @@ def test_corrupted_bracket_runs_the_engine_without_the_oracle(capsys, tmp_path):
 
 def test_gf_own_tables_skip_the_field_check(capsys, tmp_path, monkeypatch):
     # GF(q)'s own tables are a field by construction; A takes the linear
-    # oracle on them without the n³ field check, as alpha does. The file is
-    # what gen trivial --q 243 --dim 1 writes, built from GF(243)'s tables
-    # here because the generator's own checks take seconds at this size
-    gf = get_gf(243)
-    names = [vector_name([x], 243) for x in range(243)]
-    cells = [[[names[x]] for x in row] for row in gf.add]
+    # oracle on them without the n³ field check, as alpha does
     p = tmp_path / "gf243.json"
-    p.write_text(json.dumps({
-        "kind": "lie_hyperalgebra", "elements": names, "zero": "0", "add": cells,
-        "bracket": [[["0"]] * 243] * 243, "field": "trivial:F243",
-        "scalar": [[[names[x]] for x in row] for row in gf.mul]}))
+    p.write_text(json.dumps(_gf_line_document(243)))
 
     def refuse(self):
         raise AssertionError("GF(243)'s own tables were validated")

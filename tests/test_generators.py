@@ -22,7 +22,7 @@ from hyperlie.generators import (
     preset_structure,
 )
 from hyperlie.sets import bit_count
-from hyperlie.structures import check_hypergroup, check_lie_hyperalgebra
+from hyperlie.structures import check_hyperfield, check_hypergroup, check_lie_hyperalgebra
 
 
 def test_preset_sizes():
@@ -160,3 +160,12 @@ def test_generators_take_brackets_from_the_bilinear_builder(monkeypatch):
         calls.clear()
         build()
         assert len(calls) == 6 * dim ** 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
+def test_trivial_fields_pass_the_field_check(q):
+    # gen_trivial_field does not check GF(q)'s own tables; this does
+    F = gen_trivial_field(q)
+    report = check_hyperfield(F)
+    assert report.ok, report.failures
+    assert F.gf_order == q and F.is_trivial

@@ -3,20 +3,25 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import _self_module
+import reference_interchange
+from conftest import _gf_line_document, _self_module
 from hyperlie.errors import ParseError
 from hyperlie.generators import (
     gen_coset_hypergroup,
     gen_quotient_hyperfield,
+    gen_trivial_field,
     make_s3,
     preset_structure,
 )
-from hyperlie.interchange import parse_structure, serialize_structure
+from hyperlie.interchange import _is_canonical, parse_structure, serialize_structure
 from hyperlie.structures import (
     FiniteHyperfield,
     FiniteLieHyperalgebra,
     Hypergroup,
+    check_hyperfield,
+    check_lie_hyperalgebra,
 )
 
 
@@ -136,3 +141,123 @@ def test_canonical_cell_order(m2):
     for row in doc["add"]:
         for cell in row:
             assert cell == sorted(cell, key=order.__getitem__)
+
+
+def test_parse_check_and_serialize_take_no_fingerprint(monkeypatch, ex1, m4):
+    # the fingerprint keys the relation cache only; it is computed on first use
+    texts = [serialize_structure(x) for x in (ex1, m4)]
+
+    def refuse(*_):
+        raise AssertionError("a fingerprint was computed")
+
+    monkeypatch.setattr("hyperlie.structures._table_fingerprint", refuse)
+    for text in texts:
+        L = parse_structure(text)
+        assert check_lie_hyperalgebra(L).ok
+        assert serialize_structure(L) == text
+
+
+def test_field_shorthand_is_not_checked_on_load(monkeypatch):
+    # trivial:F<q> stands for GF(q)'s own tables, which are not checked on
+    # every load; the check command still checks the field, through
+    # check_lie_hyperalgebra
+    def refuse(*_):
+        raise AssertionError("a hyperfield was checked")
+
+    text = json.dumps(_gf_line_document(243))
+    ab1 = serialize_structure(preset_structure("ab1"))
+    with monkeypatch.context() as m:
+        m.setattr("hyperlie.structures.check_hyperfield", refuse)
+        m.setattr("hyperlie.generators.check_hyperfield", refuse)
+        assert parse_structure(text).field.gf_order == 243
+        L = parse_structure(ab1)
+    calls = []
+    monkeypatch.setattr("hyperlie.structures.check_hyperfield",
+                        lambda F: calls.append(F) or check_hyperfield(F))
+    assert check_lie_hyperalgebra(L).ok
+    assert calls == [L.field]
+
+
+def test_serializer_matches_the_reference_on_the_fixtures(ex1, ex2, m1, m2, m4, m1_module):
+    table, _ = make_s3()
+    for x in (ex1, ex2, m1, m2, m4, m1_module, gen_coset_hypergroup(table, [0, 1])):
+        assert serialize_structure(x) == reference_interchange.serialize_structure(x)
+
+
+# identifiers that JSON must escape, non-ASCII ones, and any other character
+_NAME = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7fé∑😀') | st.characters(),
+                min_size=1, max_size=3)
+
+
+def _names(draw, k):
+    return draw(st.lists(_NAME, min_size=k, max_size=k, unique=True))
+
+
+def _table(draw, rows, k, singleton):
+    cell = (st.integers(0, k - 1).map(lambda i: 1 << i) if singleton
+            else st.integers(1, (1 << k) - 1))
+    return [[draw(cell) for _ in range(k)] for _ in range(rows)]
+
+
+def _plant_identity(table, e, skip=()):
+    for x in range(len(table)):
+        if x not in skip:
+            table[e][x] = table[x][e] = 1 << x
+
+
+@st.composite
+def _hyperfields(draw):
+    k, singleton = draw(st.integers(2, 4)), draw(st.booleans())
+    add, mul = _table(draw, k, k, singleton), _table(draw, k, k, singleton)
+    if draw(st.booleans()):  # locate zero and one, so that the file parses
+        _plant_identity(add, 0)
+        _plant_identity(mul, 1, skip=(0,))
+    return FiniteHyperfield(_names(draw, k), add, mul)
+
+
+@st.composite
+def _structures(draw):
+    kind = draw(st.sampled_from(["hypergroup", "hyperfield", "lie_hyperalgebra"]))
+    if kind == "hyperfield":
+        return draw(_hyperfields())
+    k, singleton = draw(st.integers(1, 5)), draw(st.booleans())
+    names = _names(draw, k)
+    if kind == "hypergroup":
+        return Hypergroup(names, _table(draw, k, k, singleton))
+    F = draw(_hyperfields() | st.sampled_from([2, 3, 4, 5]).map(gen_trivial_field))
+    smul = _table(draw, F.size, k, singleton)
+    if F.zero is not None and draw(st.booleans()):  # locate the zero vector
+        smul[F.zero][0] = 1 << draw(st.integers(0, k - 1))
+    return FiniteLieHyperalgebra(F, names, _table(draw, k, k, singleton), smul,
+                                 _table(draw, k, k, singleton))
+
+
+def _parses(x) -> bool:
+    """Whether every zero and one of x's file names an element."""
+    if isinstance(x, FiniteLieHyperalgebra):
+        return x.zero is not None and (_is_canonical(x.field) or _parses(x.field))
+    if isinstance(x, FiniteHyperfield):
+        return x.zero is not None and x.one is not None
+    return True
+
+
+def _tables(x):
+    if isinstance(x, FiniteLieHyperalgebra):
+        field = x.field.add, x.field.mul
+        if not _is_canonical(x.field):
+            field += (x.field.names,)
+        return x.names, x.add, x.bracket, x.smul, field
+    if isinstance(x, FiniteHyperfield):
+        return x.names, x.add, x.mul
+    return x.names, x.add
+
+
+@settings(max_examples=200, deadline=None)
+@given(_structures())
+def test_serializer_matches_the_reference_and_round_trips(x):
+    text = serialize_structure(x)
+    assert text == reference_interchange.serialize_structure(x)
+    if _parses(x):
+        y = parse_structure(text)
+        assert type(y) is type(x)
+        assert _tables(y) == _tables(x)

@@ -15,12 +15,15 @@ count for neither), whether that is a gain (the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent IQR)
 and whether the change's median is within the metric's bound of the
 parent's. It also records every run, the seeds, the Python version, nproc
-and both commits. Standard library only.
+and both commits, with a digest of the working tree's files under src/ and
+perfbench/ (change_src_sha256), so that a file recorded before a commit can
+be matched to the source that was committed. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -45,6 +48,19 @@ def extract(rev: str, dest: str) -> None:
         fh.seek(0)
         with tarfile.open(fileobj=fh) as tar:
             tar.extractall(dest)
+
+
+def source_digest(*dirs) -> str:
+    """sha256 over the path and bytes of every file under dirs that git
+    tracks or would track, as they are in the working tree."""
+    digest = hashlib.sha256()
+    for path in sorted(git("ls-files", "-co", "--exclude-standard", "--", *dirs).splitlines()):
+        full = os.path.join(ROOT, path)
+        if os.path.isfile(full):
+            with open(full, "rb") as fh:
+                data = fh.read()
+            digest.update(f"{path}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def parse_seeds(text: str):
@@ -109,6 +125,7 @@ def main(argv=None) -> int:
         "base_commit": base_commit,
         "change_commit": git("rev-parse", "HEAD"),
         "change_dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
+        "change_src_sha256": source_digest("src", "perfbench"),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "seconds": seconds,
