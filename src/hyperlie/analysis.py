@@ -97,8 +97,7 @@ def is_Sn_part(L: FiniteLieHyperalgebra, n: int, K: int,
     return SnPartVerdict(False, wit, bounds)
 
 
-def _default_K_sample(L: FiniteLieHyperalgebra, part: Partition, seed: int,
-                      random_count: int = 40):
+def _default_K_sample(L: FiniteLieHyperalgebra, part: Partition, seed: int):
     n = L.size
     if n <= 5:
         return [k for k in range(1, 1 << n)]
@@ -115,7 +114,7 @@ def _default_K_sample(L: FiniteLieHyperalgebra, part: Partition, seed: int,
         out.extend(part.classes)
         out.append(full_mask(n))
     rng = random.Random(seed)
-    for _ in range(random_count):
+    for _ in range(40):
         size = rng.randrange(1, n + 1)
         out.append(mask_of(rng.sample(range(n), size)))
     return out
@@ -138,7 +137,7 @@ def lemma_equivalence_check(L: FiniteLieHyperalgebra, n: int,
     disagreements = []
     verdicts = []
     for K in K_sample:
-        v1 = all(not (X & K) or not (Y & ~K) for lvl in levels for X, Y in lvl)
+        v1 = _first_escape(levels, K) is None
         v2 = all(not (rel.row(x) & ~K) for x in iter_bits(K))
         v3 = all(
             part.classes[ci] & ~K == 0

@@ -47,12 +47,10 @@ def _cell_mask(cell, index, table, r, c):
     return mask
 
 
-def _table(obj, key, nrows, ncols, index, path, required=True):
+def _table(obj, key, nrows, ncols, index, path):
     rows = obj.get(key)
     if rows is None:
-        if required:
-            raise ParseError(f"{path}.{key}: table is missing")
-        return None
+        raise ParseError(f"{path}.{key}: table is missing")
     if not isinstance(rows, list) or len(rows) != nrows:
         raise ParseError(f"{path}.{key}: expected {nrows} rows, got "
                          f"{len(rows) if isinstance(rows, list) else type(rows).__name__}")
@@ -72,12 +70,10 @@ def _table(obj, key, nrows, ncols, index, path, required=True):
     return out
 
 
-def _identifier(obj, key, index, path, required=True):
+def _identifier(obj, key, index, path):
     nm = obj.get(key)
     if nm is None:
-        if required:
-            raise ParseError(f"{path}.{key}: identifier is missing")
-        return None
+        raise ParseError(f"{path}.{key}: identifier is missing")
     if not isinstance(nm, str) or nm not in index:
         raise ParseError(f"{path}.{key}: unknown identifier {nm!r}")
     return index[nm]
@@ -165,7 +161,7 @@ def parse_structure(text: str):
     if kind == "hypergroup":
         names, index = _names_and_index(obj, "hypergroup")
         n = len(names)
-        add = _table({"add": obj.get("add")}, "add", n, n, index, "hypergroup")
+        add = _table(obj, "add", n, n, index, "hypergroup")
         return Hypergroup(names, add)
     return _parse_lie(obj, "lie_hyperalgebra")
 

@@ -212,27 +212,6 @@ def quotient_lie_algebra(L: FiniteLieHyperalgebra, rho: Partition,
     return A
 
 
-def _span_closure(A: FiniteLieAlgebra, seed):
-    out = {A.zero}
-    out.update(seed)
-    frontier = True
-    while frontier:
-        frontier = False
-        cur = list(out)
-        for x in cur:
-            for lam in range(A.field.size):
-                v = A.smul[lam][x]
-                if v not in out:
-                    out.add(v)
-                    frontier = True
-            for y in cur:
-                v = A.add[x][y]
-                if v not in out:
-                    out.add(v)
-                    frontier = True
-    return out
-
-
 def derived_series(A: FiniteLieAlgebra, max_depth: int = 8):
     """Descending chain of derived subalgebras as element sets.
 
@@ -240,11 +219,15 @@ def derived_series(A: FiniteLieAlgebra, max_depth: int = 8):
     The last entry either is the zero subspace or repeats its predecessor,
     so solvability and perfection are both readable from the chain.
     """
-    chain = [set(range(A.size))]
+    add, smul, zero, q = A.add, A.smul, A.zero, A.field.size
+    spanned = _span(add, smul, zero, q, range(A.size))
+    if spanned is None:
+        raise NotAVectorSpace(f"the carrier is not a vector space over the field of order {q}")
+    elts, basis = spanned
+    chain = [set(elts)]
     for _ in range(max_depth):
-        cur = sorted(chain[-1])
-        seed = {A.bracket[x][y] for x in cur for y in cur}
-        nxt = _span_closure(A, seed)
+        elts, basis = _derived(add, smul, A.bracket, zero, q, basis)
+        nxt = set(elts)
         if not nxt <= chain[-1]:
             raise InternalInvariant("derived series is not descending")
         stop = nxt == chain[-1] or len(nxt) == 1
@@ -344,6 +327,12 @@ def _span(add, smul, zero, q, gens):
     return elts, basis
 
 
+def _derived(add, smul, br, zero, q, basis):
+    """_span of the brackets of basis pairs: the derived subalgebra of the
+    span of basis, for a bilinear alternating bracket."""
+    return _span(add, smul, zero, q, (br[x][y] for i, x in enumerate(basis) for y in basis[i + 1:]))
+
+
 def detect_trivial(L: FiniteLieHyperalgebra):
     """(field, basis) when L is a classical Lie algebra over its field, read
     on its element tables, else None.
@@ -392,11 +381,10 @@ def linear_oracle_partition(L: FiniteLieHyperalgebra, n: int) -> Partition:
     field, basis = info
     if field.size % 2 == 0:
         raise CharTwoGate("linear oracle is stated for odd characteristic")
-    add, br = L.add_elt, L.br_elt
+    add = L.add_elt
     sub = range(L.size)
     for _ in range(n):
-        brackets = (br[x][y] for i, x in enumerate(basis) for y in basis[i + 1:])
-        sub, basis = _span(add, L.smul_elt, L.zero, field.size, brackets)
+        sub, basis = _derived(add, L.smul_elt, L.br_elt, L.zero, field.size, basis)
     return Partition.from_class_of([min(add[x][s] for s in sub) for x in range(L.size)])
 
 

@@ -17,6 +17,7 @@ read (exact against an oracle, stabilized, or bound-limited).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import groupby, permutations, product
 from operator import itemgetter, or_
@@ -611,7 +612,9 @@ def is_strongly_regular_field(F: FiniteHyperfield, partition: Partition):
     return _strongly_regular(F, partition)
 
 
-_REL_CACHE = {}
+# structure -> its own {(kind, n, bounds) | ("Sn-levels", n, bounds): entry},
+# dropped with the structure; get() first, so a hit builds no dict
+_REL_CACHE = weakref.WeakKeyDictionary()
 
 
 def clear_relation_cache():
@@ -626,8 +629,9 @@ def closed_relation(obj, kind: str, n: int, bounds: ExpressionBounds):
     """
     if kind == "A":
         kind, n = "Sn", 1
-    key = (obj.fingerprint, kind, n if kind == "Sn" else 0, bounds.astuple())
-    hit = _REL_CACHE.get(key)
+    cache = _REL_CACHE.get(obj) or _REL_CACHE.setdefault(obj, {})
+    key = (kind, n if kind == "Sn" else 0, bounds.astuple())
+    hit = cache.get(key)
     if hit is not None:
         return hit
     if kind == "L":
@@ -639,7 +643,7 @@ def closed_relation(obj, kind: str, n: int, bounds: ExpressionBounds):
     else:
         raise InternalInvariant(f"unknown relation kind {kind!r}")
     part = transitive_closure(rel)
-    _REL_CACHE[key] = (rel, part)
+    cache[key] = (rel, part)
     return rel, part
 
 
@@ -647,13 +651,13 @@ def sn_pair_levels(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds):
     """Cached per-level (unpermuted, permuted) pair lists for the depth-gated
     relation; level t lists t-summand sums, each sorted for determinism."""
     validate_bounds(bounds)
-    key = (L.fingerprint, "Sn-levels", n, bounds.astuple())
-    hit = _REL_CACHE.get(key)
+    cache = _REL_CACHE.get(L) or _REL_CACHE.setdefault(L, {})
+    key = ("Sn-levels", n, bounds.astuple())
+    hit = cache.get(key)
     if hit is not None:
         return hit
     pairs = summand_pair_family(L, bounds, hyper_derived_sets(L, n - 1)[-1])
-    levels = _REL_CACHE[key] = combine_levels(pairs, L.add_ops, bounds.t,
-                                              _sums_commute(L, bounds.t))
+    levels = cache[key] = combine_levels(pairs, L.add_ops, bounds.t, _sums_commute(L, bounds.t))
     return levels
 
 

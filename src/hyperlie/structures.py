@@ -15,8 +15,6 @@ evaluate computes a tree from the raw mask tables, through no SetOps.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from functools import cached_property
 from itertools import chain
@@ -157,11 +155,6 @@ def holds_on_generators(add, br, zero) -> bool:
     )
 
 
-def _table_fingerprint(*parts) -> str:
-    payload = json.dumps(parts, separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 class Hypergroup:
     """Carrier with one hyperoperation. Names double as JSON element ids."""
 
@@ -174,10 +167,6 @@ class Hypergroup:
         self.add, self.add_elt = _intake(add, n, n, n, "add")
         self.add_ops = SetOps(self.add)
         self.index = {nm: i for i, nm in enumerate(self.names)}
-
-    @cached_property
-    def fingerprint(self) -> str:
-        return _table_fingerprint("hypergroup", self.names, self.add)
 
 
 class FiniteHyperfield:
@@ -207,10 +196,6 @@ class FiniteHyperfield:
         self.commutative_add = _commutative(self.add)
         # q when the tables are GF(q)'s: set by the generators and the parser
         self.gf_order = gf_order
-
-    @cached_property
-    def fingerprint(self) -> str:
-        return _table_fingerprint("hyperfield", self.names, self.add, self.mul)
 
     @property
     def nonzero_mask(self) -> int:
@@ -250,11 +235,6 @@ class FiniteLieHyperalgebra:
         self.is_trivial = field.is_trivial and all(
             t is not None for t in (self.add_elt, self.smul_elt, self.br_elt))
         self.commutative_add = _commutative(self.add)
-
-    @cached_property
-    def fingerprint(self) -> str:
-        return _table_fingerprint("lie_hyperalgebra", self.field.fingerprint, self.names,
-                                  self.add, self.smul, self.bracket)
 
 
 class CheckReport:
@@ -405,7 +385,7 @@ def check_hyperfield(F: FiniteHyperfield) -> CheckReport:
     return report
 
 
-def check_lie_hyperalgebra(L: FiniteLieHyperalgebra, field_report=None) -> CheckReport:
+def check_lie_hyperalgebra(L: FiniteLieHyperalgebra) -> CheckReport:
     """Check of the hypermodule and Lie axioms over the whole carrier.
 
     Bilinearity of the bracket is verified through its elementwise-additive
@@ -416,8 +396,7 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra, field_report=None) -> Check
     their loops run and name the first witness.
     """
     report = CheckReport("lie_hyperalgebra")
-    if field_report is None:
-        field_report = check_hyperfield(L.field)
+    field_report = check_hyperfield(L.field)
     n = L.size
     F = L.field
     triv = L.is_trivial

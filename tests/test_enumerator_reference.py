@@ -225,7 +225,7 @@ def lawful_fields():
     fields = [gen_trivial_field(q) for q in (2, 3, 4)]
     fields += [gen_quotient_hyperfield(q, H) for q, H in
                ((7, [1, 2, 4]), (7, [1, 6]), (5, [1, 4]), (5, [1, 2, 3, 4]))]
-    return tuple(fields) + tuple({L.field.fingerprint: L.field
+    return tuple(fields) + tuple({repr((L.field.names, L.field.add, L.field.mul)): L.field
                                   for L in lawful_fixtures()}.values())
 
 

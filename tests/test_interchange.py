@@ -143,20 +143,6 @@ def test_canonical_cell_order(m2):
             assert cell == sorted(cell, key=order.__getitem__)
 
 
-def test_parse_check_and_serialize_take_no_fingerprint(monkeypatch, ex1, m4):
-    # the fingerprint keys the relation cache only; it is computed on first use
-    texts = [serialize_structure(x) for x in (ex1, m4)]
-
-    def refuse(*_):
-        raise AssertionError("a fingerprint was computed")
-
-    monkeypatch.setattr("hyperlie.structures._table_fingerprint", refuse)
-    for text in texts:
-        L = parse_structure(text)
-        assert check_lie_hyperalgebra(L).ok
-        assert serialize_structure(L) == text
-
-
 def test_field_shorthand_is_not_checked_on_load(monkeypatch):
     # trivial:F<q> stands for GF(q)'s own tables, which are not checked on
     # every load; the check command still checks the field, through

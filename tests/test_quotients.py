@@ -153,6 +153,8 @@ def test_dimension_guard():
     A = FiniteLieAlgebra(K, ["0", "x"], add, smul, br)
     with pytest.raises(NotAVectorSpace):
         A.dimension
+    with pytest.raises(NotAVectorSpace):
+        derived_dims(A)
 
 
 def test_classical_dims_chain_ex1():

@@ -4,6 +4,8 @@ Expected values below were produced by the engine once, cross-checked
 against the linear oracle, and frozen. Derivations are noted inline.
 """
 
+import gc
+
 import pytest
 
 from hyperlie.errors import BoundsExceeded, InternalInvariant, NotSymmetric
@@ -13,6 +15,7 @@ from hyperlie.relations import (
     BinaryRelation,
     ExpressionBounds,
     Partition,
+    _REL_CACHE,
     clear_relation_cache,
     closed_relation,
     coefficient_pair_family,
@@ -24,9 +27,10 @@ from hyperlie.relations import (
     relation_Sn,
     relation_alpha,
     relation_with_escalation,
+    sn_pair_levels,
     transitive_closure,
 )
-from hyperlie.generators import gen_trivial_field
+from hyperlie.generators import gen_trivial_field, preset_structure
 from hyperlie.quotients import linear_oracle_partition
 from hyperlie.sets import bit_count, iter_bits
 from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra
@@ -218,3 +222,19 @@ def test_relation_cache_reuses(ex1):
     r1 = closed_relation(ex1, "Sn", 2, DEFAULT_BOUNDS)
     r2 = closed_relation(ex1, "Sn", 2, DEFAULT_BOUNDS)
     assert r1[1] is r2[1]
+
+
+def test_relation_cache_entries_live_with_their_structure(ab1):
+    clear_relation_cache()
+    L = preset_structure("ab1")
+    closed_relation(L, "A", 1, DEFAULT_BOUNDS)
+    sn_pair_levels(L, 2, DEFAULT_BOUNDS)
+    _, kept = closed_relation(ab1, "L", 1, DEFAULT_BOUNDS)
+    assert set(_REL_CACHE) == {L, ab1}
+    del L
+    gc.collect()
+    assert list(_REL_CACHE) == [ab1]
+    assert closed_relation(ab1, "L", 1, DEFAULT_BOUNDS)[1] is kept
+    clear_relation_cache()
+    assert not _REL_CACHE
+    assert closed_relation(ab1, "L", 1, DEFAULT_BOUNDS)[1] is not kept

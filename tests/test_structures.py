@@ -176,11 +176,3 @@ def test_associative_add_matches_every_triple_on_commutative_loops():
         assert F.associative_add == L.associative_add == truth
         verdicts.append(truth)
     assert (len(verdicts), sum(verdicts)) == (456, 60)
-
-
-def test_fingerprints_keep_their_values(ex1, m4, m1):
-    # the values the constructors computed eagerly before the fingerprint
-    # became a cached property; _REL_CACHE keys on them
-    assert ex1.fingerprint == "4a155dc0e1f67a6a"
-    assert m4.fingerprint == "c30508189ebfc308"
-    assert m1.fingerprint == "5184e66ad44d34a2"
