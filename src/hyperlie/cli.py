@@ -138,7 +138,7 @@ def _compute_partition(structure, rel: str, n: int, bounds: ExpressionBounds,
     target = structure if rel == "alpha" else _need_algebra(structure, "this relation")
     if oracle_mode == "off":
         return relation_with_escalation(target, rel, n, start=bounds, cap=bounds)
-    oracle = _oracle_for(target, rel, n)
+    oracle = _oracle_for(target, rel, n) if bounds.within(HARD_CAP) else None
     return relation_with_escalation(
         target, rel, n, start=bounds, cap=HARD_CAP, oracle=oracle
     )

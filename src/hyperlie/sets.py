@@ -40,27 +40,33 @@ class SetOps(dict):
 
     table[x][y] is the mask of the value at elements x, y. ops[A][B], the
     one entry point, is setwise(table, A, B) memoized per row (the SetOps is
-    the dict of its rows); a cold cell of two singletons is one lookup.
+    the dict of its rows). The row of a singleton {x} is born holding its
+    singleton cells, copied from table[x] in one step, so a cold cell of two
+    singletons is one lookup; every other cell is filled on demand.
     """
 
     def __init__(self, table):
         super().__init__()
         self.table = table
+        self.singletons = [1 << y for y in range(len(table[0]) if table else 0)]
 
     def __missing__(self, a_mask: int) -> "_Row":
         row = self[a_mask] = _Row(self.table, a_mask)
+        if is_singleton(a_mask):
+            row.update(zip(self.singletons, self.table[a_mask.bit_length() - 1]))
         return row
 
 
 def setwise(table, a_mask: int, b_mask: int) -> int:
-    """Union of table[x][y] over x in a_mask, y in b_mask; one lookup
-    when both masks are singletons."""
+    """Union of table[x][y] over x in a_mask, y in b_mask; a cold cell of
+    two singletons is one lookup. The bits of b_mask are read once."""
     if is_singleton(a_mask) and is_singleton(b_mask):
         return table[a_mask.bit_length() - 1][b_mask.bit_length() - 1]
     out = 0
+    ys = list(iter_bits(b_mask))
     for x in iter_bits(a_mask):
         row = table[x]
-        for y in iter_bits(b_mask):
+        for y in ys:
             out |= row[y]
     return out
 

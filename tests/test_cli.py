@@ -186,6 +186,15 @@ def test_analyze_smallest_too_large(capsys, fixture_files):
     assert "resource limit" in err
 
 
+def test_over_cap_bounds_skip_the_oracle(capsys, fixture_files):
+    with mock.patch.object(cli, "linear_oracle_partition",
+                           side_effect=AssertionError("oracle built")):
+        code, out, err = run(capsys, "relation", fixture_files["ex1"], "--rel", "Sn:2",
+                             "--bounds", "5,4,3,3", "--json")
+    assert code == 3 and out == ""
+    assert err == "resource limit: start bounds (5, 4, 3, 3) exceed cap (4, 4, 3, 3)\n"
+
+
 def test_gen_roundtrip_through_check(capsys, tmp_path):
     out_path = tmp_path / "gen.json"
     code, _, _ = run(capsys, "gen", "trivial", "--q", "3", "--dim", "2",
