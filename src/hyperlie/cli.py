@@ -29,6 +29,7 @@ from .errors import (
 )
 from .generators import (
     CONSTANT_PRESETS,
+    check_trivial_carrier,
     gen_coset_hypergroup,
     gen_quotient_hyperfield,
     gen_trivial_from_lie,
@@ -344,6 +345,7 @@ def cmd_gen(args) -> int:
     if args.generator == "trivial":
         if args.q is None or args.dim is None:
             raise ParseError("gen trivial needs --q and --dim")
+        check_trivial_carrier(args.q, args.dim)
         try:
             factor_prime_power(args.q)
         except HyperlieError as e:

@@ -17,9 +17,9 @@ from .errors import (
     MalformedTable,
     NotAGroup,
     NotASubgroup,
+    NotLie,
 )
 from .gf import (
-    check_constants_lie,
     classical_tables,
     constants_table,
     digits_to_int,
@@ -37,6 +37,7 @@ from .structures import (
     check_hyperfield,
     check_hypergroup,
     check_lie_hyperalgebra,
+    jacobi_witness,
 )
 
 BASIS_LETTERS = "abcdefgh"
@@ -63,12 +64,25 @@ def vector_name(vec, q: int) -> str:
 
 
 def _classical(q: int, dim: int, constants):
-    """The add, scalar and bracket tables of GF(q)^dim under the checked
-    structure constants, as gf.classical_tables builds them."""
+    """The add, scalar and bracket tables of GF(q)^dim under the structure
+    constants, as gf.classical_tables builds them; NotLie at the first basis
+    triple (i, j, k) off Jacobi, read on those tables."""
     gf = get_gf(q)
     C = constants_table(gf, dim, constants)
-    check_constants_lie(gf, dim, C)
-    return classical_tables(gf, dim, [[digits_to_int(c, q) for c in row] for row in C])
+    packed = [[digits_to_int(c, q) for c in row] for row in C]
+    add, smul, bracket = classical_tables(gf, dim, packed)
+    witness = jacobi_witness(add, bracket, 0, [q ** i for i in range(dim)])
+    if witness is not None:
+        raise NotLie("jacobi-constants", witness, "Jacobi fails on basis triple")
+    return add, smul, bracket
+
+
+def check_trivial_carrier(q: int, dim: int) -> None:
+    """Refuse a dim outside 1..8, then a carrier q^dim above the cap, before
+    any work that grows with q."""
+    if dim < 1 or dim > len(BASIS_LETTERS):
+        raise MalformedTable(f"dim must be in 1..{len(BASIS_LETTERS)}, got {dim}")
+    check_carrier_size(q ** dim)
 
 
 def gen_trivial_from_lie(q: int, dim: int, constants) -> FiniteLieHyperalgebra:
@@ -79,9 +93,7 @@ def gen_trivial_from_lie(q: int, dim: int, constants) -> FiniteLieHyperalgebra:
     is enforced before any table is built. Even q is allowed but flags the
     result (theorem pipelines gate on characteristic separately).
     """
-    if dim < 1 or dim > len(BASIS_LETTERS):
-        raise MalformedTable(f"dim must be in 1..{len(BASIS_LETTERS)}, got {dim}")
-    check_carrier_size(q ** dim)
+    check_trivial_carrier(q, dim)
     add, smul, bracket = ([[1 << x for x in row] for row in t]
                           for t in _classical(q, dim, constants))
     names = [vector_name(int_to_digits(u, q, dim), q) for u in range(q ** dim)]
@@ -179,8 +191,9 @@ def make_s3():
 def _unit_cosets(q: int, subgroup):
     """Cosets of a multiplicative subgroup H of GF(q), q prime, as
     (members, class_of): class 0 is {0}, class c > 0 the sorted coset of
-    its smallest element, classes ordered by that element."""
-    if not is_prime(q):
+    its smallest element, classes ordered by that element. The carrier
+    cap is checked before any work that grows with q."""
+    if q < 2:
         raise MalformedTable(f"quotient hyperfield needs prime q, got {q}")
     H = sorted(set(int(h) % q for h in subgroup))
     if 0 in H or 1 not in H:
@@ -189,6 +202,10 @@ def _unit_cosets(q: int, subgroup):
         for b in H:
             if (a * b) % q not in H:
                 raise NotASubgroup(f"not closed under multiplication: {a}*{b}")
+    # H acts freely on the q - 1 units: {0} and the cosets number 1 + (q - 1) / |H|
+    check_carrier_size(1 + (q - 1) // len(H))
+    if not is_prime(q):
+        raise MalformedTable(f"quotient hyperfield needs prime q, got {q}")
     return _orbits(q, lambda a: (a * h % q for h in H))
 
 
@@ -199,7 +216,6 @@ def gen_quotient_hyperfield(q: int, subgroup) -> FiniteHyperfield:
     sum; class product is single-valued. Output must pass check_hyperfield.
     """
     members, class_of = _unit_cosets(q, subgroup)
-    check_carrier_size(len(members))
     names = ["0"] + [f"[{m[0]}]" for m in members[1:]]
     k = len(members)
     add = []

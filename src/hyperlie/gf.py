@@ -10,11 +10,10 @@ This module is the one home of that arithmetic:
   digits_to_int: the vector (v_0, ..., v_{d-1}) has index sum v_i q^i, so
   basis vector 0 is the lowest digit. Every carrier built from GF(q)^d is
   in this order.
-- Structure constants: normalize_constants, constants_table (the full
-  antisymmetric table C[i][j] = [e_i, e_j]), the coordinate bracket
-  bracket_coords and its Jacobi check check_constants_lie.
+- Structure constants: normalize_constants and constants_table, the full
+  antisymmetric table C[i][j] = [e_i, e_j].
 - classical_tables, the one builder of the add, scalar and bracket tables
-  of F^d, and row reduction, spans and inverses over GF(q).
+  of F^d, and so the package's one structure-constant bracket.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import HyperlieError, MalformedTable, NotAField, NotLie
+from .errors import HyperlieError, MalformedTable, NotAField
 
 
 def is_prime(n: int) -> bool:
@@ -132,10 +131,9 @@ def identity(table, elems):
 class FiniteField:
     """Classical finite field given by element-valued Cayley tables.
 
-    neg, inv and sub read lists built once from the tables. The tables are
-    not assumed to be a field until validate() says so: neg raises
-    NotAField where no negative exists, and inv is None where no inverse
-    does.
+    neg and validate read the negatives and inverses from lists built once
+    from the tables. The tables are not assumed to be a field until
+    validate() says so: neg raises NotAField where no negative exists.
     """
 
     def __init__(self, names, add, mul):
@@ -205,12 +203,6 @@ class FiniteField:
             raise NotAField("add-inverse", (a,))
         return b
 
-    def inv(self, a: int):
-        return self._inv[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg(b)]
-
 
 def trusted_field(F):
     """The FiniteField of the singleton-valued hyperfield F, or None when
@@ -267,35 +259,6 @@ def constants_table(gf: FiniteField, dim: int, constants):
     return C
 
 
-def bracket_coords(gf: FiniteField, C, u, v):
-    """[u, v] in coordinates, from the structure-constant table C."""
-    acc = [0] * len(u)
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        for j, vj in enumerate(v):
-            if vj == 0:
-                continue
-            coef = gf.mul[ui][vj]
-            for t, c in enumerate(C[i][j]):
-                if c:
-                    acc[t] = gf.add[acc[t]][gf.mul[coef][c]]
-    return tuple(acc)
-
-
-def check_constants_lie(gf: FiniteField, dim: int, C) -> None:
-    """Jacobi on structure constants over GF(q); raises NotLie with witness."""
-    basis = [tuple(1 if t == i else 0 for t in range(dim)) for i in range(dim)]
-    for i, j, k in product(range(dim), repeat=3):
-        x, y, z = basis[i], basis[j], basis[k]
-        acc = [0] * dim
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            term = bracket_coords(gf, C, a, bracket_coords(gf, C, b, c))
-            acc = [gf.add[s][t] for s, t in zip(acc, term)]
-        if any(acc):
-            raise NotLie("jacobi-constants", (i, j, k), "Jacobi fails on basis triple")
-
-
 def classical_tables(F: FiniteField, dim: int, C):
     """(add, smul, bracket) of F^dim in packed order, over any field table F:
     add[u][v] is the index of u + v, smul[lam][v] that of lam v and
@@ -319,64 +282,3 @@ def classical_tables(F: FiniteField, dim: int, C):
         scaled = [[smul[a][r] for r in ei] for a in rq]
         bracket = [[add[s][t] for s, t in zip(row, sc)] for sc in scaled for row in bracket]
     return add, smul, bracket
-
-
-def row_reduce(gf: FiniteField, rows):
-    """Reduced row echelon form. Returns (nonzero rows, pivot column list)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = gf.inv(mat[r][c])
-        mat[r] = [gf.mul[inv][v] for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [gf.sub(v, gf.mul[f][w]) for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def span_indices(gf: FiniteField, rows, dim: int):
-    """All vectors in the span of rows, as sorted packed indices."""
-    basis, _ = row_reduce(gf, rows)
-    vecs = {tuple([0] * dim)}
-    for b in basis:
-        new = set()
-        for lam in range(1, gf.size):
-            scaled = tuple(gf.mul[lam][x] for x in b)
-            for v in vecs:
-                new.add(tuple(gf.add[a][b2] for a, b2 in zip(v, scaled)))
-        vecs |= new
-    return sorted(digits_to_int(v, gf.size) for v in vecs)
-
-
-def random_invertible(gf: FiniteField, n: int, rng):
-    """Random invertible n x n matrix over gf, rejection sampled."""
-    while True:
-        m = [[rng.randrange(gf.size) for _ in range(n)] for _ in range(n)]
-        if len(row_reduce(gf, m)[0]) == n:
-            return m
-
-
-def mat_inverse(gf: FiniteField, m):
-    n = len(m)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m)]
-    red, piv = row_reduce(gf, aug)
-    if piv[:n] != list(range(n)):
-        raise HyperlieError("matrix not invertible")
-    return [r[n:] for r in red]

@@ -1,7 +1,6 @@
 """Quotients by strongly regular partitions, classical structure checks,
-and the linear oracle: linear_oracle_Sn in GF(q)^d coordinates, and
-linear_oracle_partition on the element tables of an algebra that passes
-detect_trivial's premise."""
+and the linear oracle, linear_oracle_partition, read on the element tables
+of an algebra that passes detect_trivial's premise."""
 
 from __future__ import annotations
 
@@ -17,23 +16,15 @@ from .errors import (
     NotLie,
     NotWellDefined,
 )
-from .gf import (
-    FiniteField,
-    bracket_coords,
-    check_constants_lie,
-    classical_tables,
-    constants_table,
-    digits_to_int,
-    get_gf,
-    int_to_digits,
-    is_prime,
-    row_reduce,
-    span_indices,
-    trusted_field,
-)
+from .gf import FiniteField, classical_tables, get_gf, is_prime, trusted_field
 from .relations import ClassOfMask, Partition
 from .sets import iter_bits
-from .structures import FiniteHyperfield, FiniteLieHyperalgebra, holds_on_generators
+from .structures import (
+    FiniteHyperfield,
+    FiniteLieHyperalgebra,
+    holds_on_generators,
+    jacobi_witness,
+)
 
 
 def require_char_not_2(field: FiniteField):
@@ -269,49 +260,6 @@ def is_perfect(A: FiniteLieAlgebra) -> bool:
     return chain[1] == chain[0]
 
 
-# ---------------------------------------------------------------------------
-# linear oracle over structure constants
-
-
-def _constants_table(gf, dim, constants):
-    """The full table of constants given as the generator's dict or as a table."""
-    return constants_table(gf, dim, constants) if isinstance(constants, dict) else constants
-
-
-def _derived_subspace_basis(gf, d, table, n):
-    basis = [tuple(1 if t == i else 0 for t in range(d)) for i in range(d)]
-    for _ in range(n):
-        brackets = [
-            bracket_coords(gf, table, u, v)
-            for ui, u in enumerate(basis)
-            for v in basis[ui + 1:]
-        ]
-        basis, _ = row_reduce(gf, brackets)
-        if not basis:
-            return []
-    return basis
-
-
-def linear_oracle_Sn(q: int, dim: int, constants, n: int) -> Partition:
-    """Cosets of the n-th derived subspace of the classical algebra.
-
-    constants is either the upper-triangular dict accepted by the trivial
-    generator or a full d x d table of coefficient tuples. Carrier index of
-    a coordinate vector is its little-endian base-q packing. Odd order only.
-    """
-    if q % 2 == 0:
-        raise CharTwoGate("linear oracle is stated for odd characteristic")
-    gf = get_gf(q)
-    table = _constants_table(gf, dim, constants)
-    check_constants_lie(gf, dim, table)
-    sub = span_indices(gf, _derived_subspace_basis(gf, dim, table, n), dim)
-    sub_digits = [int_to_digits(w, q, dim) for w in sub]
-    return Partition.from_class_of([
-        min(digits_to_int([gf.add[vd[t]][w[t]] for t in range(dim)], q) for w in sub_digits)
-        for vd in (int_to_digits(v, q, dim) for v in range(q ** dim))
-    ])
-
-
 def _span(add, smul, zero, q, gens):
     """(elements, basis): the span of gens from zero in coordinate order
     over the basis of the gens outside the span so far; None as soon as
@@ -359,10 +307,7 @@ def detect_trivial(L: FiniteLieHyperalgebra):
         for r, row in zip(rows, classical):
             if list(map(table[r].__getitem__, elts)) != list(map(elts.__getitem__, row)):
                 return None
-    if any(br[x][x] != z for x in elts) or any(
-        add[add[br[x][br[y][w]]][br[y][br[w][x]]]][br[w][br[x][y]]] != z
-        for x, y, w in product(basis, repeat=3)
-    ):
+    if any(br[x][x] != z for x in elts) or jacobi_witness(add, br, z, basis) is not None:
         return None
     return field, basis
 
@@ -387,9 +332,3 @@ def linear_oracle_partition(L: FiniteLieHyperalgebra, n: int) -> Partition:
         sub, basis = _derived(add, L.smul_elt, L.br_elt, L.zero, field.size, basis)
     return Partition.from_class_of([min(add[x][s] for s in sub) for x in range(L.size)])
 
-
-def classical_dims_chain(q: int, dim: int, constants, depth: int):
-    """Dimensions of the classical derived series from structure constants."""
-    gf = get_gf(q)
-    table = _constants_table(gf, dim, constants)
-    return [dim] + [len(_derived_subspace_basis(gf, dim, table, n)) for n in range(1, depth + 1)]

@@ -564,8 +564,18 @@ def _pairwise_witness(partition: Partition, conditions, classes):
     return None
 
 
-def _strongly_regular(S, partition: Partition):
-    """(ok, witness) of strong regularity, decided class by class.
+def is_strongly_regular(S, partition: Partition):
+    """(ok, witness) of strong regularity of an equivalence on a Lie
+    hyperalgebra or a hyperfield, decided class by class.
+
+    For x, y in one class and each third operand, the lifted values must
+    together lie in one class: on an algebra a + x and a + y, x + a and
+    y + a, the scalar multiples and the brackets on both sides; on a
+    hyperfield the sums and products. Returns (True, None) or (False,
+    (condition, aux, x, y)), aux the third element or scalar index, for the
+    first failing pair x <= y of the first failing class. Pairs (x, x)
+    count: even then the lifted condition forces whole value sets into one
+    class.
 
     A class passes iff, for each condition and third operand, the union of
     its members' cells lies in one class (the pairs (x, x) and (x, y) chain
@@ -591,25 +601,6 @@ def _strongly_regular(S, partition: Partition):
     failing = (cls for cls in partition.classes if not passes(cls))
     witness = _pairwise_witness(partition, conditions, failing)
     return witness is None, witness
-
-
-def is_strongly_regular(L: FiniteLieHyperalgebra, partition: Partition):
-    """Check the six strong-regularity conditions on every class.
-
-    For x, y in one class and each third element a or scalar, the lifted
-    values (a + x and a + y, x + a and y + a, the scalar multiples, the
-    brackets on both sides) must together lie in one class. Returns
-    (True, None) or (False, (condition, aux, x, y)), aux the third element
-    or scalar index, for the first failing pair x <= y of the first
-    failing class. Pairs (x, x) count: even then the lifted condition
-    forces whole value sets into one class.
-    """
-    return _strongly_regular(L, partition)
-
-
-def is_strongly_regular_field(F: FiniteHyperfield, partition: Partition):
-    """Strong regularity of an equivalence on a hyperfield (add and mul)."""
-    return _strongly_regular(F, partition)
 
 
 # structure -> its own {(kind, n, bounds) | ("Sn-levels", n, bounds): entry},

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from reference_linear import mat_inverse, random_invertible
 from hyperlie.generators import (
     gen_orbit_quotient,
     gen_quotient_hyperfield,
@@ -10,7 +11,7 @@ from hyperlie.generators import (
     preset_structure,
     vector_name,
 )
-from hyperlie.gf import get_gf, int_to_digits, random_invertible
+from hyperlie.gf import get_gf, int_to_digits
 from hyperlie.quotients import FiniteField, FiniteLieAlgebra, quotient_lie_algebra
 from hyperlie.relations import Partition
 from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra
@@ -93,8 +94,6 @@ def _conjugated(q, dim, constants, seed):
     gf = get_gf(q)
     rng = random.Random(seed)
     P = random_invertible(gf, dim, rng)
-    from hyperlie.gf import mat_inverse
-
     Pinv = mat_inverse(gf, P)
     from hyperlie.generators import constants_table
 

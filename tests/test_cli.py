@@ -237,6 +237,21 @@ def test_gen_qhyperfield_checks_cap_before_building_tables(capsys, monkeypatch):
     assert "carrier size 1009 exceeds cap 256" in err
 
 
+def test_gen_counts_the_carrier_before_work_that_grows_with_q(capsys, monkeypatch):
+    # the least-factor search and the unit orbits are O(q), the primality
+    # test O(sqrt q): each would take seconds at this q
+    _refuse_tables(monkeypatch)
+    for name in ("cli.factor_prime_power", "generators.is_prime", "generators._orbits"):
+        monkeypatch.setattr(f"hyperlie.{name}", lambda *_: pytest.fail(
+            "work that grows with q ran above the carrier cap"))
+    q = "1000000007"
+    for argv in (("trivial", "--q", q, "--dim", "1"), ("qhyperfield", "--q", q, "--subgroup", "1")):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 3
+        assert f"carrier size {q} exceeds cap 256" in err
+        assert out == ""
+
+
 def test_gen_coset_checks_cap_before_the_group_checks(capsys, monkeypatch):
     _refuse_tables(monkeypatch)
     monkeypatch.setattr("hyperlie.generators._group_checks", lambda *_: pytest.fail(
@@ -563,3 +578,153 @@ def test_relation_on_an_element_in_no_value_exit_1(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("property failure: AxiomFailure: axiom relation-reflexive")
     assert "'a'" in err
+
+
+# Argument fuzzing: each example starts from a valid call and replaces at
+# most one option value by a bad one whose exit code the value alone fixes.
+# Valid builds hold at most 27 elements; q is large only where the carrier
+# cap refuses it. Options are passed as --opt=value, the form in which
+# argparse takes a value such as -1,1,1,1 as a value and not as an option.
+_HARD_CAP = (4, 4, 3, 3)
+_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
+_NOT_PRIME_POWERS = (-3, -1, 0, 1, 6, 10, 12, 15, 18, 20, 21, 24, 26, 28, 33, 36, 40)
+# no digits and no "a", so never a number, a relation or an element of ab1
+_NO_DIGITS = st.text(alphabet="bxz,;:()-+ .", max_size=8)
+_LARGE = st.integers(257, 10**15)
+
+
+@st.composite
+def _bad_bounds(draw):
+    """(text, code): not four integers (2), or four with one below 1 or above
+    the hard cap (3)."""
+    kind = draw(st.sampled_from(["junk", "count", "low", "high"]))
+    if kind == "junk":
+        return draw(_NO_DIGITS), 2
+    if kind == "count":
+        return ",".join(map(str, draw(st.lists(st.integers(1, 3), max_size=7).filter(
+            lambda v: len(v) != 4)))), 2
+    vals = [draw(st.integers(1, c)) for c in _HARD_CAP]
+    i = draw(st.integers(0, 3))
+    vals[i] = draw(st.integers(-10**6, 0) if kind == "low" else
+                   st.integers(_HARD_CAP[i] + 1, 10**6))
+    return ",".join(map(str, vals)), 3
+
+
+@st.composite
+def _file_call(draw, path):
+    """relation, quotient or analyze on the 3-element algebra ab1 (names 0,
+    a, 2a) or the hyperfield m1, as (argv, code)."""
+    cmd = draw(st.sampled_from(["relation", "quotient", "analyze"]))
+    fx = "m1" if cmd == "relation" and draw(st.booleans()) else "ab1"
+    opts = {"--bounds": ",".join(str(draw(st.integers(1, c))) for c in _HARD_CAP),
+            "--n": str(draw(st.integers(1, 6)))}
+    if cmd == "analyze":
+        analysis = draw(st.sampled_from(["snpart", "transitivity", "smallest", "s-stabilize"]))
+        argv = [cmd, path[fx], analysis]
+        if analysis == "snpart":
+            opts["--set"] = ",".join(draw(st.lists(st.sampled_from(["0", "a", "2a"]),
+                                                   min_size=1, max_size=3)))
+        has_n = analysis in ("snpart", "transitivity")
+    else:
+        rels = ["alpha"] if fx == "m1" else ["L", "A", "Sn", "Sn:1", "Sn:3"]
+        rels += ["alpha"] if cmd == "relation" else []
+        opts["--rel"] = draw(st.sampled_from(rels))
+        opts["--oracle"] = draw(st.sampled_from(["auto", "off"]))
+        argv = [cmd, path[fx]]
+        has_n = opts["--rel"] == "Sn"
+    code = 0
+    bad = draw(st.sampled_from(["none", "--bounds"] + ["--n"] * has_n
+                               + ["--set"] * ("--set" in opts) + ["--rel"] * ("--rel" in opts)))
+    if bad == "--bounds":
+        opts[bad], code = draw(_bad_bounds())
+    elif bad == "--n":
+        opts[bad], code = str(draw(st.integers(-10**6, 0))), 2
+    elif bad == "--set":
+        opts[bad], code = draw(st.one_of(_NO_DIGITS, st.just("0,b"))), 2
+    elif bad == "--rel":
+        opts[bad], code = draw(st.one_of(
+            _NO_DIGITS, st.integers(-10**6, 0).map("Sn:{}".format),
+            st.sampled_from(["Sn:", "Sn:x", "S", "alpha" if cmd == "quotient" else "Sn:1.5"]))), 2
+    return argv + [f"{opt}={value}" for opt, value in opts.items()], code
+
+
+@st.composite
+def _gen_call(draw):
+    """gen trivial, qhyperfield or coset as (argv, code)."""
+    generator = draw(st.sampled_from(["trivial", "qhyperfield", "coset"]))
+    code = 0
+    if generator == "trivial":
+        q = draw(st.sampled_from(_PRIME_POWERS))
+        dim = draw(st.sampled_from([d for d in range(1, 5) if q ** d <= 27]))
+        constants = draw(st.sampled_from(["", {(3, 1): "ab1", (3, 3): "ex2"}.get((q, dim), "")]))
+        if dim == 2 and draw(st.booleans()):
+            # every alternating bracket on two vectors satisfies Jacobi
+            constants = "(0,1):({},{})".format(*draw(st.lists(st.integers(-9, 9), min_size=2,
+                                                              max_size=2)))
+        bad = draw(st.sampled_from(["none", "--q", "--dim", "--constants"]))
+        if bad == "--q":
+            q = draw(st.one_of(st.sampled_from(_NOT_PRIME_POWERS), _LARGE))
+            code = 3 if q ** dim > 256 else 2
+        elif bad == "--dim":
+            dim, code = draw(st.one_of(st.integers(-10**6, 0), st.integers(9, 10**6))), 2
+        elif bad == "--constants":
+            constants, code = draw(st.one_of(
+                st.tuples(_NO_DIGITS.filter(lambda t: t.replace(";", "").strip()), st.just(2)),
+                st.tuples(st.sampled_from(["ex1", "(0,9):(1)", "(1,0):(0,1)", "(0,1):(1"]),
+                          st.just(2)),
+                # [x,[y,z]] + cyclic = 2z over GF(3)
+                st.just(("(0,1):(0,0,1);(0,2):(1,0,0);(1,2):(0,1,0)", 1 if (q, dim) == (3, 3)
+                         else 2)),
+            ))
+        return ["gen", "trivial", f"--q={q}", f"--dim={dim}", f"--constants={constants}"], code
+    if generator == "qhyperfield":
+        q = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+        g = draw(st.integers(1, q - 1))
+        # the powers of g are a subgroup; any representative mod q names a unit
+        H = {pow(g, k, q) for k in range(q)}
+        subgroup = ",".join(str(h + q * draw(st.integers(-2, 2))) for h in sorted(H))
+        bad = draw(st.sampled_from(["none", "--q", "--subgroup"]))
+        if bad == "--q":
+            q, subgroup = draw(st.one_of(st.sampled_from(_NOT_PRIME_POWERS + (4, 9, 25)),
+                                         _LARGE)), "1"
+            code = 3 if q > 256 else 2
+        elif bad == "--subgroup":
+            subgroup, code = draw(st.one_of(
+                st.tuples(st.sampled_from(["", ",", "1,x", "1.0", "one"]), st.just(2)),
+                st.tuples(st.sampled_from([subgroup + ",0", "0"]), st.just(1)),
+            ))
+        return ["gen", "qhyperfield", f"--q={q}", f"--subgroup={subgroup}"], code
+    k = draw(st.integers(1, 27))
+    group, d = draw(st.sampled_from([("s3", None), (f"zn:{k}", k)]))
+    if d is None:
+        subgroup = draw(st.sampled_from(["0", "0,3,4", "012,120,201", "0,1", "0,1,2,3,4,5"]))
+    else:
+        step = draw(st.sampled_from([s for s in range(1, k + 1) if k % s == 0]))
+        subgroup = ",".join(map(str, range(0, k, step)))
+    bad = draw(st.sampled_from(["none", "--group", "--subgroup"]))
+    if bad == "--group":
+        group, code = draw(st.one_of(
+            st.tuples(_NO_DIGITS, st.just(2)), st.tuples(st.just("zn:x"), st.just(2)),
+            st.tuples(_LARGE.map("zn:{}".format), st.just(3)),
+            st.tuples(st.integers(-10**6, 0).map("zn:{}".format), st.just(1)),
+        ))
+        subgroup = "0"
+    elif bad == "--subgroup":
+        subgroup, code = draw(st.one_of(
+            st.tuples(st.sampled_from(["", " , ", "0,y", "zz"]), st.just(2)),
+            st.tuples(st.sampled_from(["0,-1", "0,99", "0,1_000_000"]), st.just(1)),
+        ))
+    return ["gen", "coset", f"--group={group}", f"--subgroup={subgroup}"], code
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_fuzzed_arguments_end_in_their_exit_code(capsys, fixture_files, data, threads, seed):
+    # any exception that escapes main fails the example; --threads and
+    # --seed are accepted and ignored, so no thread may start
+    argv, want = data.draw(st.one_of(_file_call(fixture_files), _gen_call()))
+    with mock.patch("threading.Thread.start", side_effect=AssertionError("thread started")):
+        code, out, err = run(capsys, f"--threads={threads}", f"--seed={seed}", *argv)
+    assert code == want, (argv, err)
+    assert err.startswith(_STDERR_PREFIX[code]) if code else err == ""

@@ -12,7 +12,7 @@ the check and relation goldens only see through their outputs:
 - the trivial field GF(q) for every prime power q <= 27, which fixes the
   field tables and the choice of irreducible polynomial;
 - scalar-orbit quotients and quotient hyperfields;
-- linear_oracle_Sn on the constants of ex1 and ex2 and
+- the reference linear_oracle_Sn on the constants of ex1 and ex2 and
   linear_oracle_partition on the generated algebras, at n = 1..3.
 
 Regenerate (only when the output format changes on purpose):
@@ -32,7 +32,8 @@ from hyperlie.generators import (
     preset_structure,
 )
 from hyperlie.interchange import serialize_structure
-from hyperlie.quotients import linear_oracle_partition, linear_oracle_Sn
+from hyperlie.quotients import linear_oracle_partition
+from reference_linear import linear_oracle_Sn
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "generator_goldens.json")
 

@@ -143,23 +143,24 @@ def test_presets_table_complete():
 
 
 def test_generators_take_brackets_from_the_bilinear_builder(monkeypatch):
-    # gf.classical_tables extends the basis brackets over the carrier; only
-    # check_constants_lie's Jacobi check computes brackets in coordinates,
-    # 6 per basis triple, never one per carrier pair
+    # gf.classical_tables is the package's one structure-constant bracket:
+    # gf keeps no coordinate bracket, and each generated algebra's brackets,
+    # the Jacobi check on its basis triples included, come from one call
+    assert {"bracket_coords", "check_constants_lie"}.isdisjoint(vars(gf))
     calls = []
-    real = gf.bracket_coords
+    real = gf.classical_tables
 
     def counted(*args):
-        calls.append(args)
-        return real(*args)
+        calls.append(real(*args))
+        return calls[-1]
 
-    for module in (gf, generators):
-        monkeypatch.setattr(module, "bracket_coords", counted, raising=False)
-    for build, dim in ((lambda: preset_structure("ex1"), 4),
-                       (lambda: gen_orbit_quotient(7, 2, {(0, 1): (0, 1)}, [1, 2, 4]), 2)):
-        calls.clear()
-        build()
-        assert len(calls) == 6 * dim ** 3
+    monkeypatch.setattr(generators, "classical_tables", counted)
+    ex1 = preset_structure("ex1")
+    assert len(calls) == 1
+    assert ex1.br_elt == calls[0][2]
+    calls.clear()
+    gen_orbit_quotient(7, 2, {(0, 1): (0, 1)}, [1, 2, 4])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])

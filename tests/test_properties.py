@@ -7,6 +7,7 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 from conftest import _RANDOM_SPECS, _bilinear_algebra, _conjugated, _relabelled, _singleton_lift
+from reference_linear import linear_oracle_Sn, mat_inverse, random_invertible
 
 from hyperlie.generators import (
     gen_quotient_hyperfield,
@@ -14,12 +15,11 @@ from hyperlie.generators import (
     gen_trivial_from_lie,
     preset_structure,
 )
-from hyperlie.gf import classical_tables, get_gf, mat_inverse, random_invertible
+from hyperlie.gf import classical_tables, get_gf
 from hyperlie.interchange import parse_structure, serialize_structure
 from hyperlie.quotients import (
     detect_trivial,
     linear_oracle_partition,
-    linear_oracle_Sn,
     quotient_lie_algebra,
 )
 from hyperlie.relations import (

@@ -43,7 +43,6 @@ from hyperlie.relations import (
     _pairwise_witness,
     closed_relation,
     is_strongly_regular,
-    is_strongly_regular_field,
 )
 from hyperlie.sets import iter_bits
 from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra, additive_generators
@@ -258,7 +257,7 @@ def test_strong_regularity_agrees_with_pairwise_scan(case, field_case):
     assert is_strongly_regular(L, rho) == (witness is None, witness)
     F, delta = field_case
     witness = _pairwise_witness(delta, _conditions(F), delta.classes)
-    assert is_strongly_regular_field(F, delta) == (witness is None, witness)
+    assert is_strongly_regular(F, delta) == (witness is None, witness)
 
 
 def _collapse_pairwise(tables, left, right):

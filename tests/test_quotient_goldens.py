@@ -9,8 +9,8 @@ pin three things:
 - byte-exact stdout, stderr and exit code of `quotient --json` on the
   worked example's relations, ex2, ab1 and an input whose scalar quotient
   is not well defined;
-- the (ok, witness) of is_strongly_regular and is_strongly_regular_field
-  on fixed partitions of ex1, m4, GF(4)^2 and the hyperfields m1, m2:
+- the (ok, witness) of is_strongly_regular on fixed partitions of ex1,
+  m4, GF(4)^2 and the hyperfields m1, m2:
   closures, subspace cosets, merged classes, seeded random partitions,
   and every partition of the 4-element algebra GF(4)^1 and of the
   small fields;
@@ -48,7 +48,6 @@ from hyperlie.relations import (
     Partition,
     closed_relation,
     is_strongly_regular,
-    is_strongly_regular_field,
 )
 from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra
 
@@ -167,7 +166,7 @@ def regularity_verdicts(structures):
         for masks in _set_partitions(F.size):
             part = Partition(masks)
             out[f"{fx} {[list(c) for c in part.classes_as_names(F.names)]}"] = (
-                is_strongly_regular_field(F, part))
+                is_strongly_regular(F, part))
     return {k: json.loads(json.dumps(v)) for k, v in out.items()}
 
 

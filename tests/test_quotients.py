@@ -20,7 +20,6 @@ from hyperlie.generators import gen_trivial_field, gen_trivial_from_lie
 from hyperlie.quotients import (
     FiniteField,
     FiniteLieAlgebra,
-    classical_dims_chain,
     derived_dims,
     derived_series,
     detect_trivial,
@@ -39,6 +38,7 @@ from hyperlie.relations import (
     transitive_closure,
 )
 from hyperlie.analysis import iter_partitions_rgs
+from reference_linear import classical_dims_chain
 
 
 def test_finite_field_from_trivial():

@@ -21,7 +21,6 @@ from hyperlie.relations import (
     coefficient_pair_family,
     hyper_derived_sets,
     is_strongly_regular,
-    is_strongly_regular_field,
     relation_A,
     relation_L,
     relation_Sn,
@@ -164,7 +163,7 @@ def test_alpha_trivial_field_is_diagonal():
     F = gen_trivial_field(3)
     part = transitive_closure(relation_alpha(F, DEFAULT_BOUNDS))
     assert part.is_diagonal()
-    assert is_strongly_regular_field(F, part)[0]
+    assert is_strongly_regular(F, part)[0]
 
 
 def test_sums_on_a_commutative_nonassociative_addition_fold_every_order():
