@@ -27,7 +27,6 @@ from .relations import (
     closed_relation,
     is_strongly_regular,
     sn_pair_levels,
-    validate_bounds,
 )
 from .sets import full_mask, iter_bits, mask_of
 from .structures import FiniteLieHyperalgebra
@@ -162,7 +161,6 @@ def is_transitive_Sn(L: FiniteLieHyperalgebra, n: int,
     (i) pair-set transitivity, (ii) each row equals its closure class,
     (iii) each row is itself a part. The three must agree; (i) is returned.
     """
-    validate_bounds(bounds)
     rel, part = closed_relation(L, "Sn", n, bounds)
     r1 = all(
         not (rel.row(y) & ~rel.row(x))

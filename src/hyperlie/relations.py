@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby, permutations, product
 from operator import itemgetter, or_
 
@@ -468,9 +469,6 @@ def _relation_from_levels(levels, names) -> BinaryRelation:
 def relation_Sn(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds) -> BinaryRelation:
     """Depth-gated swap relation: permutations allowed only at leaf
     positions whose element lies in the (n-1)-th hyper-derived set."""
-    validate_bounds(bounds)
-    if n < 1:
-        raise BoundsExceeded(f"depth index must be >= 1, got {n}")
     return _relation_from_levels(sn_pair_levels(L, n, bounds), L.names)
 
 
@@ -485,7 +483,6 @@ def relation_L_values(L: FiniteLieHyperalgebra, bounds: ExpressionBounds):
     Bracket trees of k leaves take the values of T[k], the union over
     splits i of the brackets of T[i] with T[k - i]; sums are folded on top.
     """
-    validate_bounds(bounds)
     coeff_pairs = coefficient_pair_family(L.field, bounds)
     br, add, smul = L.bracket_ops, L.add_ops, L.smul_ops
     layers = [None, {smul[cl][1 << h] for cl, _ in coeff_pairs for h in range(L.size)}]
@@ -603,8 +600,9 @@ def is_strongly_regular(S, partition: Partition):
     return witness is None, witness
 
 
-# structure -> its own {(kind, n, bounds) | ("Sn-levels", n, bounds): entry},
-# dropped with the structure; get() first, so a hit builds no dict
+# structure -> its own {(kind, bounds) | ("Sn", gate, bounds) |
+# ("Sn-levels", gate, bounds): entry}, dropped with the structure. A and Sn
+# key on the gate, not the depth, so depths with equal gates share entries.
 _REL_CACHE = weakref.WeakKeyDictionary()
 
 
@@ -612,44 +610,49 @@ def clear_relation_cache():
     _REL_CACHE.clear()
 
 
+def _memo(obj, key, build):
+    """obj's cache entry under key, built on a miss; a hit builds no dict."""
+    cache = _REL_CACHE.get(obj) or _REL_CACHE.setdefault(obj, {})
+    hit = cache.get(key)
+    return hit if hit is not None else cache.setdefault(key, build())
+
+
+def _gate(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds) -> int:
+    """The (n-1)-th hyper-derived set, the only way Sn depends on n. A chain of
+    nonempty sets shrinks strictly until it repeats, so it is constant after |L| steps."""
+    validate_bounds(bounds)
+    if n < 1:
+        raise BoundsExceeded(f"depth index must be >= 1, got {n}")
+    return hyper_derived_sets(L, min(n - 1, L.size))[-1]
+
+
+def _closed(rel: BinaryRelation):
+    return rel, transitive_closure(rel)
+
+
 def closed_relation(obj, kind: str, n: int, bounds: ExpressionBounds):
     """Cached (BinaryRelation, Partition) for one relation at fixed bounds.
 
-    kind: "L" | "A" | "Sn" | "alpha". n is ignored unless kind == "Sn";
-    "A" is Sn at depth 1 and shares its cache entry.
+    kind: "L" | "A" | "Sn" | "alpha". n is ignored unless kind == "Sn". A and
+    Sn are cached by their gate, A's being the whole carrier, so A, Sn:1 and
+    every depth with an equal gate share one entry.
     """
-    if kind == "A":
-        kind, n = "Sn", 1
-    cache = _REL_CACHE.get(obj) or _REL_CACHE.setdefault(obj, {})
-    key = (kind, n if kind == "Sn" else 0, bounds.astuple())
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if kind == "L":
-        rel = relation_L(obj, bounds)
-    elif kind == "Sn":
-        rel = relation_Sn(obj, n, bounds)
-    elif kind == "alpha":
-        rel = relation_alpha(obj, bounds)
+    if kind in ("A", "Sn"):
+        n = 1 if kind == "A" else n
+        key, relation = ("Sn", _gate(obj, n, bounds)), partial(relation_Sn, obj, n, bounds)
+    elif kind in ("L", "alpha"):
+        key, relation = (kind,), partial(relation_L if kind == "L" else relation_alpha, obj, bounds)
     else:
         raise InternalInvariant(f"unknown relation kind {kind!r}")
-    part = transitive_closure(rel)
-    cache[key] = (rel, part)
-    return rel, part
+    return _memo(obj, (*key, bounds.astuple()), lambda: _closed(relation()))
 
 
 def sn_pair_levels(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds):
     """Cached per-level (unpermuted, permuted) pair lists for the depth-gated
     relation; level t lists t-summand sums, each sorted for determinism."""
-    validate_bounds(bounds)
-    cache = _REL_CACHE.get(L) or _REL_CACHE.setdefault(L, {})
-    key = ("Sn-levels", n, bounds.astuple())
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    pairs = summand_pair_family(L, bounds, hyper_derived_sets(L, n - 1)[-1])
-    levels = cache[key] = combine_levels(pairs, L.add_ops, bounds.t, _sums_commute(L, bounds.t))
-    return levels
+    gate = _gate(L, n, bounds)
+    return _memo(L, ("Sn-levels", gate, bounds.astuple()), lambda: combine_levels(
+        summand_pair_family(L, bounds, gate), L.add_ops, bounds.t, _sums_commute(L, bounds.t)))
 
 
 def relation_with_escalation(obj, kind: str, n: int = 1,
@@ -683,9 +686,7 @@ def relation_with_escalation(obj, kind: str, n: int = 1,
             if not prev.refines(part):
                 raise InternalInvariant("escalation produced a non-coarsening partition")
             unchanged = unchanged + 1 if part == prev else 0
-        if part.is_all_pairs():
-            return part, RelationStatus("stabilized-heuristic", bounds)
-        if unchanged >= 2:
+        if part.is_all_pairs() or unchanged >= 2:
             return part, RelationStatus("stabilized-heuristic", bounds)
         if bounds == cap:
             return part, RelationStatus("bound-limited", bounds)

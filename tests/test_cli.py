@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import _gf_line_document, _self_module
-from hyperlie import cli, errors, quotients
+from hyperlie import cli, errors, quotients, relations
 from hyperlie.cli import main
 from hyperlie.generators import (
     gen_coset_hypergroup,
@@ -56,6 +56,22 @@ def test_relation_depth2_matches_oracle(capsys, fixture_files):
     assert "classes=27" in head
     assert "mode=exact-oracle-match" in head
     assert "0̂" in out  # circumflex accent on class reps
+
+
+def test_relation_depth_past_the_carrier_walks_at_most_the_carrier(capsys, fixture_files, ab1):
+    # the hyper-derived chain is constant after |L| steps, so a huge depth
+    # asks for no more of it and answers as Sn:2, whose gate is already fixed
+    argv = ["relation", fixture_files["ab1"], "--oracle", "off", "--bounds", "1,1,1,1",
+            "--json", "--rel"]
+    code, want, _ = run(capsys, *argv, "Sn:2")
+    assert code == 0
+    with mock.patch.object(relations, "hyper_derived_sets",
+                           wraps=relations.hyper_derived_sets) as chain:
+        code, out, _ = run(capsys, *argv, "Sn:1000000")
+    assert code == 0
+    assert chain.call_args_list
+    assert max(c.args[1] for c in chain.call_args_list) <= ab1.size
+    assert out == want
 
 
 def test_relation_value_kind_diagonal(capsys, fixture_files):

@@ -26,10 +26,13 @@ from hyperlie.relations import (
     DEFAULT_BOUNDS,
     ExpressionBounds,
     Partition,
+    clear_relation_cache,
+    closed_relation,
     coefficient_pair_family,
     hyper_derived_sets,
     is_strongly_regular,
     relation_Sn,
+    sn_pair_levels,
     transitive_closure,
 )
 from hyperlie.errors import NotLie, NotWellDefined
@@ -107,6 +110,23 @@ def test_coefficient_family_swap_closed(q, p, qq):
     F = gen_trivial_field(q)
     fam = set(coefficient_pair_family(F, ExpressionBounds(1, 1, p, qq)))
     assert fam == {(b, a) for a, b in fam}
+
+
+@settings(max_examples=10, deadline=None)
+@given(algebras)
+def test_shared_gate_entries_serve_what_each_depth_computes_cold(L):
+    cold = []
+    for n in range(1, 5):
+        clear_relation_cache()
+        rel, part = closed_relation(L, "Sn", n, DEFAULT_BOUNDS)
+        cold.append(([rel.row(x) for x in range(L.size)], part,
+                     sn_pair_levels(L, n, DEFAULT_BOUNDS)))
+    clear_relation_cache()
+    for n, (rows, part, levels) in enumerate(cold, 1):
+        rel, shared = closed_relation(L, "Sn", n, DEFAULT_BOUNDS)
+        assert [rel.row(x) for x in range(L.size)] == rows
+        assert shared == part
+        assert sn_pair_levels(L, n, DEFAULT_BOUNDS) == levels
 
 
 @settings(max_examples=15, deadline=None)

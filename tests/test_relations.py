@@ -8,6 +8,8 @@ import gc
 
 import pytest
 
+from hyperlie import relations
+from hyperlie.analysis import relation_S
 from hyperlie.errors import BoundsExceeded, InternalInvariant, NotSymmetric
 from hyperlie.relations import (
     DEFAULT_BOUNDS,
@@ -237,3 +239,53 @@ def test_relation_cache_entries_live_with_their_structure(ab1):
     clear_relation_cache()
     assert not _REL_CACHE
     assert closed_relation(ab1, "L", 1, DEFAULT_BOUNDS)[1] is not kept
+
+
+def test_relation_cache_keys_hold_gates_not_depths(ex1):
+    clear_relation_cache()
+    b = ExpressionBounds(1, 1, 1, 1)
+    served = [closed_relation(ex1, "A", 0, b)]
+    served += [closed_relation(ex1, "Sn", n, b) for n in (1, 2, 3, 4, 5, 10**6)]
+    levels = [sn_pair_levels(ex1, n, b) for n in (1, 2, 3, 4, 5, 10**6)]
+    gates = hyper_derived_sets(ex1, 4)
+    assert [bit_count(g) for g in gates] == [81, 27, 3, 1, 1]
+    assert set(_REL_CACHE[ex1]) == {
+        (kind, g, (1, 1, 1, 1)) for kind in ("Sn", "Sn-levels") for g in gates}
+    assert served[0] is served[1]
+    assert served[4] is served[5] is served[6]
+    assert levels[3] is levels[4] is levels[5]
+
+
+def test_depths_with_one_gate_share_one_enumeration(ex2, monkeypatch):
+    # ex2 is perfect: every gate is the whole carrier
+    runs = []
+    real = relations.summand_pair_family
+    monkeypatch.setattr(relations, "summand_pair_family",
+                        lambda L, bounds, gate: runs.append(gate) or real(L, bounds, gate))
+    clear_relation_cache()
+    relation_S(ex2)
+    assert runs == [(1 << ex2.size) - 1]
+    assert closed_relation(ex2, "Sn", 2, DEFAULT_BOUNDS) is closed_relation(
+        ex2, "A", 0, DEFAULT_BOUNDS)
+    assert len(runs) == 1
+
+
+_SN_ENTRIES = {
+    "closed_relation": lambda L, n, bounds: closed_relation(L, "Sn", n, bounds),
+    "relation_Sn": relation_Sn,
+    "sn_pair_levels": sn_pair_levels,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SN_ENTRIES))
+def test_depth_below_one_is_refused_after_the_bounds(ab1, entry):
+    call = _SN_ENTRIES[entry]
+    with pytest.raises(BoundsExceeded) as exc:
+        call(ab1, 0, DEFAULT_BOUNDS)
+    assert str(exc.value) == "depth index must be >= 1, got 0"
+    with pytest.raises(BoundsExceeded) as exc:
+        call(ab1, -3, DEFAULT_BOUNDS)
+    assert str(exc.value) == "depth index must be >= 1, got -3"
+    with pytest.raises(BoundsExceeded) as exc:
+        call(ab1, 0, ExpressionBounds(5, 1, 1, 1))
+    assert str(exc.value) == "bounds (5, 1, 1, 1) exceed hard cap (4, 4, 3, 3)"
