@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import count
 
 from .errors import (
     InternalInvariant,
     NoSolvableQuotient,
-    NoStabilization,
     NotLie,
     NotWellDefined,
     TooLarge,
@@ -25,6 +26,7 @@ from .relations import (
     ExpressionBounds,
     Partition,
     closed_relation,
+    hyper_derived_sets,
     is_strongly_regular,
     sn_pair_levels,
 )
@@ -180,28 +182,28 @@ def is_transitive_Sn(L: FiniteLieHyperalgebra, n: int,
 
 
 def relation_S(L: FiniteLieHyperalgebra,
-               bounds: ExpressionBounds = DEFAULT_BOUNDS, n_cap: int = 8):
-    """Intersection of the depth-gated closures, with stabilization index.
+               bounds: ExpressionBounds = DEFAULT_BOUNDS):
+    """Intersection of the depth-gated closures, with its least depth m.
 
-    Computes closures for n = 1, 2, ... until two consecutive ones are
-    equal; the chain refines monotonically, so the intersection equals the
-    last partition. Returns (Partition, m).
+    Walks n = 1, 2, ... and stops on a proof that no later closure differs:
+    the next gate repeats (Sn depends on n only through its gate), or the
+    closure is the diagonal, which every later closure refines and so
+    equals. The chain refines monotonically, so the intersection is the
+    last closure, and m is the least depth at which it appears. A chain of
+    nonempty gates repeats within |L| steps. Returns (Partition, m).
     """
+    gates = hyper_derived_sets(L, L.size)
     parts = []
-    for n in range(1, n_cap + 1):
+    for n in count(1):
         _, part = closed_relation(L, "Sn", n, bounds)
         if parts and not part.refines(parts[-1]):
             raise InternalInvariant("depth chain is not refining")
         parts.append(part)
-        if len(parts) >= 2 and parts[-1] == parts[-2]:
-            m = n - 1
-            meet = parts[0]
-            for p in parts[1:]:
-                meet = meet.meet(p)
-            if meet != parts[-1]:
-                raise InternalInvariant("intersection differs from the limit")
-            return parts[-1], m
-    raise NoStabilization(f"no stabilization within depth cap {n_cap}")
+        if part.is_diagonal() or gates[n] == gates[n - 1]:
+            break
+    if reduce(Partition.meet, parts) != part:
+        raise InternalInvariant("intersection differs from the limit")
+    return part, parts.index(part) + 1
 
 
 def bell_number(n: int) -> int:
@@ -239,8 +241,7 @@ def iter_partitions_rgs(n: int):
 
 
 def smallest_solvable_oracle(L: FiniteLieHyperalgebra, delta=None,
-                             bounds: ExpressionBounds = DEFAULT_BOUNDS,
-                             n_cap: int = 8):
+                             bounds: ExpressionBounds = DEFAULT_BOUNDS):
     """Exhaustive minimality certificate for the stabilized intersection.
 
     Enumerates every carrier partition, keeps the strongly regular ones
@@ -256,7 +257,7 @@ def smallest_solvable_oracle(L: FiniteLieHyperalgebra, delta=None,
     # fails here once, not once per partition
     scalar_delta = delta if delta is not None else Partition.diagonal(L.field.size)
     require_char_not_2(quotient_field(L.field, scalar_delta))
-    engine_S, m = relation_S(L, bounds, n_cap)
+    engine_S, m = relation_S(L, bounds)
     qualifying = []
     checked = 0
     for masks in iter_partitions_rgs(L.size):

@@ -21,7 +21,6 @@ from .errors import (
     HyperlieError,
     InternalInvariant,
     MalformedTable,
-    NoStabilization,
     NotLie,
     NotSymmetric,
     ParseError,
@@ -471,7 +470,7 @@ def main(argv=None) -> int:
     except (InternalInvariant, NotSymmetric) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
-    except (BoundsExceeded, TooLarge, CarrierCapExceeded, NoStabilization) as e:
+    except (BoundsExceeded, TooLarge, CarrierCapExceeded) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except (ParseError, MalformedTable, FieldMismatch) as e:

@@ -87,10 +87,6 @@ class TooLarge(HyperlieError):
     """Exhaustive enumeration refused above the documented size cap."""
 
 
-class NoStabilization(HyperlieError):
-    """Relation tower did not stabilize within the iteration cap."""
-
-
 class NoSolvableQuotient(HyperlieError):
     """No strongly regular partition with solvable quotient exists (unexpected)."""
 

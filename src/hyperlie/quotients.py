@@ -11,7 +11,6 @@ from .errors import (
     CharTwoGate,
     DegenerateField,
     InternalInvariant,
-    NoStabilization,
     NotAVectorSpace,
     NotLie,
     NotWellDefined,
@@ -203,12 +202,13 @@ def quotient_lie_algebra(L: FiniteLieHyperalgebra, rho: Partition,
     return A
 
 
-def derived_series(A: FiniteLieAlgebra, max_depth: int = 8):
+def derived_series(A: FiniteLieAlgebra):
     """Descending chain of derived subalgebras as element sets.
 
     Entry 0 is the whole carrier; entry i+1 spans all brackets of entry i.
-    The last entry either is the zero subspace or repeats its predecessor,
-    so solvability and perfection are both readable from the chain.
+    The terms shrink strictly until one is the zero subspace or repeats its
+    predecessor, which is the last entry, so solvability and perfection are
+    both readable from the chain.
     """
     add, smul, zero, q = A.add, A.smul, A.zero, A.field.size
     spanned = _span(add, smul, zero, q, range(A.size))
@@ -216,7 +216,7 @@ def derived_series(A: FiniteLieAlgebra, max_depth: int = 8):
         raise NotAVectorSpace(f"the carrier is not a vector space over the field of order {q}")
     elts, basis = spanned
     chain = [set(elts)]
-    for _ in range(max_depth):
+    while True:
         elts, basis = _derived(add, smul, A.bracket, zero, q, basis)
         nxt = set(elts)
         if not nxt <= chain[-1]:
@@ -225,7 +225,6 @@ def derived_series(A: FiniteLieAlgebra, max_depth: int = 8):
         chain.append(nxt)
         if stop:
             return chain
-    raise NoStabilization(f"derived series open after {max_depth} steps")
 
 
 def _dim_of_size(q: int, n: int) -> int:
@@ -315,20 +314,18 @@ def detect_trivial(L: FiniteLieHyperalgebra):
 def linear_oracle_partition(L: FiniteLieHyperalgebra, n: int) -> Partition:
     """Cosets of the n-th derived subalgebra of L, read on L's own tables.
 
-    The brackets of basis pairs span each derived subalgebra in turn, and x
-    falls in the class of min(x + s for s in it). L must pass detect_trivial
-    (NotLie otherwise) and have odd characteristic (CharTwoGate after that).
+    The term is derived_series's at min(n, last), since the series is fixed
+    after its last entry (n <= 0 reads the whole carrier), and x falls in the
+    class of min(x + s for s in it). L must pass detect_trivial (NotLie
+    otherwise) and have odd characteristic (CharTwoGate after that).
     """
     info = detect_trivial(L)
     if info is None:
         raise NotLie("trivial-presentation", None,
                      "linear oracle needs a single-valued algebra over a standard field")
-    field, basis = info
+    field, _ = info
     if field.size % 2 == 0:
         raise CharTwoGate("linear oracle is stated for odd characteristic")
-    add = L.add_elt
-    sub = range(L.size)
-    for _ in range(n):
-        sub, basis = _derived(add, L.smul_elt, L.br_elt, L.zero, field.size, basis)
+    chain = derived_series(FiniteLieAlgebra(field, L.names, L.add_elt, L.smul_elt, L.br_elt))
+    sub, add = chain[min(max(n, 0), len(chain) - 1)], L.add_elt
     return Partition.from_class_of([min(add[x][s] for s in sub) for x in range(L.size)])
-

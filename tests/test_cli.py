@@ -74,6 +74,20 @@ def test_relation_depth_past_the_carrier_walks_at_most_the_carrier(capsys, fixtu
     assert out == want
 
 
+def test_relation_depth_past_the_derived_series_takes_few_oracle_steps(capsys, fixture_files,
+                                                                      ab1):
+    # under the default --oracle auto the linear oracle reads the derived
+    # series, which ends after at most dim + 1 steps, whatever the depth
+    argv = ["relation", fixture_files["ab1"], "--bounds", "1,1,1,1", "--json", "--rel"]
+    code, want, _ = run(capsys, *argv, "Sn:2")
+    assert code == 0
+    with mock.patch.object(quotients, "_derived", wraps=quotients._derived) as step:
+        code, out, _ = run(capsys, *argv, "Sn:10000")
+    assert code == 0
+    assert 0 < step.call_count <= len(quotients.detect_trivial(ab1)[1]) + 1
+    assert out == want
+
+
 def test_relation_value_kind_diagonal(capsys, fixture_files):
     code, out, _ = run(capsys, "relation", fixture_files["ex1"], "--rel", "L")
     assert code == 0
@@ -478,7 +492,6 @@ _EXIT_CODES = {
     errors.BoundsExceeded: 3,
     errors.TooLarge: 3,
     errors.CarrierCapExceeded: 3,
-    errors.NoStabilization: 3,
     errors.InternalInvariant: 4,
     errors.NotSymmetric: 4,
 }

@@ -2,13 +2,16 @@
 
 import json
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import _RANDOM_SPECS, _bilinear_algebra, _conjugated, _relabelled, _singleton_lift
 from reference_linear import linear_oracle_Sn, mat_inverse, random_invertible
 
+from hyperlie.analysis import relation_S
 from hyperlie.generators import (
     gen_quotient_hyperfield,
     gen_trivial_field,
@@ -145,6 +148,47 @@ def test_closure_idempotent_and_coarser(L, n):
 def test_engine_refines_oracle(L, n):
     part = transitive_closure(relation_Sn(L, n, DEFAULT_BOUNDS))
     assert part.refines(linear_oracle_partition(L, n))
+
+
+def _assert_relation_S_is_the_walk_past_its_stop(L):
+    """relation_S against the meet of the closures at depths 1 .. r + 2,
+    each computed cold, where r is the first depth whose gate repeats."""
+    gates = hyper_derived_sets(L, L.size)
+    r = next(n for n in range(1, L.size + 1) if gates[n] == gates[n - 1])
+    walk = []
+    for n in range(1, r + 3):
+        clear_relation_cache()
+        walk.append(closed_relation(L, "Sn", n, DEFAULT_BOUNDS)[1])
+    meet = reduce(Partition.meet, walk)
+    clear_relation_cache()
+    part, m = relation_S(L)
+    assert part == meet
+    assert m == next(n for n, p in enumerate(walk, 1) if p == meet)
+    # the stop by two equal consecutive closures names the same depth
+    assert m == next(k for k in range(1, r + 2) if walk[k - 1] == walk[k])
+
+
+@settings(max_examples=10, deadline=None)
+@given(algebras)
+def test_relation_S_is_the_walk_past_its_stop(L):
+    _assert_relation_S_is_the_walk_past_its_stop(L)
+
+
+@pytest.mark.parametrize("name", ["m4", "m3_module"])
+def test_relation_S_is_the_walk_past_its_stop_on_multivalued_inputs(request, name):
+    _assert_relation_S_is_the_walk_past_its_stop(request.getfixturevalue(name))
+
+
+@settings(max_examples=10, deadline=None)
+@given(algebras)
+def test_relation_S_matches_the_linear_oracle(L):
+    assert relation_S(L)[0] == linear_oracle_partition(L, L.size)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ab1", "ab5"])
+def test_relation_S_matches_the_linear_oracle_on_the_presets(request, name):
+    L = request.getfixturevalue(name)
+    assert relation_S(L)[0] == linear_oracle_partition(L, L.size)
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from hyperlie import quotients
 from hyperlie.errors import (
     CharTwoGate,
     DegenerateField,
@@ -167,6 +168,19 @@ def test_linear_oracle_class_counts(ex1):
     assert linear_oracle_partition(ex1, 1).num_classes == 3
     assert linear_oracle_partition(ex1, 2).num_classes == 27
     assert linear_oracle_partition(ex1, 3).is_diagonal()
+
+
+def test_linear_oracle_reads_the_derived_series_up_to_its_last_term(ab1, monkeypatch):
+    # the series is fixed after its last term, so a depth far past it takes
+    # no more derived steps than the series has terms
+    steps = []
+    real = quotients._derived
+    monkeypatch.setattr(quotients, "_derived", lambda *a: steps.append(a) or real(*a))
+    far = linear_oracle_partition(ab1, 10**4)
+    assert len(steps) <= len(detect_trivial(ab1)[1]) + 1
+    assert far == linear_oracle_partition(ab1, 2)
+    assert linear_oracle_partition(ab1, 0).is_all_pairs()
+    assert linear_oracle_partition(ab1, -5).is_all_pairs()
 
 
 def test_linear_oracle_gf9():

@@ -270,6 +270,20 @@ def test_depths_with_one_gate_share_one_enumeration(ex2, monkeypatch):
     assert len(runs) == 1
 
 
+@pytest.mark.parametrize("name, enumerations", [("ex1", 3), ("ab1", 1)])
+def test_relation_S_enumerates_up_to_its_proven_stop(request, monkeypatch, name, enumerations):
+    # the closure is the diagonal at depth 3 on ex1 and at depth 1 on ab1,
+    # so no deeper gate is enumerated
+    L = request.getfixturevalue(name)
+    runs = []
+    real = relations.summand_pair_family
+    monkeypatch.setattr(relations, "summand_pair_family",
+                        lambda L, bounds, gate: runs.append(gate) or real(L, bounds, gate))
+    clear_relation_cache()
+    assert relation_S(L)[0].is_diagonal()
+    assert len(runs) == enumerations
+
+
 _SN_ENTRIES = {
     "closed_relation": lambda L, n, bounds: closed_relation(L, "Sn", n, bounds),
     "relation_Sn": relation_Sn,
