@@ -23,6 +23,7 @@ from .structures import (
     FiniteLieHyperalgebra,
     holds_on_generators,
     jacobi_witness,
+    scalars_on_generators,
 )
 
 
@@ -116,14 +117,15 @@ class FiniteLieAlgebra:
     def validate(self):
         """Classical Lie algebra axioms with first witness; raises NotLie.
 
-        Axioms of one or two vectors are checked on every instance, those
-        of three by holds_on_generators; on any failure the exhaustive scan
-        runs and names the first witness in its order.
+        holds_on_generators and scalars_on_generators decide the axioms of
+        three vectors, add-commutative, scalar-dist and bracket-homogeneous;
+        the others, and any undecided, loop and name the first witness.
         """
         n = self.size
         F = self.field
         rng = range(n)
         z = self.zero
+        decided = holds_on_generators(self.add, self.bracket, z)
         for x in rng:
             if self.add[z][x] != x or self.add[x][z] != x:
                 raise NotLie("classical-zero-identity", (x,))
@@ -133,9 +135,9 @@ class FiniteLieAlgebra:
                 raise NotLie("classical-scalar-zero", (x,))
             if self.bracket[x][x] != z:
                 raise NotLie("classical-alternating", (x,))
-            if not any(self.add[x][y] == z for y in rng):
+            if z not in self.add[x]:
                 raise NotLie("classical-add-inverse", (x,))
-        for x, y in product(rng, rng):
+        for x, y in () if decided else product(rng, rng):
             if self.add[x][y] != self.add[y][x]:
                 raise NotLie("classical-add-commutative", (x, y))
         for lam, mu in product(range(F.size), range(F.size)):
@@ -144,13 +146,14 @@ class FiniteLieAlgebra:
                     raise NotLie("classical-scalar-associative", (lam, mu, x))
                 if self.smul[F.add[lam][mu]][x] != self.add[self.smul[lam][x]][self.smul[mu][x]]:
                     raise NotLie("classical-scalar-add", (lam, mu, x))
-        for lam in range(F.size):
+        scaled = decided and scalars_on_generators(self.add, self.smul, self.bracket, z)
+        for lam in () if scaled else range(F.size):
             for x, y in product(rng, rng):
                 if self.smul[lam][self.add[x][y]] != self.add[self.smul[lam][x]][self.smul[lam][y]]:
                     raise NotLie("classical-scalar-dist", (lam, x, y))
                 if self.bracket[self.smul[lam][x]][y] != self.smul[lam][self.bracket[x][y]]:
                     raise NotLie("classical-bracket-homogeneous", (lam, x, y))
-        if not holds_on_generators(self.add, self.bracket, z):
+        if not decided:
             self._scan_triples()
         return self
 
@@ -297,7 +300,7 @@ def detect_trivial(L: FiniteLieHyperalgebra):
         return None
     add, smul, br, z = L.add_elt, L.smul_elt, L.br_elt, L.zero
     spanned = _span(add, smul, z, q, range(L.size))
-    if spanned is None:
+    if spanned is None or len(spanned[0]) != L.size:
         return None
     elts, basis = spanned
     coord = {e: u for u, e in enumerate(elts)}

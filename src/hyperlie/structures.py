@@ -6,8 +6,8 @@ whole carrier, never by sampling. Each composite axiom is written once, as
 a loop over a view of the operations that the checker picks once per call:
 the element-index tables when every table is singleton-valued, the SetOps
 set lifts otherwise. Both views decide every instance alike, but on
-element-index tables the Lie checker decides its three-vector axioms on
-additive generators (holds_on_generators) and loops only if that fails.
+element-index tables holds_on_generators and scalars_on_generators prove
+seven Lie laws on additive generators, and only the other laws loop.
 reevaluate replays single instances independently of both views: LAWS
 states each witnessed axiom as equations between expression trees, and
 evaluate computes a tree from the raw mask tables, through no SetOps.
@@ -90,32 +90,37 @@ def _commutative(table) -> bool:
     return [list(col) for col in zip(*table)] == table
 
 
-def additive_generators(add, zero):
-    gens, reached = [], {zero}
+def spanning_tree(add, zero):
+    """(G, tree): additive generators G, each the least element that steps
+    s -> s + g (g in G) from zero do not reach, and the first step into each."""
+    gens, into = [], {zero: None}
     for v in range(len(add)):
-        if v not in reached:
+        if v not in into:
             gens.append(v)
-            frontier = list(reached)
-            while frontier:
-                row = add[frontier.pop()]
-                new = {row[g] for g in gens} - reached
-                reached |= new
-                frontier.extend(new)
-    return gens
+            steps = [(s, v) for s in into]
+            for s, g in steps:
+                if add[s][g] not in into:
+                    into[add[s][g]] = s, g
+                    steps += [(add[s][g], h) for h in gens]
+    return gens, [step for step in into.values() if step]
 
 
-def associates_on_generators(add, gens) -> bool:
-    """Light's test: (x + y) + c = x + (y + c) for all x, y, c, on an element
-    table with identity zero and additive generators gens (the y that satisfy
-    the law are closed under it and hold zero, so y in gens suffices)."""
-    return all(add[ax[g]] == [ax[v] for v in add[g]] for g in gens for ax in add)
+def additive_generators(add, zero):
+    return spanning_tree(add, zero)[0]
+
+
+def associates_at(add, steps) -> bool:
+    """Light's test at each step (x, g): (x + g) + c = x + (g + c) for all c.
+    At every (x, g), g in additive generators of a table with identity zero,
+    it decides associativity (the g that pass are closed under +)."""
+    return all(add[add[x][g]] == list(map(add[x].__getitem__, add[g])) for x, g in steps)
 
 
 def _associative(S) -> bool:
     """Whether + associates: by Light's test if zero is an identity, else setwise."""
     add, zero, ops, n = S.add_elt, S.zero, SetOps(S.add), S.size
     if add and zero is not None and add[zero] == [r[zero] for r in add] == list(range(n)):
-        return associates_on_generators(add, additive_generators(add, zero))
+        return associates_at(add, product(range(n), additive_generators(add, zero)))
     return all([ops[xy][1 << z] for z in range(n)] == [ops[1 << x][yz] for yz in S.add[y]]
                for x, row in enumerate(S.add) for y, xy in enumerate(row))
 
@@ -130,36 +135,67 @@ def jacobi_witness(add, br, zero, elems):
     return None
 
 
+def _steps(add, zero):
+    """(G, steps) of holds_on_generators. By I and C, zero and g lie on one
+    cycle of s -> s + g, of length p for G's first; ends holds p g."""
+    gens, tree = spanning_tree(add, zero)
+    p, ends = 1, list(gens)
+    while ends and ends[0] != zero and p <= len(add):
+        p, ends = p + 1, [add[e][g] for e, g in zip(ends, gens)]
+    if ends.count(zero) == len(gens) and p ** len(gens) == len(add):
+        return gens, tree + list(product(gens, gens))
+    return gens, list(product(range(len(add)), gens))
+
+
+def _additive(add, rows, steps) -> bool:
+    """Whether rows[x + g] is rows[x] + rows[g] cell by cell at each step."""
+    return all(rows[add[x][g]] == [add[a][b] for a, b in zip(rows[x], rows[g])]
+               for x, g in steps)
+
+
 def holds_on_generators(add, br, zero) -> bool:
     """Whether + is associative, the bracket bi-additive and the Jacobiator
-    zero, on element tables. False unless the premises of the proof hold:
-    (I) zero + x = x = x + zero, (C) a + b = b only for a = zero (each
-    column of + a permutation) and (K) + commutative. Then decided on
-    additive generators G: from {zero}, close under s -> s + g for g in G,
-    adding the smallest element not reached to G until all are (|G| is d
-    over GF(p), d r over GF(p^r)). In 1 and 2 the y that satisfy the law
-    are closed under + and hold zero, so y in G suffices.
-    1. + associates, by associates_on_generators (premise I).
-    2. [x + y, c] = [x, c] + [y, c] for all x, c: closed by 1, zero as the
-       law at x = zero, y = g gives [0, c] = 0 by I and C. So on the right.
-    3. By 1, 2 and K the Jacobiator is additive in each argument, and by I
-       and 2 zero when one is; so it vanishes once it does on G x G x G.
+    zero, on element tables; False unless the proof's premises hold: (I)
+    zero + x = x = x + zero, (C) a + b = b only for a = zero (columns of +
+    permutations) and (K) + commutative. Decided at steps (x, g), g in the
+    additive generators G: the n - 1 of spanning_tree and G x G if (F)
+    p g = 0 for all g, p the order of G's first, and n = p^|G|; else every
+    (x, g). A step checks t_(x+g) = t_x t_g (Light, t_x the row of x) and
+    f(x + g) = f(x) + f(g) for f x -> [x, c] for all c.
+    1. + associates: by G x G and K the t_g commute; along the tree each t_x
+       lies in the abelian group they generate, transitive by I, so regular;
+       t_(x+y) and t_x t_y lie in it and agree at zero, so they are equal.
+    2. f is additive (likewise on the right); f(zero) = 0 at (zero, g) by C.
+       With F, (Z/p)^G -> V, c -> sum c_g g, is onto, so one to one, and f
+       is linear in x's path counts mod p, as its values have exponent p.
+       Else the y with f(x + y) = f(x) + f(y) for all x hold zero and are
+       closed under + by 1, so y in G suffices.
+    3. By 1, 2 and K the Jacobiator is additive in each argument, and zero
+       when one is, so zero once on G x G x G. By C and K + is reproductive.
     """
     n = len(add)
     add_cols = [list(c) for c in zip(*add)]
     if add_cols != add or add[zero] != list(range(n)) or any(
             len(set(c)) != n for c in add_cols):
         return False
+    gens, steps = _steps(add, zero)
+    return (associates_at(add, steps) and _additive(add, br, steps)
+            and _additive(add, [list(c) for c in zip(*br)], steps)
+            and jacobi_witness(add, br, zero, gens) is None)
+
+
+def scalars_on_generators(add, smul, br, zero) -> bool:
+    """Whether l(x + y) = lx + ly and [lx, y] = l[x, y] = [x, ly] for every
+    row l of smul, given holds_on_generators(add, br, zero). 4. x -> (lx for
+    all l) is additive as f in 2. 5. The x with [lx, y] = l[x, y] for all l,
+    y hold zero by 2 and 4 and are closed under + by 4 and 2, so x in G
+    suffices; so on the right.
+    """
+    gens, steps = _steps(add, zero)
     cols = [list(c) for c in zip(*br)]
-    gens = additive_generators(add, zero)
-    for g in gens:
-        bg, cg = br[g], cols[g]
-        for x, ax in enumerate(add):
-            xg = ax[g]
-            if (br[xg] != [add[a][b] for a, b in zip(br[x], bg)]
-                    or cols[xg] != [add[a][b] for a, b in zip(cols[x], cg)]):
-                return False
-    return associates_on_generators(add, gens) and jacobi_witness(add, br, zero, gens) is None
+    return _additive(add, [list(c) for c in zip(*smul)], steps) and all(
+        br[s[g]] == list(map(s.__getitem__, br[g]))
+        and cols[s[g]] == list(map(s.__getitem__, cols[g])) for s in smul for g in gens)
 
 
 class Hypergroup:
@@ -299,7 +335,7 @@ def check_hypergroup_tables(table, op, vals, carrier_mask: int, report: CheckRep
     picked (element-index table or SetOps) and vals[i] is element i in that
     view. Callers run this only on carriers closed under the operation, so
     associativity values never leave carrier_mask. decided records
-    associativity as holding without its loop, for a caller that proved it.
+    associativity and reproduction as holding, for a caller that proved them.
     """
     elems = list(iter_bits(carrier_mask))
     rows = [(x, vals[x], op[vals[x]]) for x in elems]
@@ -324,7 +360,7 @@ def check_hypergroup_tables(table, op, vals, carrier_mask: int, report: CheckRep
             if left != carrier_mask or right != carrier_mask:
                 yield (x,)
 
-    report.record_first(f"{prefix}-reproduction", repro_fails())
+    report.record_first(f"{prefix}-reproduction", () if decided else repro_fails())
 
 
 def check_hypergroup(hg: Hypergroup) -> CheckReport:
@@ -414,6 +450,7 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra) -> CheckReport:
         add, smul, br = L.add_ops, L.smul_ops, L.bracket_ops
         fadd, fmul = F.add_ops, F.mul_ops
     decided = triv and L.zero is not None and holds_on_generators(add, br, L.zero)
+    scaled = decided and scalars_on_generators(add, smul, br, L.zero)
     vec = _values(triv, n)
     sca = _values(triv, F.size)
     report.record("scalar-field", field_report.ok, None,
@@ -446,7 +483,7 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra) -> CheckReport:
                     if sa[ax[vy]] != asx[sa[vy]]:
                         yield (a, x, y)
 
-    report.record_first("scalar-dist-vector-add", dist_vector_add_fails())
+    report.record_first("scalar-dist-vector-add", () if scaled else dist_vector_add_fails())
 
     def dist_scalar_add_fails():
         for a, va in enumerate(sca):
@@ -505,7 +542,7 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra) -> CheckReport:
                     if bax[vy] != sa[bx[vy]]:
                         yield (a, x, y)
 
-    report.record_first("bracket-homogeneous-left", br_hom_left_fails())
+    report.record_first("bracket-homogeneous-left", () if scaled else br_hom_left_fails())
 
     def br_hom_right_fails():
         for a, va in enumerate(sca):
@@ -516,7 +553,7 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra) -> CheckReport:
                     if bx[say] != sa[bx[vy]]:
                         yield (a, x, y)
 
-    report.record_first("bracket-homogeneous-right", br_hom_right_fails())
+    report.record_first("bracket-homogeneous-right", () if scaled else br_hom_right_fails())
 
     report.record_first("bracket-alternating",
                         ((x,) for x in range(n) if not L.bracket[x][x] & 1 << zi))

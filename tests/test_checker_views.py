@@ -9,13 +9,19 @@ and a reported witness must replay False.
 
 On singleton-valued algebras whose + is a commutative group, the Lie
 checker decides associativity, bracket additivity and Jacobi on additive
-generators; with that decision patched to fail it runs their loops. The
-two reports must be equal, witnesses included, on the quotient decider
-tests' corruptions of classical algebras lifted to singleton masks. The
-decider checks its own premises, so on unchecked element tables a True
-must survive the exhaustive loops.
+generators, and behind that distributivity over vectors and homogeneity;
+with the decision patched to fail it runs their loops. The two reports
+must be equal, witnesses included, on the quotient decider tests'
+corruptions of classical algebras lifted to singleton masks. The decider
+checks its own premises, so on unchecked element tables, and on random
+scalar tables, a True must survive the exhaustive loops; each premise has
+a table on which the decision would be wrong without it. On sums that are
+free over Z/p additivity is checked along a spanning tree, elsewhere at
+every step (x, g): both agree with the loops on brackets built along the
+tree, which break the relations of a + that is not free.
 """
 
+import random
 from functools import lru_cache
 from itertools import product
 from unittest import mock
@@ -24,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import _singleton_lift
 from hyperlie import structures
+from hyperlie.gf import digits_to_int, int_to_digits
 from hyperlie.generators import (
     gen_coset_hypergroup,
     gen_orbit_quotient,
@@ -40,9 +47,10 @@ from hyperlie.structures import (
     check_hyperfield,
     check_hypergroup,
     check_lie_hyperalgebra,
+    additive_generators,
     reevaluate,
 )
-from test_quotient_deciders import corrupted_algebras
+from test_quotient_deciders import corrupted_algebras, group_bases
 
 # instance domain of every witnessed axiom: V the structure's carrier,
 # S the scalar field of an algebra, N the nonzero elements of a hyperfield
@@ -189,7 +197,8 @@ def test_replay_reads_no_set_lift():
 
 
 _DECIDED = ("add-associative", "bracket-additive-left", "bracket-additive-right",
-         "jacobi-contains-zero")
+         "jacobi-contains-zero", "scalar-dist-vector-add", "bracket-homogeneous-left",
+         "bracket-homogeneous-right")
 
 
 def test_generator_decision_agrees_with_loops():
@@ -214,7 +223,9 @@ def test_generator_decision_agrees_with_loops():
             if not entry["ok"]:
                 assert reevaluate(L, name, entry["witness"]) is False, name
             elif L.size <= 9:
-                assert all(reevaluate(L, name, w) for w in product(range(L.size), repeat=3))
+                carriers = {"V": range(L.size), "S": range(L.field.size)}
+                assert all(reevaluate(L, name, w)
+                           for w in product(*(carriers[c] for c in _LIE_DOMAINS[name])))
 
     agrees()
     assert set(outcomes) == {True, False}
@@ -232,6 +243,51 @@ def test_generator_decision_needs_its_premises():
                               [[1] * 3, [1, 2, 4]], [[1] * 3 for _ in range(3)])
     report = check_lie_hyperalgebra(L)
     assert report.axioms["add-associative"]["ok"] is False
+    with mock.patch.object(structures, "holds_on_generators", return_value=False):
+        assert check_lie_hyperalgebra(L).axioms == report.axioms
+
+
+def test_generator_decision_needs_zero_to_be_the_identity():
+    # Z/5 written with 0 and 1 swapped, the bracket xy and zero taken as 3:
+    # the bracket is bi-additive and the Jacobiator 3xyc is 3 on the one
+    # generator triple (1, 1, 1), but not where an argument is 0; the
+    # decider must refuse on its premise that zero is an identity of +
+    value = [1, 0, 2, 3, 4]
+    label = {v: i for i, v in enumerate(value)}
+    add = [[label[(u + v) % 5] for v in value] for u in value]
+    br = [[label[u * v % 5] for v in value] for u in value]
+    assert not _loops_hold(add, br, label[3])
+    assert not structures.holds_on_generators(add, br, label[3])
+
+
+def test_generator_decision_needs_commuting_generators():
+    # XOR on 0..7, changed by 4 where the low two bits of the summands are
+    # 2 and 3, is a commutative loop with x + x = 0 that does not associate.
+    # Relabelled so that the additive generators are 1, 2 and 3, Light's
+    # test holds at every step of the spanning tree; only the steps g + h
+    # of two generators show that + is not associative
+    perm = [0, 3, 1, 4, 2, 5, 6, 7]
+    add = [[0] * 8 for _ in range(8)]
+    for x, y in product(range(8), repeat=2):
+        add[perm[x]][perm[y]] = perm[x ^ y ^ 4 * ({x & 3, y & 3} == {2, 3})]
+    gens, tree = structures.spanning_tree(add, 0)
+    assert gens == [1, 2, 3] and structures.associates_at(add, tree)
+    assert not structures.associates_at(add, product(range(8), gens))
+    assert not structures.holds_on_generators(add, [[0] * 8 for _ in range(8)], 0)
+
+
+def test_generator_decision_needs_latin_columns():
+    # 0 + x = x and a + a = a: + is commutative and associative, and the
+    # zero bracket meets every decided law, but no a + x is 0, so + is not
+    # reproductive; the decider must refuse on its premise that each column
+    # of + is a permutation
+    add = [[0, 1], [1, 1]]
+    zeros = [[0, 0], [0, 0]]
+    assert not structures.holds_on_generators(add, zeros, 0)
+    L = FiniteLieHyperalgebra(gen_trivial_field(2), ["0", "a"], [[1, 2], [2, 2]],
+                              [[1, 1], [1, 2]], [[1, 1], [1, 1]])
+    report = check_lie_hyperalgebra(L)
+    assert report.axioms["add-reproduction"] == {"ok": False, "witness": (1,), "detail": ""}
     with mock.patch.object(structures, "holds_on_generators", return_value=False):
         assert check_lie_hyperalgebra(L).axioms == report.axioms
 
@@ -280,3 +336,171 @@ def test_generator_decision_is_sound_on_unchecked_tables():
     sound()
     assert outcomes == {True, False}
     assert False in premises
+
+
+def _additive_map(add, zero, gens, images):
+    """The additive map of an elementary abelian + that sends the basis gens
+    to images, extended along +."""
+    row, frontier = {zero: zero}, [zero]
+    while frontier:
+        x = frontier.pop()
+        for g, image in zip(gens, images):
+            if add[x][g] not in row:
+                row[add[x][g]] = add[row[x]][image]
+                frontier.append(add[x][g])
+    return [row[x] for x in range(len(add))]
+
+
+@lru_cache(maxsize=None)
+def lie_bases():
+    """The classical bases that satisfy Jacobi."""
+    return [A for A in group_bases() if _loops_hold(A.add, A.bracket, A.zero)]
+
+
+@st.composite
+def scalar_tables(draw):
+    """(add, smul, br, zero): the sums and brackets of a classical Lie
+    algebra, with each scalar row one of its own rows, an additive map or a
+    random row, and one cell changed in a quarter of them."""
+    A = draw(st.sampled_from(lie_bases()))
+    gens = additive_generators(A.add, A.zero)
+    element = st.integers(0, A.size - 1)
+    smul = []
+    for _ in range(A.field.size):
+        kind = draw(st.sampled_from(["own", "own", "additive", "random"]))
+        if kind == "own":
+            row = list(A.smul[draw(st.integers(0, A.field.size - 1))])
+        elif kind == "additive":
+            row = _additive_map(A.add, A.zero, gens, [draw(element) for _ in gens])
+        else:
+            row = [draw(element) for _ in range(A.size)]
+        if draw(st.integers(0, 3)) == 0:
+            row[draw(element)] = draw(element)
+        smul.append(row)
+    return A.add, smul, A.bracket, A.zero
+
+
+def test_scalar_decision_is_sound_on_unchecked_tables():
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(scalar_tables())
+    def sound(tables):
+        add, smul, br, zero = tables
+        assert structures.holds_on_generators(add, br, zero)
+        decided = structures.scalars_on_generators(add, smul, br, zero)
+        outcomes.add(decided)
+        if decided:
+            for s, x, y in product(smul, range(len(add)), range(len(add))):
+                assert s[add[x][y]] == add[s[x]][s[y]]
+                assert br[s[x]][y] == s[br[x][y]] == br[x][s[y]]
+
+    sound()
+    assert outcomes == {True, False}
+
+
+def _sums(orders, values=None):
+    """(add, values): the + table of Z/m1 x Z/m2 x ..., element i standing
+    for the tuple values[i], in lexicographic order unless given."""
+    values = values or list(product(*map(range, orders)))
+    index = {v: i for i, v in enumerate(values)}
+    return [[index[tuple((a + b) % m for a, b, m in zip(u, v, orders))] for v in values]
+            for u in values], values
+
+
+def _per_generator_steps(add, zero):
+    gens = structures.additive_generators(add, zero)
+    return gens, list(product(range(len(add)), gens))
+
+
+def _loops_hold(add, br, zero):
+    """Bi-additivity and Jacobi on every triple (+ is a group here)."""
+    return all(br[add[x][y]][c] == add[br[x][c]][br[y][c]]
+               and br[c][add[x][y]] == add[br[c][x]][br[c][y]]
+               and add[add[br[x][br[y][c]]][br[y][br[c][x]]]][br[c][br[x][y]]] == zero
+               for x, y, c in product(range(len(add)), repeat=3))
+
+
+def _agree_on_tree_brackets(orders, values, tree_path, trials=25):
+    """On + of Z/m1 x ..., brackets sum_ij k_i(x) k_j(y) m_ij with k_g(x)
+    the count of g on x's path in the spanning tree and m_ij drawn, one
+    cell changed in a third of them: the decider takes the tree path
+    exactly when tree_path, and it, the per-generator path and the loops
+    agree. Returns the outcomes."""
+    add, values = _sums(orders, values)
+    index = {v: i for i, v in enumerate(values)}
+    zero, n = index[(0,) * len(orders)], len(add)
+    gens, tree = structures.spanning_tree(add, zero)
+    assert (structures._steps(add, zero) != _per_generator_steps(add, zero)) == tree_path
+    counts = {zero: [0] * len(gens)}
+    for s, g in tree:
+        counts[add[s][g]] = [k + (h == g) for k, h in zip(counts[s], gens)]
+    rng, outcomes = random.Random(n), set()
+    for _ in range(trials):
+        m = [[rng.choice(values) if rng.random() < 0.3 else (0,) * len(orders) for _ in gens]
+             for _ in gens]
+
+        def bracket(x, y):
+            return index[tuple(sum(kx * ky * m[i][j][t] for i, kx in enumerate(counts[x])
+                                   for j, ky in enumerate(counts[y])) % mt
+                               for t, mt in enumerate(orders))]
+
+        br = [[bracket(x, y) for y in range(n)] for x in range(n)]
+        if rng.random() < 1 / 3:
+            br[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        truth = _loops_hold(add, br, zero)
+        assert structures.holds_on_generators(add, br, zero) == truth
+        with mock.patch.object(structures, "_steps", _per_generator_steps):
+            assert structures.holds_on_generators(add, br, zero) == truth
+        outcomes.add(truth)
+    return outcomes
+
+
+def test_tree_steps_agree_with_loops_on_elementary_abelian_sums():
+    # (Z/p)^d: the generators are a basis and every bracket of the family
+    # is bilinear unless a cell was changed
+    outcomes = set()
+    for orders in ((5,), (3, 3), (2, 2, 2), (2, 2, 2, 2)):
+        outcomes |= _agree_on_tree_brackets(orders, None, True)
+    assert outcomes == {True, False}
+
+
+def test_generator_steps_agree_with_loops_on_other_sums():
+    # Z/4, Z/9 and Z/4 x Z/4 are free over Z/4 or Z/9 and take the tree
+    # path. The others take the per-generator path: the first generator of
+    # Z/2 x Z/4 and Z/3 x Z/9 has order 4 or 9, but |V| is not a power of
+    # it; relabelled Z/4 and Z/9 have generators 2, 1 and 3, 1, and |V| is
+    # a power of the first one's order but 2 1 and 3 1 are not 0. There
+    # the tree brackets break a relation such as 3 1 = 3 unless m allows it
+    outcomes = set()
+    for orders in ((4,), (9,), (4, 4)):
+        outcomes |= _agree_on_tree_brackets(orders, None, True)
+    relabelled = {4: [0, 2, 1, 3], 9: [0, 3, 1, 2, 4, 5, 6, 7, 8]}
+    for orders, values in (((2, 4), None), ((3, 9), None),
+                           ((4,), [(v,) for v in relabelled[4]]),
+                           ((9,), [(v,) for v in relabelled[9]])):
+        outcomes |= _agree_on_tree_brackets(orders, values, False)
+    assert outcomes == {True, False}
+
+
+def test_scalar_decision_matches_loops_on_a_one_sided_bracket():
+    # on GF(3)^2, [x, y] = x_1 y_0 e_1 is bilinear with a zero Jacobiator
+    # but not alternating, so a linear map may commute with it on one side
+    # only. Over every linear map, and each one with a cell changed, the
+    # decision is the loops' verdict
+    vecs = [int_to_digits(v, 3, 2) for v in range(9)]
+    add = [[digits_to_int([(a + b) % 3 for a, b in zip(u, w)], 3) for w in vecs] for u in vecs]
+    br = [[digits_to_int([0, u[1] * w[0] % 3], 3) for w in vecs] for u in vecs]
+    assert structures.holds_on_generators(add, br, 0)
+    pairs, outcomes = list(product(range(9), repeat=2)), set()
+    for m in product(range(3), repeat=4):
+        row = [digits_to_int([(m[0] * u[0] + m[1] * u[1]) % 3, (m[2] * u[0] + m[3] * u[1]) % 3],
+                             3) for u in vecs]
+        for s in (row, row[:4] + [(row[4] + 1) % 9] + row[5:]):
+            laws = (all(s[add[x][y]] == add[s[x]][s[y]] for x, y in pairs),
+                    all(br[s[x]][y] == s[br[x][y]] for x, y in pairs),
+                    all(br[x][s[y]] == s[br[x][y]] for x, y in pairs))
+            assert structures.scalars_on_generators(add, [s], br, 0) == all(laws)
+            outcomes.add(laws)
+    assert {(True, True, True), (True, True, False), (True, False, True)} <= outcomes
+    assert any(not laws[0] for laws in outcomes)

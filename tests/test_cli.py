@@ -609,6 +609,25 @@ def test_relation_on_an_element_in_no_value_exit_1(capsys, tmp_path):
     assert "'a'" in err
 
 
+@pytest.mark.parametrize("aa", ["a", "o"])
+def test_partial_span_is_no_trivial_presentation(capsys, tmp_path, aa):
+    # 1 a = 1 b = b, so the span of the carrier from o never reaches a; with
+    # [a, a] = a the coordinate of a bracket was missing, with [a, a] = o
+    # the algebra passed although 1 a = a fails
+    doc = {"kind": "lie_hyperalgebra", "elements": ["o", "a", "b"], "zero": "o",
+           "field": "trivial:F2",
+           "add": [[["o"], ["a"], ["b"]], [["a"], ["o"], ["o"]], [["b"], ["o"], ["o"]]],
+           "scalar": [[["o"], ["o"], ["o"]], [["o"], ["b"], ["b"]]],
+           "bracket": [[["o"], ["o"], ["o"]], [["o"], [aa], ["o"]], [["o"], ["o"], ["o"]]]}
+    p = tmp_path / "span.json"
+    p.write_text(json.dumps(doc))
+    assert quotients.detect_trivial(parse_structure(p.read_text())) is None
+    runs = [run(capsys, "relation", str(p), "--rel", "A", *extra)
+            for extra in ([], ["--oracle", "off"])]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and runs[0][2].startswith("property failure:")
+
+
 # Argument fuzzing: each example starts from a valid call and replaces at
 # most one option value by a bad one whose exit code the value alone fixes.
 # Valid builds hold at most 27 elements; q is large only where the carrier

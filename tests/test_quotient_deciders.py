@@ -32,9 +32,11 @@ from hyperlie.errors import NotLie, NotWellDefined
 from hyperlie.generators import (
     gen_orbit_quotient,
     gen_quotient_hyperfield,
+    gen_trivial_field,
     gen_trivial_from_lie,
+    make_s3,
 )
-from hyperlie.gf import int_to_digits
+from hyperlie.gf import FiniteField, int_to_digits
 from hyperlie.quotients import FiniteLieAlgebra, _collapse, quotient_lie_algebra
 from hyperlie.relations import (
     DEFAULT_BOUNDS,
@@ -159,6 +161,17 @@ def test_steiner_loop_fails_associativity():
     # every axiom of one or two vectors holds, so the generators decide
     assert _validate_outcome(_steiner_loop()).startswith(
         "axiom classical-add-associative fails")
+
+
+def test_noncommutative_group_fails_commutativity():
+    # S3 under composition with a zero bracket: associativity, additivity
+    # and Jacobi hold, so only the decider's premise that + commutes keeps
+    # the commutativity loop, which names the first witness
+    add, names = make_s3()
+    n = len(add)
+    A = FiniteLieAlgebra(FiniteField.from_trivial_hyperfield(gen_trivial_field(2)), names, add,
+                         [[0] * n, list(range(n))], [[0] * n for _ in range(n)])
+    assert _validate_outcome(A) == str(NotLie("classical-add-commutative", (1, 2)))
 
 
 # ---------------------------------------------------------------------------
