@@ -1,5 +1,8 @@
 """Finite Lie hyperalgebras over finite hyperfields: fundamental relations,
-quotient Lie algebras, and the structural checks built on them."""
+quotient Lie algebras, and the structural checks built on them.
+
+The imports below are the public API; `import *` binds them and the
+submodules."""
 
 from .analysis import (
     NeighborhoodSet,
@@ -89,80 +92,3 @@ from .structures import (
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AxiomFailure",
-    "BoundsExceeded",
-    "CONSTANT_PRESETS",
-    "CarrierCapExceeded",
-    "CharTwoGate",
-    "CheckReport",
-    "DEFAULT_BOUNDS",
-    "DegenerateField",
-    "ExpressionBounds",
-    "FieldMismatch",
-    "FiniteField",
-    "FiniteHyperfield",
-    "FiniteLieAlgebra",
-    "FiniteLieHyperalgebra",
-    "HARD_CAP",
-    "Hypergroup",
-    "HyperlieError",
-    "InternalInvariant",
-    "MalformedTable",
-    "NeighborhoodSet",
-    "NoSolvableQuotient",
-    "NotAField",
-    "NotAGroup",
-    "NotASubgroup",
-    "NotAVectorSpace",
-    "NotLie",
-    "NotSymmetric",
-    "NotWellDefined",
-    "ParseError",
-    "Partition",
-    "RelationStatus",
-    "SnPartVerdict",
-    "TooLarge",
-    "bell_number",
-    "check_hyperfield",
-    "check_hypergroup",
-    "check_lie_hyperalgebra",
-    "clear_relation_cache",
-    "closed_relation",
-    "derived_dims",
-    "derived_series",
-    "detect_trivial",
-    "gen_coset_hypergroup",
-    "gen_orbit_quotient",
-    "gen_quotient_hyperfield",
-    "gen_trivial_field",
-    "gen_trivial_from_lie",
-    "hyper_derived_sets",
-    "is_Sn_part",
-    "is_perfect",
-    "is_strongly_regular",
-    "is_transitive_Sn",
-    "iter_partitions_rgs",
-    "lemma_equivalence_check",
-    "linear_oracle_partition",
-    "make_cyclic_group",
-    "make_s3",
-    "neighborhood_P",
-    "nontransitivity_search",
-    "parse_structure",
-    "preset_structure",
-    "quotient_field",
-    "quotient_lie_algebra",
-    "relation_A",
-    "relation_L",
-    "relation_S",
-    "relation_Sn",
-    "relation_alpha",
-    "relation_json",
-    "relation_with_escalation",
-    "serialize_structure",
-    "smallest_solvable_oracle",
-    "solvable_length",
-    "transitive_closure",
-]

@@ -98,7 +98,7 @@ def is_Sn_part(L: FiniteLieHyperalgebra, n: int, K: int,
     return SnPartVerdict(False, wit, bounds)
 
 
-def _default_K_sample(L: FiniteLieHyperalgebra, part: Partition, seed: int):
+def _K_sample(L: FiniteLieHyperalgebra, part: Partition, seed: int):
     n = L.size
     if n <= 5:
         return [k for k in range(1, 1 << n)]
@@ -123,21 +123,21 @@ def _default_K_sample(L: FiniteLieHyperalgebra, part: Partition, seed: int):
 
 def lemma_equivalence_check(L: FiniteLieHyperalgebra, n: int,
                             bounds: ExpressionBounds = DEFAULT_BOUNDS,
-                            K_sample=None, seed: int = 0):
+                            seed: int = 0):
     """Evaluate the three part characterizations independently per subset.
 
     (i) every expression pair meeting K stays in K, (ii) every relation row
     from K stays in K, (iii) K is a union of closure classes. Returns a
     report dict; any disagreement is a bug-class finding, never silently
-    dropped.
+    dropped. K runs over every nonempty subset when |L| <= 5, else over
+    unions of closure classes and 40 subsets drawn from seed.
     """
     rel, part = closed_relation(L, "Sn", n, bounds)
     levels = sn_pair_levels(L, n, bounds)
-    if K_sample is None:
-        K_sample = _default_K_sample(L, part, seed)
+    sample = _K_sample(L, part, seed)
     disagreements = []
     verdicts = []
-    for K in K_sample:
+    for K in sample:
         v1 = _first_escape(levels, K) is None
         v2 = all(not (rel.row(x) & ~K) for x in iter_bits(K))
         v3 = all(
@@ -148,7 +148,7 @@ def lemma_equivalence_check(L: FiniteLieHyperalgebra, n: int,
         if not (v1 == v2 == v3):
             disagreements.append({"K": K, "i": v1, "ii": v2, "iii": v3})
     return {
-        "checked": len(K_sample),
+        "checked": len(sample),
         "true_verdicts": sum(verdicts),
         "disagreements": disagreements,
         "all_agree": not disagreements,
@@ -240,14 +240,14 @@ def iter_partitions_rgs(n: int):
     yield from rec(1, 0)
 
 
-def smallest_solvable_oracle(L: FiniteLieHyperalgebra, delta=None,
+def smallest_solvable_oracle(L: FiniteLieHyperalgebra,
                              bounds: ExpressionBounds = DEFAULT_BOUNDS):
     """Exhaustive minimality certificate for the stabilized intersection.
 
     Enumerates every carrier partition, keeps the strongly regular ones
-    whose quotient is a solvable Lie algebra, and asserts the engine's
-    intersection relation is the unique finest kept partition. Returns
-    (Partition, certificate dict).
+    whose quotient over the field's own scalars is a solvable Lie algebra,
+    and asserts the engine's intersection relation is the unique finest
+    kept partition. Returns (Partition, certificate dict).
     """
     if L.size > 6:
         raise TooLarge(
@@ -255,8 +255,7 @@ def smallest_solvable_oracle(L: FiniteLieHyperalgebra, delta=None,
         )
     # pre-flight the scalar side: a degenerate or ill-defined field quotient
     # fails here once, not once per partition
-    scalar_delta = delta if delta is not None else Partition.diagonal(L.field.size)
-    require_char_not_2(quotient_field(L.field, scalar_delta))
+    require_char_not_2(quotient_field(L.field, Partition.diagonal(L.field.size)))
     engine_S, m = relation_S(L, bounds)
     qualifying = []
     checked = 0
@@ -267,7 +266,7 @@ def smallest_solvable_oracle(L: FiniteLieHyperalgebra, delta=None,
         if not ok:
             continue
         try:
-            A = quotient_lie_algebra(L, part, scalar_delta)
+            A = quotient_lie_algebra(L, part)
         except (NotWellDefined, NotLie):
             # the congruence lemma promises this never happens for strongly
             # regular partitions; a hit is a bug, not a skip

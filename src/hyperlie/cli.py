@@ -403,8 +403,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections take main's input-error path."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hyperlie",
         description="fundamental relations and quotients of finite Lie "
                     "hyperalgebras",
@@ -463,9 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (InternalInvariant, NotSymmetric) as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -137,7 +137,7 @@ def _group_checks(table):
     return ident
 
 
-def gen_coset_hypergroup(group_table, subgroup, names=None) -> Hypergroup:
+def gen_coset_hypergroup(group_table, subgroup) -> Hypergroup:
     """Left-coset hypergroup of a finite group: entry (xH, yH) = {zH : z = xhy}."""
     table = [list(r) for r in group_table]
     n = len(table)
@@ -152,10 +152,9 @@ def gen_coset_hypergroup(group_table, subgroup, names=None) -> Hypergroup:
         for b in H:
             if table[a][b] not in H:
                 raise NotASubgroup(f"not closed: {a}*{b} outside subgroup")
-    elem_names = names if names is not None else [str(i) for i in range(n)]
 
     cosets, coset_of = _orbits(n, lambda x: (table[x][h] for h in H))
-    coset_names = [f"[{elem_names[members[0]]}]" for members in cosets]
+    coset_names = [f"[{members[0]}]" for members in cosets]
     k = len(cosets)
     add = []
     for a in range(k):

@@ -181,21 +181,19 @@ class FiniteLieAlgebra:
         return _dim_of_size(self.field.size, self.size)
 
 
-def quotient_lie_algebra(L: FiniteLieHyperalgebra, rho: Partition,
-                         delta: Partition | None = None) -> FiniteLieAlgebra:
-    """Quotient of a Lie hyperalgebra by carrier and scalar equivalences.
+def quotient_lie_algebra(L: FiniteLieHyperalgebra, rho: Partition) -> FiniteLieAlgebra:
+    """Quotient of a Lie hyperalgebra by a carrier equivalence rho.
 
-    delta defaults to the diagonal (scalars untouched; requires a trivial
-    hyperfield). Raises NotWellDefined with the offending operation and a
-    witness (x, y, class1, class2) when a lifted operation straddles two
+    The scalars are the field's own, modulo the diagonal (so the hyperfield
+    must be trivial). Raises NotWellDefined with the offending operation and
+    a witness (x, y, class1, class2) when a lifted operation straddles two
     classes, which by the congruence lemma happens exactly off the strongly
     regular relations. The result is validated classically.
     """
     F = L.field
     if rho.size != L.size:
         raise InternalInvariant("partition size differs from carrier size")
-    if delta is None:
-        delta = Partition.diagonal(F.size)
+    delta = Partition.diagonal(F.size)
     qF = quotient_field(F, delta)
     [qadd] = _collapse((("add", L.add),), rho, rho)
     [qsmul] = _collapse((("smul", L.smul),), delta, rho)

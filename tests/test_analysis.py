@@ -187,3 +187,38 @@ def test_shipped_search_log_reproduces(m1_module, m2_module, m3_module):
     assert findings == []
     shipped = pathlib.Path(__file__).parent / "data" / "nontransitivity_search.txt"
     assert shipped.read_text().splitlines() == log
+
+
+def test_shipped_t1_search_log_finds_the_orbit_quotients(m1_module, m2_module, m3_module, m4):
+    """At t = 1 the sweep finds the "no" side of transitivity.
+
+    The bounded Sn relation of each orbit quotient fails transitivity at
+    n = 1, 2 and 3, and the three routes of is_transitive_Sn agree on it;
+    the coset-hyperfield modules stay transitive. The part routes of the
+    lemma agree on every sampled set of m4."""
+    import pathlib
+
+    from hyperlie.generators import gen_orbit_quotient
+    from hyperlie.relations import ExpressionBounds
+
+    bounds = ExpressionBounds(1, 1, 2, 1)
+    orbits = [
+        ("orbit-F7-d2-abelian", gen_orbit_quotient(7, 2, {}, [1, 2, 4])),
+        ("orbit-F7-d2-affine", m4),
+        ("orbit-F7-d2-affine-H16",
+         gen_orbit_quotient(7, 2, {(0, 1): (0, 1)}, [1, 6])),
+        ("orbit-F5-d2-affine",
+         gen_orbit_quotient(5, 2, {(0, 1): (0, 1)}, [1, 4])),
+    ]
+    pairs = [("coset-F7-H124-module", m1_module), ("coset-F7-H16-module", m2_module),
+             ("coset-F5-H14-module", m3_module)] + orbits
+    findings, log = nontransitivity_search(pairs, bounds=bounds)
+    shipped = pathlib.Path(__file__).parent / "data" / "nontransitivity_search_t1.txt"
+    assert shipped.read_bytes() == "".join(line + "\n" for line in log).encode()
+    assert [(f["structure"], f["n"]) for f in findings] == \
+        [(name, n) for name, _ in orbits for n in (1, 2, 3)]
+    for f in findings:
+        assert f["report"]["direct"] is f["report"]["row_vs_class"] \
+            is f["report"]["rows_are_parts"] is False
+    report = lemma_equivalence_check(m4, 1, bounds)
+    assert report["all_agree"] and report["checked"] == 41

@@ -5,6 +5,7 @@ failure, 2 input error, 3 resource limit, 4 internal)."""
 import copy
 import functools
 import json
+import re
 from itertools import product
 from unittest import mock
 
@@ -472,6 +473,25 @@ def test_gen_bad_input_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("relation", "{ab1}", "--bounds", "-1,1,1,1"), "argument --bounds: expected one argument"),
+    (("gen", "coset", "--group", "s3", "--subgroup", "-1,1"),
+     "argument --subgroup: expected one argument"),
+    ((), "the following arguments are required: command"),
+    (("--threads", "x", "check", "{ab1}"), "argument --threads: invalid int value: 'x'"),
+], ids=["bounds", "subgroup", "empty", "threads"])
+def test_argparse_rejection_is_an_input_error(capsys, fixture_files, argv, message):
+    code, out, err = run(capsys, *(a.format_map(fixture_files) for a in argv))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["relation", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hyperlie relation")
+
+
 # every HyperlieError class -> its documented exit code; a class missing
 # here fails test_every_error_class_has_an_exit_code
 _EXIT_CODES = {
@@ -631,14 +651,21 @@ def test_partial_span_is_no_trivial_presentation(capsys, tmp_path, aa):
 # Argument fuzzing: each example starts from a valid call and replaces at
 # most one option value by a bad one whose exit code the value alone fixes.
 # Valid builds hold at most 27 elements; q is large only where the carrier
-# cap refuses it. Options are passed as --opt=value, the form in which
-# argparse takes a value such as -1,1,1,1 as a value and not as an option.
+# cap refuses it. Options are passed as --opt=value or spaced as --opt
+# value. In the spaced form argparse reads a value as an option when it
+# begins with -, is longer than -, holds no space and is no negative number
+# (-1,1,1,1 but not -3), and then rejects the call as an input error.
 _HARD_CAP = (4, 4, 3, 3)
 _PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
 _NOT_PRIME_POWERS = (-3, -1, 0, 1, 6, 10, 12, 15, 18, 20, 21, 24, 26, 28, 33, 36, 40)
 # no digits and no "a", so never a number, a relation or an element of ab1
 _NO_DIGITS = st.text(alphabet="bxz,;:()-+ .", max_size=8)
 _LARGE = st.integers(257, 10**15)
+
+
+def _read_as_option(value):
+    return (len(value) > 1 and value[0] == "-" and " " not in value
+            and not re.fullmatch(r"-\d+|-\d*\.\d+", value))
 
 
 @st.composite
@@ -772,7 +799,12 @@ def test_fuzzed_arguments_end_in_their_exit_code(capsys, fixture_files, data, th
     # any exception that escapes main fails the example; --threads and
     # --seed are accepted and ignored, so no thread may start
     argv, want = data.draw(st.one_of(_file_call(fixture_files), _gen_call()))
+    argv = [f"--threads={threads}", f"--seed={seed}", *argv]
+    if data.draw(st.booleans()):
+        if any(_read_as_option(a.split("=", 1)[1]) for a in argv if a.startswith("--")):
+            want = 2
+        argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--") else [a])]
     with mock.patch("threading.Thread.start", side_effect=AssertionError("thread started")):
-        code, out, err = run(capsys, f"--threads={threads}", f"--seed={seed}", *argv)
+        code, out, err = run(capsys, *argv)
     assert code == want, (argv, err)
     assert err.startswith(_STDERR_PREFIX[code]) if code else err == ""

@@ -5,8 +5,9 @@ and sets, so the replay never reaches the relation engine, the quotients
 module (the linear oracle) does not reach into the generators, the
 package imports nothing from the tests, the brute-force reference
 enumerator does not reuse the engine's enumeration, the coordinate-space
-reference oracle shares no code with what it is compared against, and no
-module but the package's __init__ imports a name it does not use."""
+reference oracle shares no code with what it is compared against, no
+module but the package's __init__ imports a name it does not use, and
+`from hyperlie import *` binds every name that __init__ imports."""
 
 import ast
 import os
@@ -167,6 +168,20 @@ def test_table_jacobi_names_the_reference_first_triple():
             assert got == want, (q, dim, constants)
             failed += want is not None
     assert 0 < failed < 300
+
+
+def test_star_import_binds_every_exported_name():
+    # the imports in __init__.py are the one statement of the public API;
+    # with no __all__, import * binds them and the loaded submodules
+    exported = {a.asname or a.name for node in ast.walk(_tree(hyperlie.__file__))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    submodules = {f[:-3] for f in _package_trees()} - {"__init__"}
+    star = {}
+    exec("from hyperlie import *", star)
+    star = set(star) - {"__builtins__"}
+    assert "reevaluate" in exported
+    assert exported <= star <= exported | submodules | {"__version__"}
+    assert not hasattr(hyperlie, "__all__")
 
 
 def test_every_imported_name_is_used():
