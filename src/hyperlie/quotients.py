@@ -95,7 +95,8 @@ def quotient_field(F: FiniteHyperfield, delta: Partition) -> FiniteField:
         raise InternalInvariant("partition size differs from field carrier")
     if delta.is_all_pairs():
         raise DegenerateField("quotient field would collapse to a single class")
-    qadd, qmul = _collapse((("add", F.add), ("mul", F.mul)), delta, delta)
+    qadd, qmul = ((F.add_elt, F.mul_elt) if F.is_trivial and delta.is_diagonal()
+                  else _collapse((("add", F.add), ("mul", F.mul)), delta, delta))
     fld = FiniteField(_class_names(F.names, delta), qadd, qmul)
     fld.validate()
     return fld
@@ -125,7 +126,8 @@ class FiniteLieAlgebra:
         F = self.field
         rng = range(n)
         z = self.zero
-        decided = holds_on_generators(self.add, self.bracket, z)
+        proof = []
+        decided = holds_on_generators(self.add, self.bracket, z, proof)
         for x in rng:
             if self.add[z][x] != x or self.add[x][z] != x:
                 raise NotLie("classical-zero-identity", (x,))
@@ -146,7 +148,7 @@ class FiniteLieAlgebra:
                     raise NotLie("classical-scalar-associative", (lam, mu, x))
                 if self.smul[F.add[lam][mu]][x] != self.add[self.smul[lam][x]][self.smul[mu][x]]:
                     raise NotLie("classical-scalar-add", (lam, mu, x))
-        scaled = decided and scalars_on_generators(self.add, self.smul, self.bracket, z)
+        scaled = decided and scalars_on_generators(self.add, self.smul, self.bracket, z, proof)
         for lam in () if scaled else range(F.size):
             for x, y in product(rng, rng):
                 if self.smul[lam][self.add[x][y]] != self.add[self.smul[lam][x]][self.smul[lam][y]]:
@@ -188,16 +190,20 @@ def quotient_lie_algebra(L: FiniteLieHyperalgebra, rho: Partition) -> FiniteLieA
     must be trivial). Raises NotWellDefined with the offending operation and
     a witness (x, y, class1, class2) when a lifted operation straddles two
     classes, which by the congruence lemma happens exactly off the strongly
-    regular relations. The result is validated classically.
+    regular relations. The result is validated classically. On the diagonal
+    of a singleton-valued algebra, class i is element i.
     """
     F = L.field
     if rho.size != L.size:
         raise InternalInvariant("partition size differs from carrier size")
     delta = Partition.diagonal(F.size)
     qF = quotient_field(F, delta)
-    [qadd] = _collapse((("add", L.add),), rho, rho)
-    [qsmul] = _collapse((("smul", L.smul),), delta, rho)
-    [qbr] = _collapse((("bracket", L.bracket),), rho, rho)
+    if L.is_trivial and rho.is_diagonal():
+        qadd, qsmul, qbr = L.add_elt, L.smul_elt, L.br_elt
+    else:
+        [qadd] = _collapse((("add", L.add),), rho, rho)
+        [qsmul] = _collapse((("smul", L.smul),), delta, rho)
+        [qbr] = _collapse((("bracket", L.bracket),), rho, rho)
     A = FiniteLieAlgebra(qF, _class_names(L.names, rho), qadd, qsmul, qbr)
     A.validate()
     return A

@@ -2,17 +2,18 @@
 
 The relations are defined by unbounded families of expressions; this engine
 covers every expression within ExpressionBounds without evaluating them one
-by one. The swap relations A and Sn build bracket trees bottom-up in one
-tree DP over distinct subtree states (the written and permuted values, with
-the gated values a leaf permutation still owes). Every comparison of a
-written order with its permutations is one fold, combine_levels: scalar
+by one. The swap relations A and Sn read summands of at most two leaves
+off the leaf pool, and from three leaves build bracket trees bottom-up in
+a tree DP over distinct subtree states (the written and permuted values,
+with the gated values a leaf permutation still owes). Every comparison of
+a written order with its permutations is one fold, combine_levels: scalar
 products, the sums of products that make coefficients, and the sums of
 summands for A, Sn and alpha, folded over rectangles of pairs where +
 commutes and associates. L compares no permutations, so it builds the
 written values alone and folds its sums over values, not pairs (the pair
-fold was measured slower on cold L). Every stage dedupes by
-evaluated value sets. RelationStatus reports how the finite run should be
-read (exact against an oracle, stabilized, or bound-limited).
+fold was measured slower on cold L). Every stage dedupes by evaluated value
+sets. RelationStatus reports how the finite run should be read (exact
+against an oracle, stabilized, or bound-limited).
 """
 
 from __future__ import annotations
@@ -355,11 +356,23 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     permutation exists exactly when the owed multiset of the whole tree
     cancels to empty. A subtree of k leaves that owes more values than the
     m - k leaves still to come can settle is dropped.
+
+    Up to m = 2 no state is kept. Leaves (x1, r1), (x2, r2) owe +r1 -w1 and
+    +r2 -w2 with w != r, which cancel only at w1 = r2, w2 = r1: so a tree
+    gives ([x1, x2], [r1, r2]), and ([x1, x2], [r2, r1]) if both are gated.
     """
     coeff_pairs = coefficient_pair_family(L.field, bounds)
     pool = _leaf_pool(L, coeff_pairs, gate_mask)
     m = bounds.m
     br = L.bracket_ops
+    if m <= 2:
+        pairs = {(vl, vr) for vl, vr, _ in pool}
+        for x1, r1, sw1 in pool if m == 2 else ():
+            bx, b1 = br[x1], br[r1]
+            pairs.update([(bx[x2], b1[r2]) for x2, r2, _ in pool])
+            if sw1:
+                pairs.update([(bx[x2], br[r2][r1]) for x2, r2, sw2 in pool if sw2])
+        return sorted(pairs | {(V, U) for U, V in pairs})
     gated = sorted({vr for _, vr, sw in pool if sw})
     codec = _Owed(gated, m)
     unit = codec.unit
@@ -578,8 +591,11 @@ def is_strongly_regular(S, partition: Partition):
     its members' cells lies in one class (the pairs (x, x) and (x, y) chain
     them). Member x's cells are column x of a left condition's table and
     row x of a right one's. Only a failing class runs the pairwise scan,
-    which names the witness.
+    which names the witness. The diagonal of a singleton-valued structure
+    passes at once: each cell is one element, so lies in one class.
     """
+    if S.is_trivial and partition.is_diagonal():
+        return True, None
     conditions = _conditions(S)
     class_of_mask = ClassOfMask(partition)
     lines = [list(zip(*table)) if left else table

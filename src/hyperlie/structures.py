@@ -153,7 +153,7 @@ def _additive(add, rows, steps) -> bool:
                for x, g in steps)
 
 
-def holds_on_generators(add, br, zero) -> bool:
+def holds_on_generators(add, br, zero, proof=None) -> bool:
     """Whether + is associative, the bracket bi-additive and the Jacobiator
     zero, on element tables; False unless the proof's premises hold: (I)
     zero + x = x = x + zero, (C) a + b = b only for a = zero (columns of +
@@ -172,6 +172,8 @@ def holds_on_generators(add, br, zero) -> bool:
        closed under + by 1, so y in G suffices.
     3. By 1, 2 and K the Jacobiator is additive in each argument, and zero
        when one is, so zero once on G x G x G. By C and K + is reproductive.
+    A list passed as proof receives G, the steps and the bracket columns,
+    for scalars_on_generators on the same tables.
     """
     n = len(add)
     add_cols = [list(c) for c in zip(*add)]
@@ -179,20 +181,21 @@ def holds_on_generators(add, br, zero) -> bool:
             len(set(c)) != n for c in add_cols):
         return False
     gens, steps = _steps(add, zero)
-    return (associates_at(add, steps) and _additive(add, br, steps)
-            and _additive(add, [list(c) for c in zip(*br)], steps)
-            and jacobi_witness(add, br, zero, gens) is None)
-
-
-def scalars_on_generators(add, smul, br, zero) -> bool:
-    """Whether l(x + y) = lx + ly and [lx, y] = l[x, y] = [x, ly] for every
-    row l of smul, given holds_on_generators(add, br, zero). 4. x -> (lx for
-    all l) is additive as f in 2. 5. The x with [lx, y] = l[x, y] for all l,
-    y hold zero by 2 and 4 and are closed under + by 4 and 2, so x in G
-    suffices; so on the right.
-    """
-    gens, steps = _steps(add, zero)
     cols = [list(c) for c in zip(*br)]
+    if proof is not None:
+        proof[:] = gens, steps, cols
+    return (associates_at(add, steps) and _additive(add, br, steps)
+            and _additive(add, cols, steps) and jacobi_witness(add, br, zero, gens) is None)
+
+
+def scalars_on_generators(add, smul, br, zero, proof=None) -> bool:
+    """Whether l(x + y) = lx + ly and [lx, y] = l[x, y] = [x, ly] for every
+    row l of smul, given holds_on_generators(add, br, zero), whose proof
+    list it reads if given. 4. x -> (lx for all l) is additive as f in 2.
+    5. The x with [lx, y] = l[x, y] for all l, y hold zero by 2 and 4 and
+    are closed under + by 4 and 2, so x in G suffices; so on the right.
+    """
+    gens, steps, cols = proof or (*_steps(add, zero), [list(c) for c in zip(*br)])
     return _additive(add, [list(c) for c in zip(*smul)], steps) and all(
         br[s[g]] == list(map(s.__getitem__, br[g]))
         and cols[s[g]] == list(map(s.__getitem__, cols[g])) for s in smul for g in gens)
@@ -449,8 +452,9 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra) -> CheckReport:
     else:
         add, smul, br = L.add_ops, L.smul_ops, L.bracket_ops
         fadd, fmul = F.add_ops, F.mul_ops
-    decided = triv and L.zero is not None and holds_on_generators(add, br, L.zero)
-    scaled = decided and scalars_on_generators(add, smul, br, L.zero)
+    proof = []
+    decided = triv and L.zero is not None and holds_on_generators(add, br, L.zero, proof)
+    scaled = decided and scalars_on_generators(add, smul, br, L.zero, proof)
     vec = _values(triv, n)
     sca = _values(triv, F.size)
     report.record("scalar-field", field_report.ok, None,

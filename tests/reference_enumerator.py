@@ -30,9 +30,10 @@ def _setwise(table):
     def apply(A, B):
         out = 0
         for x in range(rows):
-            for y in range(cols):
-                if A >> x & 1 and B >> y & 1:
-                    out |= table[x][y]
+            if A >> x & 1:
+                for y in range(cols):
+                    if B >> y & 1:
+                        out |= table[x][y]
         return out
 
     return apply

@@ -747,9 +747,9 @@ def _gen_call(draw):
                 st.tuples(_NO_DIGITS.filter(lambda t: t.replace(";", "").strip()), st.just(2)),
                 st.tuples(st.sampled_from(["ex1", "(0,9):(1)", "(1,0):(0,1)", "(0,1):(1"]),
                           st.just(2)),
-                # [x,[y,z]] + cyclic = 2z over GF(3)
-                st.just(("(0,1):(0,0,1);(0,2):(1,0,0);(1,2):(0,1,0)", 1 if (q, dim) == (3, 3)
-                         else 2)),
+                # [x,[y,z]] + cyclic = 2z: not zero over GF(3), zero over GF(2)
+                st.just(("(0,1):(0,0,1);(0,2):(1,0,0);(1,2):(0,1,0)",
+                         {(3, 3): 1, (2, 3): 0}.get((q, dim), 2))),
             ))
         return ["gen", "trivial", f"--q={q}", f"--dim={dim}", f"--constants={constants}"], code
     if generator == "qhyperfield":

@@ -23,6 +23,7 @@ import functools
 import math
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_enumerator as ref
@@ -135,6 +136,19 @@ def test_summand_pairs_and_levels_match_reference(case):
     t = _affordable_t(len(pairs), bounds.t, ref.sums_ignore_order(L.add, 3))
     assert (combine_levels(pairs, L.add_ops, t, _sums_commute(L, t))
             == ref.combine_levels(pairs, L.add, t))
+
+
+@pytest.mark.parametrize("bounds", [(2, 2, 1, 1), (1, 2, 2, 2)])
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_worked_examples_match_reference_at_two_leaves(request, name, bounds):
+    # the 81- and 27-element presets at m = 2, where summands are read off
+    # the leaf pool, on the gates of Sn for n = 1..3
+    L, bounds = request.getfixturevalue(name), ExpressionBounds(*bounds)
+    for gate in hyper_derived_sets(L, 2):
+        pairs = summand_pair_family(L, bounds, gate)
+        assert pairs == ref.summand_pair_family(L, bounds, gate)
+        assert (combine_levels(pairs, L.add_ops, bounds.t, _sums_commute(L, bounds.t))
+                == ref.combine_levels(pairs, L.add, bounds.t))
 
 
 def _engine_levels(table, pairs, t):

@@ -27,7 +27,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from conftest import _bilinear_algebra, _self_module, _steiner_loop
-from hyperlie import quotients
+from hyperlie import quotients, structures
 from hyperlie.errors import NotLie, NotWellDefined
 from hyperlie.generators import (
     gen_orbit_quotient,
@@ -47,7 +47,12 @@ from hyperlie.relations import (
     is_strongly_regular,
 )
 from hyperlie.sets import iter_bits
-from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra, additive_generators
+from hyperlie.structures import (
+    FiniteHyperfield,
+    FiniteLieHyperalgebra,
+    additive_generators,
+    check_lie_hyperalgebra,
+)
 
 
 def _classical(q, dim, constants=None):
@@ -146,6 +151,19 @@ def test_validate_agrees_with_exhaustive_scan(A):
     with mock.patch.object(quotients, "holds_on_generators", return_value=False):
         exhaustive = _validate_outcome(A)
     assert _validate_outcome(A) == exhaustive
+
+
+def test_generator_steps_are_built_once_per_check(monkeypatch):
+    # holds_on_generators and scalars_on_generators share one spanning tree
+    # per validate and per check_lie_hyperalgebra
+    L = gen_trivial_from_lie(3, 2, {(0, 1): (0, 1)})
+    runs = []
+    real = structures.spanning_tree
+    monkeypatch.setattr(structures, "spanning_tree", lambda *args: runs.append(1) or real(*args))
+    quotient_lie_algebra(L, Partition.diagonal(L.size))
+    assert len(runs) == 1
+    assert check_lie_hyperalgebra(L).ok
+    assert len(runs) == 2
 
 
 def test_generators_outnumber_a_basis_over_prime_powers():

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from hyperlie import quotients
+from hyperlie import quotients, relations
 from hyperlie.errors import (
     CharTwoGate,
     DegenerateField,
@@ -39,6 +39,7 @@ from hyperlie.relations import (
     transitive_closure,
 )
 from hyperlie.analysis import iter_partitions_rgs
+from hyperlie.structures import FiniteLieHyperalgebra
 from reference_linear import classical_dims_chain
 
 
@@ -90,6 +91,41 @@ def test_quotient_by_diagonal_reproduces_ex1(ex1):
         for j in range(ex1.size):
             want = ex1.bracket[i][j]
             assert A.bracket[i][j] == want.bit_length() - 1
+
+
+def test_diagonal_quotient_and_regularity_read_the_element_tables(ex1, monkeypatch):
+    # on the diagonal of a singleton-valued algebra class i is element i:
+    # neither the collapse nor a class lookup runs, and the tables agree
+    # with the collapse's
+    diagonal = Partition.diagonal(ex1.size)
+    collapse = quotients._collapse
+    want = [collapse(((op, table),), left, diagonal)[0] for op, table, left in (
+        ("add", ex1.add, diagonal), ("smul", ex1.smul, Partition.diagonal(ex1.field.size)),
+        ("bracket", ex1.bracket, diagonal))]
+    calls = []
+    for module, name in ((quotients, "_collapse"), (relations, "ClassOfMask")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert is_strongly_regular(ex1, diagonal) == (True, None)
+    A = quotient_lie_algebra(ex1, diagonal)
+    assert calls == []
+    assert [A.add, A.smul, A.bracket] == want
+    quotient_lie_algebra(ex1, _sn_star(ex1, 2))
+    assert "_collapse" in calls
+
+
+def test_diagonal_of_a_multivalued_algebra_is_still_scanned(ab1):
+    # one bracket cell of two elements: the diagonal is not strongly
+    # regular, and the quotient names the straddling cell
+    bracket = [list(row) for row in ab1.bracket]
+    bracket[1][1] |= 1 << 2
+    L = FiniteLieHyperalgebra(ab1.field, ab1.names, ab1.add, ab1.smul, bracket)
+    diagonal = Partition.diagonal(L.size)
+    assert is_strongly_regular(L, diagonal) == (False, ("bracket-left", 1, 1, 1))
+    with pytest.raises(NotWellDefined) as exc:
+        quotient_lie_algebra(L, diagonal)
+    assert (exc.value.op, exc.value.witness) == ("bracket", (1, 1, 0, 2))
 
 
 def _sn_star(L, n):

@@ -284,6 +284,19 @@ def test_relation_S_enumerates_up_to_its_proven_stop(request, monkeypatch, name,
     assert len(runs) == enumerations
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_owed_states_are_built_from_three_leaves(ab1, monkeypatch, m):
+    # up to two leaves the summands are read off the leaf pool in closed
+    # form; the owed-multiset DP runs from m = 3
+    built = []
+    for name in ("_Owed", "_Layer"):
+        real = getattr(relations, name)
+        monkeypatch.setattr(relations, name,
+                            lambda *args, real=real: built.append(real) or real(*args))
+    relations.summand_pair_family(ab1, ExpressionBounds(1, m, 1, 1), (1 << ab1.size) - 1)
+    assert {cls.__name__ for cls in built} == ({"_Owed", "_Layer"} if m == 3 else set())
+
+
 _SN_ENTRIES = {
     "closed_relation": lambda L, n, bounds: closed_relation(L, "Sn", n, bounds),
     "relation_Sn": relation_Sn,
