@@ -33,6 +33,7 @@ from .structures import (
     FiniteHyperfield,
     FiniteLieHyperalgebra,
     Hypergroup,
+    associativity,
     check_carrier_size,
     check_hyperfield,
     check_hypergroup,
@@ -123,11 +124,8 @@ def _group_checks(table):
     for row in table:
         if len(row) != n or any(not (0 <= v < n) for v in row):
             raise MalformedTable("group table must be square over its own indices")
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    raise NotAGroup("group-associative", (x, y, z))
+    for witness in associativity(table, table, range(n), range(n)):
+        raise NotAGroup("group-associative", witness)
     ident = identity(table, range(n))
     if ident is None:
         raise NotAGroup("group-identity", ())

@@ -2,15 +2,17 @@
 
 Carriers are indexed 0..n-1; every hyperoperation table cell is an int
 bitmask over the carrier (see sets.py). Checkers decide each axiom over the
-whole carrier, never by sampling. Each composite axiom is written once, as
-a loop over a view of the operations that the checker picks once per call:
-the element-index tables when every table is singleton-valued, the SetOps
-set lifts otherwise. Both views decide every instance alike, but on
+whole carrier, never by sampling. Each law shape (associativity, left and
+right distributivity, homogeneity, Jacobi) is one loop that the checkers
+share, run on a view of the operations that the checker picks once per
+call: the element-index tables when every table is singleton-valued, the
+SetOps set lifts otherwise. Both views decide every instance alike, but on
 element-index tables holds_on_generators and scalars_on_generators prove
 seven Lie laws on additive generators, and only the other laws loop.
-reevaluate replays single instances independently of both views: LAWS
-states each witnessed axiom as equations between expression trees, and
-evaluate computes a tree from the raw mask tables, through no SetOps.
+reevaluate replays single instances independently of both views and of
+the shape loops: LAWS is a separate statement of each witnessed axiom, as
+equations between expression trees, and evaluate computes a tree from the
+raw mask tables, through no SetOps.
 """
 
 from __future__ import annotations
@@ -48,6 +50,17 @@ def check_carrier_size(size: int) -> None:
     cap = carrier_cap()
     if size > cap:
         raise CarrierCapExceeded(f"carrier size {size} exceeds cap {cap}")
+
+
+def _carrier(names):
+    """The element names as a list, refused when empty, over the cap or repeated."""
+    names = list(names)
+    if not names:
+        raise MalformedTable("empty carrier")
+    check_carrier_size(len(names))
+    if len(set(names)) != len(names):
+        raise MalformedTable("duplicate element names")
+    return names
 
 
 def _intake(table, rows, cols, size, what):
@@ -116,23 +129,81 @@ def associates_at(add, steps) -> bool:
     return all(add[add[x][g]] == list(map(add[x].__getitem__, add[g])) for x, g in steps)
 
 
+# The checkers' loops, one per law shape. Each runs on either view of the
+# operations (element-index tables, or SetOps set lifts), takes the values
+# of its positions as lists, looks every row up outside the innermost loop,
+# and yields the positions of each failing instance in product order.
+def associativity(f, g, A, C):
+    """(a, b, c) in A x A x C with f(g(a, b), c) != f(a, f(b, c))."""
+    for a, va in enumerate(A):
+        fa, ga = f[va], g[va]
+        for b, vb in enumerate(A):
+            fab, fb = f[ga[vb]], f[vb]
+            for c, vc in enumerate(C):
+                if fab[vc] != fa[fb[vc]]:
+                    yield a, b, c
+
+
+def left_distributivity(f, g, A, X):
+    """(a, x, y) in A x X x X with f(a, g(x, y)) != g(f(a, x), f(a, y))."""
+    for a, va in enumerate(A):
+        fa = f[va]
+        for x, vx in enumerate(X):
+            gx, gfx = g[vx], g[fa[vx]]
+            for y, vy in enumerate(X):
+                if fa[gx[vy]] != gfx[fa[vy]]:
+                    yield a, x, y
+
+
+def right_distributivity(f, g, h, A, X):
+    """(a, b, x) in A x A x X with f(g(a, b), x) != h(f(a, x), f(b, x))."""
+    for a, va in enumerate(A):
+        fa, ga = f[va], g[va]
+        for b, vb in enumerate(A):
+            fab, fb = f[ga[vb]], f[vb]
+            for x, vx in enumerate(X):
+                if fab[vx] != h[fa[vx]][fb[vx]]:
+                    yield a, b, x
+
+
+def homogeneity(f, s, A, X):
+    """(a, x, y) in A x X x X with f(s(a, x), y) != s(a, f(x, y))."""
+    for a, va in enumerate(A):
+        sa = s[va]
+        for x, vx in enumerate(X):
+            fx, fax = f[vx], f[sa[vx]]
+            for y, vy in enumerate(X):
+                if fax[vy] != sa[fx[vy]]:
+                    yield a, x, y
+
+
+def jacobi(add, br, X, zero, lifted=False):
+    """(x, y, z) in X x X x X whose Jacobiator [x, [y, z]] + [y, [z, x]] +
+    [z, [x, y]] is not the element zero, or on set lifts misses the mask zero."""
+    rows = [(v, br[v]) for v in X]
+    for x, (vx, bx) in enumerate(rows):
+        for y, (vy, by) in enumerate(rows):
+            bxy = bx[vy]
+            for z, (vz, bz) in enumerate(rows):
+                t = add[add[bx[by[vz]]][by[bz[vx]]]][bz[bxy]]
+                if (not t & zero) if lifted else t != zero:
+                    yield x, y, z
+
+
 def _associative(S) -> bool:
     """Whether + associates: by Light's test if zero is an identity, else setwise."""
     add, zero, ops, n = S.add_elt, S.zero, SetOps(S.add), S.size
     if add and zero is not None and add[zero] == [r[zero] for r in add] == list(range(n)):
         return associates_at(add, product(range(n), additive_generators(add, zero)))
-    return all([ops[xy][1 << z] for z in range(n)] == [ops[1 << x][yz] for yz in S.add[y]]
-               for x, row in enumerate(S.add) for y, xy in enumerate(row))
+    vals = [1 << x for x in range(n)]
+    return next(associativity(ops, ops, vals, vals), None) is None
 
 
 def jacobi_witness(add, br, zero, elems):
     """Positions (i, j, k) in elems of the first triple (x, y, c), in
     product order, whose Jacobiator [x, [y, c]] + [y, [c, x]] + [c, [x, y]]
     is not zero on element tables; None when there is none."""
-    for (i, x), (j, y), (k, c) in product(enumerate(elems), repeat=3):
-        if add[add[br[x][br[y][c]]][br[y][br[c][x]]]][br[c][br[x][y]]] != zero:
-            return i, j, k
-    return None
+    return next(jacobi(add, br, elems, zero), None)
 
 
 def _steps(add, zero):
@@ -205,11 +276,8 @@ class Hypergroup:
     """Carrier with one hyperoperation. Names double as JSON element ids."""
 
     def __init__(self, names, add):
-        self.names = list(names)
+        self.names = _carrier(names)
         self.size = n = len(self.names)
-        check_carrier_size(n)
-        if len(set(self.names)) != n:
-            raise MalformedTable("duplicate element names")
         self.add, self.add_elt = _intake(add, n, n, n, "add")
         self.add_ops = SetOps(self.add)
         self.index = {nm: i for i, nm in enumerate(self.names)}
@@ -226,11 +294,8 @@ class FiniteHyperfield:
     associative_add = cached_property(_associative)
 
     def __init__(self, names, add, mul, gf_order=None):
-        self.names = list(names)
+        self.names = _carrier(names)
         self.size = n = len(self.names)
-        check_carrier_size(n)
-        if len(set(self.names)) != n:
-            raise MalformedTable("duplicate element names")
         self.add, self.add_elt = _intake(add, n, n, n, "add")
         self.mul, self.mul_elt = _intake(mul, n, n, n, "mul")
         self.add_ops = SetOps(self.add)
@@ -264,11 +329,8 @@ class FiniteLieHyperalgebra:
         if not isinstance(field, FiniteHyperfield):
             raise FieldMismatch("field must be a FiniteHyperfield")
         self.field = field
-        self.names = list(names)
+        self.names = _carrier(names)
         self.size = n = len(self.names)
-        check_carrier_size(n)
-        if len(set(self.names)) != n:
-            raise MalformedTable("duplicate element names")
         self.add, self.add_elt = _intake(add, n, n, n, "add")
         self.smul, self.smul_elt = _intake(smul, field.size, n, n, "smul")
         self.bracket, self.br_elt = _intake(bracket, n, n, n, "bracket")
@@ -341,17 +403,9 @@ def check_hypergroup_tables(table, op, vals, carrier_mask: int, report: CheckRep
     associativity and reproduction as holding, for a caller that proved them.
     """
     elems = list(iter_bits(carrier_mask))
-    rows = [(x, vals[x], op[vals[x]]) for x in elems]
-
-    def assoc_fails():
-        for x, _, ox in rows:
-            for y, vy, oy in rows:
-                oxy = op[ox[vy]]
-                for z, vz, _ in rows:
-                    if oxy[vz] != ox[oy[vz]]:
-                        yield (x, y, z)
-
-    report.record_first(f"{prefix}-associative", () if decided else assoc_fails())
+    sub = [vals[x] for x in elems]
+    report.record_first(f"{prefix}-associative", () if decided else (
+        tuple(elems[i] for i in w) for w in associativity(op, op, sub, sub)))
 
     def repro_fails():
         for x in elems:
@@ -404,30 +458,9 @@ def check_hyperfield(F: FiniteHyperfield) -> CheckReport:
     report.record_first("zero-absorbing", (
         (x,) for x in range(n) if F.mul[z][x] != 1 << z or F.mul[x][z] != 1 << z))
 
-    def dist_left_fails():
-        for a, va in enumerate(vals):
-            ma = fmul[va]
-            for b, vb in enumerate(vals):
-                ab = fadd[vb]
-                amb = fadd[ma[vb]]
-                for c, vc in enumerate(vals):
-                    if ma[ab[vc]] != amb[ma[vc]]:
-                        yield (a, b, c)
-
-    report.record_first("distributive-left", dist_left_fails())
-
-    def dist_right_fails():
-        for a, va in enumerate(vals):
-            aa = fadd[va]
-            ma = fmul[va]
-            for b, vb in enumerate(vals):
-                mab = fmul[aa[vb]]
-                mb = fmul[vb]
-                for c, vc in enumerate(vals):
-                    if mab[vc] != fadd[ma[vc]][mb[vc]]:
-                        yield (a, b, c)
-
-    report.record_first("distributive-right", dist_right_fails())
+    report.record_first("distributive-left", left_distributivity(fmul, fadd, vals, vals))
+    report.record_first("distributive-right",
+                        right_distributivity(fmul, fadd, fadd, vals, vals))
     return report
 
 
@@ -474,105 +507,27 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra) -> CheckReport:
     report.record_first("zero-vector-identity", (
         (x,) for x in range(n) if L.add[zi][x] != 1 << x or L.add[x][zi] != 1 << x))
 
-    # (value, bracket row) of every vector, for loops that bracket from the left
-    br_rows = [(v, br[v]) for v in vec]
-
-    def dist_vector_add_fails():
-        for a, va in enumerate(sca):
-            sa = smul[va]
-            for x, vx in enumerate(vec):
-                ax = add[vx]
-                asx = add[sa[vx]]
-                for y, vy in enumerate(vec):
-                    if sa[ax[vy]] != asx[sa[vy]]:
-                        yield (a, x, y)
-
-    report.record_first("scalar-dist-vector-add", () if scaled else dist_vector_add_fails())
-
-    def dist_scalar_add_fails():
-        for a, va in enumerate(sca):
-            sa = smul[va]
-            fa = fadd[va]
-            for b, vb in enumerate(sca):
-                sab = smul[fa[vb]]
-                sb = smul[vb]
-                for x, vx in enumerate(vec):
-                    if sab[vx] != add[sa[vx]][sb[vx]]:
-                        yield (a, b, x)
-
-    report.record_first("scalar-dist-scalar-add", dist_scalar_add_fails())
-
-    def scalar_assoc_fails():
-        for a, va in enumerate(sca):
-            sa = smul[va]
-            fa = fmul[va]
-            for b, vb in enumerate(sca):
-                sab = smul[fa[vb]]
-                sb = smul[vb]
-                for x, vx in enumerate(vec):
-                    if sab[vx] != sa[sb[vx]]:
-                        yield (a, b, x)
-
-    report.record_first("scalar-associative", scalar_assoc_fails())
-
-    def br_add_left_fails():
-        for x1, (v1, b1) in enumerate(br_rows):
-            a1 = add[v1]
-            for x2, (v2, b2) in enumerate(br_rows):
-                bs = br[a1[v2]]
-                for y, vy in enumerate(vec):
-                    if bs[vy] != add[b1[vy]][b2[vy]]:
-                        yield (x1, x2, y)
-
-    report.record_first("bracket-additive-left", () if decided else br_add_left_fails())
-
-    def br_add_right_fails():
-        for y1, v1 in enumerate(vec):
-            a1 = add[v1]
-            for y2, v2 in enumerate(vec):
-                s = a1[v2]
-                for x, (_, bx) in enumerate(br_rows):
-                    if bx[s] != add[bx[v1]][bx[v2]]:
-                        yield (x, y1, y2)
-
-    report.record_first("bracket-additive-right", () if decided else br_add_right_fails())
-
-    def br_hom_left_fails():
-        for a, va in enumerate(sca):
-            sa = smul[va]
-            for x, (vx, bx) in enumerate(br_rows):
-                bax = br[sa[vx]]
-                for y, vy in enumerate(vec):
-                    if bax[vy] != sa[bx[vy]]:
-                        yield (a, x, y)
-
-    report.record_first("bracket-homogeneous-left", () if scaled else br_hom_left_fails())
-
-    def br_hom_right_fails():
-        for a, va in enumerate(sca):
-            sa = smul[va]
-            for y, vy in enumerate(vec):
-                say = sa[vy]
-                for x, (_, bx) in enumerate(br_rows):
-                    if bx[say] != sa[bx[vy]]:
-                        yield (a, x, y)
-
-    report.record_first("bracket-homogeneous-right", () if scaled else br_hom_right_fails())
-
+    report.record_first("scalar-dist-vector-add",
+                        () if scaled else left_distributivity(smul, add, sca, vec))
+    report.record_first("scalar-dist-scalar-add", right_distributivity(smul, fadd, add, sca, vec))
+    report.record_first("scalar-associative", associativity(smul, fmul, sca, vec))
+    report.record_first("bracket-additive-left",
+                        () if decided else right_distributivity(br, add, add, vec, vec))
+    if not scaled:
+        # the bracket transposed: the right-side laws are the left-side
+        # loops on it, their witnesses rotated back into the law's order
+        cols = [list(c) for c in zip(*(br if triv else L.bracket))]
+        brt = cols if triv else SetOps(cols)
+    report.record_first("bracket-additive-right", () if decided else (
+        (x, y1, y2) for y1, y2, x in right_distributivity(brt, add, add, vec, vec)))
+    report.record_first("bracket-homogeneous-left",
+                        () if scaled else homogeneity(br, smul, sca, vec))
+    report.record_first("bracket-homogeneous-right", () if scaled else (
+        (a, x, y) for a, y, x in homogeneity(brt, smul, sca, vec)))
     report.record_first("bracket-alternating",
                         ((x,) for x in range(n) if not L.bracket[x][x] & 1 << zi))
-
-    def jacobi_fails():
-        zero = vec[zi]
-        for x, (vx, bx) in enumerate(br_rows):
-            for y, (vy, by) in enumerate(br_rows):
-                bxy = bx[vy]
-                for z, (vz, bz) in enumerate(br_rows):
-                    t = add[add[bx[by[vz]]][by[bz[vx]]]][bz[bxy]]
-                    if (t != zero) if triv else not t & zero:
-                        yield (x, y, z)
-
-    report.record_first("jacobi-contains-zero", () if decided else jacobi_fails())
+    report.record_first("jacobi-contains-zero",
+                        () if decided else jacobi(add, br, vec, vec[zi], not triv))
     return report
 
 

@@ -90,6 +90,18 @@ def test_bad_group_table_rejected():
         gen_coset_hypergroup([[0, 0], [0, 0]], [0])
 
 
+@pytest.mark.parametrize("table, axiom, witness", [
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 2]], "group-associative", (1, 1, 2)),
+    ([[0, 0], [1, 1]], "group-identity", ()),
+    ([[0, 1], [1, 1]], "group-inverses", (1,)),
+])
+def test_group_checks_name_the_first_witness(table, axiom, witness):
+    # associative with no identity: x * y = x; a monoid: 1 absorbs
+    with pytest.raises(NotAGroup) as exc:
+        gen_coset_hypergroup(table, [0])
+    assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
+
+
 def test_bad_subgroup_rejected():
     table, _ = make_cyclic_group(6)
     with pytest.raises(NotASubgroup):

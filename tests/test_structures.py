@@ -66,6 +66,16 @@ def test_duplicate_names_rejected():
         Hypergroup(["x", "x"], [[1, 2], [2, 1]])
 
 
+@pytest.mark.parametrize("build", [
+    lambda F: Hypergroup([], []),
+    lambda F: FiniteHyperfield([], [], []),
+    lambda F: FiniteLieHyperalgebra(F, [], [], [[]] * F.size, []),
+], ids=["hypergroup", "hyperfield", "lie_hyperalgebra"])
+def test_empty_carrier_rejected(build):
+    with pytest.raises(MalformedTable, match="empty carrier"):
+        build(gen_trivial_field(3))
+
+
 def test_ragged_table_rejected():
     with pytest.raises(MalformedTable):
         Hypergroup(["x", "y"], [[1, 2]])

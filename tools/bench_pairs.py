@@ -64,11 +64,16 @@ def source_digest(*dirs) -> str:
 
 
 def parse_seeds(text: str):
-    """'1-10' or '3,5,8' -> list of ints."""
+    """'1-10' or '3,5,8' -> list of ints; fewer than two are refused, as
+    the quartiles of each side need at least two runs."""
     if "-" in text:
         lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"need at least two seeds, got {text!r}")
+    return seeds
 
 
 def run_once(tree: str, command, workload: str, seed: int, seconds: float):
@@ -112,14 +117,14 @@ def summarize(metric, pairs):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD", help="commit to compare with (default HEAD)")
-    ap.add_argument("--seeds", default="1-10", help="'1-10' or '3,5,8' (default 1-10)")
+    ap.add_argument("--seeds", default="1-10", type=parse_seeds,
+                    help="'1-10' or '3,5,8', at least two (default 1-10)")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
-    seeds = parse_seeds(args.seeds)
     base_commit = git("rev-parse", args.base)
     doc = {
         "base_commit": base_commit,
@@ -129,7 +134,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "seconds": seconds,
-        "seeds": seeds,
+        "seeds": args.seeds,
         "quartile_method": "statistics.quantiles(n=4, method='inclusive')",
         "workloads": {},
     }
@@ -138,7 +143,7 @@ def main(argv=None) -> int:
         trees = {"parent": base_tree, "change": ROOT}
         for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
-            for i, seed in enumerate(seeds):
+            for i, seed in enumerate(args.seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
