@@ -5,15 +5,19 @@ covers every expression within ExpressionBounds without evaluating them one
 by one. The swap relations A and Sn read summands of at most two leaves
 off the leaf pool, and from three leaves build bracket trees bottom-up in
 a tree DP over distinct subtree states (the written and permuted values,
-with the gated values a leaf permutation still owes). Every comparison of
-a written order with its permutations is one fold, combine_levels: scalar
-products, the sums of products that make coefficients, and the sums of
-summands for A, Sn and alpha, folded over rectangles of pairs where +
-commutes and associates. L compares no permutations, so it builds the
-written values alone and folds its sums over values, not pairs (the pair
-fold was measured slower on cold L). Every stage dedupes by evaluated value
-sets. RelationStatus reports how the finite run should be read (exact
-against an oracle, stabilized, or bound-limited).
+with the gated values a leaf permutation still owes). When every leaf
+shows the same value written and permuted, as on every lawful structure,
+each layer is closed under swapping its two sides and negating what it
+owes, so the DP builds half of each layer and mirrors the layers it reads
+again. Every comparison of a written order with its permutations is one
+fold, combine_levels: scalar products, the sums of products that make
+coefficients, and the sums of summands for A, Sn and alpha, folded over
+rectangles of pairs where + commutes and associates. L compares no
+permutations, so it builds the written values alone and folds its sums
+over values, not pairs (the pair fold was measured slower on cold L).
+Every stage dedupes by evaluated value sets. RelationStatus reports how
+the finite run should be read (exact against an oracle, stabilized, or
+bound-limited).
 """
 
 from __future__ import annotations
@@ -317,25 +321,33 @@ class _Layer:
         self.groups = groups
         self._index = None
 
-    def sources(self, owed: int, budget: int):
+    def sources(self, owed: int, budget: int, half: bool):
         """State lists a subtree owing owed may pair with so that the sum
         owes at most budget values: at budget 0 the exact negation; else
         those small enough not to need cancelling and those that cancel at
-        least one value. A state may be listed twice."""
+        least one value. A state may be listed twice.
+
+        With half, only sums owing >= 0 are asked for: owed > 0 still gets
+        every source, owed == 0 only the sources owing >= 0, and owed < 0
+        only the sources that cancel one of its values."""
         if budget == 0:
             return [self.groups.get(-owed, ())]
         if self._index is None:
-            by_size, by_plus, by_minus = {}, {}, {}
+            by_size, nonneg_by_size, by_plus, by_minus = {}, {}, {}, {}
             for key, group in self.groups.items():
                 size, plus, minus = self.codec.tokens(key)
                 by_size.setdefault(size, []).extend(group)
+                if key >= 0:
+                    nonneg_by_size.setdefault(size, []).extend(group)
                 for v in plus:
                     by_plus.setdefault(v, []).extend(group)
                 for v in minus:
                     by_minus.setdefault(v, []).extend(group)
-            self._index = by_size, by_plus, by_minus
-        by_size, by_plus, by_minus = self._index
+            self._index = by_size, nonneg_by_size, by_plus, by_minus
+        by_size, nonneg_by_size, by_plus, by_minus = self._index
         size, plus, minus = self.codec.tokens(owed)
+        if half and owed <= 0:
+            by_size = nonneg_by_size if owed == 0 else {}
         out = [by_size[r] for r in range(budget - size + 1) if r in by_size]
         out += [by_minus[v] for v in plus if v in by_minus]
         out += [by_plus[v] for v in minus if v in by_plus]
@@ -360,6 +372,24 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     Up to m = 2 no state is kept. Leaves (x1, r1), (x2, r2) owe +r1 -w1 and
     +r2 -w2 with w != r, which cancel only at w1 = r2, w2 = r1: so a tree
     gives ([x1, x2], [r1, r2]), and ([x1, x2], [r2, r1]) if both are gated.
+
+    From m = 3 on a diagonal pool (every leaf has vl == vr, as on every
+    lawful structure), each layer is closed under the mirror (owed, U, V)
+    -> (-owed, V, U): a gated leaf (v, v) showing w mirrors to (w, w)
+    showing v, and the bracket of two mirrors is the mirror of their
+    bracket. So a layer is formed only from pairs whose sum owes >= 0 (a
+    packed owed has the sign of its top digit): a left state owing > 0
+    takes every source, one owing 0 the sources owing >= 0, one owing < 0
+    only those that cancel one of its values. Its other sums are mirrors
+    of sums formed from its mirror, and at budget 1 owe < 0 anyway. A layer
+    that a later stored layer reads is mirrored back to full; the last one
+    (budget 1, read only by the root) stays half, as mirroring it too
+    measured slower and larger. The root reads each split from that
+    layer's side: left owing <= 0 where it is on the right, >= 0 where it
+    is on the left. The trees it skips are the swaps of those it forms,
+    which the final swap closure adds back. A leaf with vl != vr, which
+    only unchecked tables whose + or . does not commute give, breaks the
+    premise, and the layers are then built in full.
     """
     coeff_pairs = coefficient_pair_family(L.field, bounds)
     pool = _leaf_pool(L, coeff_pairs, gate_mask)
@@ -380,6 +410,7 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     leaves = [(0, vl, vr) for vl, vr, _ in pool]
     leaves += [(unit[vr] - unit[w], vl, w)
                for vl, vr, sw in pool if sw for w in gated if w != vr]
+    half = all(vl == vr for vl, vr, _ in pool)  # the mirror's premise
     layers = [None, _Layer(leaves, 1, codec, m - 1)]
     pairs = set()
     for k in range(2, m + 1):
@@ -387,8 +418,12 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
         states = set()
         for i in range(1, k):
             right = layers[k - i]
-            for key, group in layers[i].groups.items():
-                sources = right.sources(key, budget)
+            groups = layers[i].groups.items()
+            if half and not budget:  # read each split from its half layer's side
+                side = 1 if i == m - 1 else -1
+                groups = [(key, g) for key, g in groups if side * key >= 0]
+            for key, group in groups:
+                sources = right.sources(key, budget, half)
                 for _, U, V in group:
                     ru, rv = br[U], br[V]
                     for src in sources:
@@ -396,6 +431,8 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
                             states.update([(key + o, ru[X], rv[Y]) for o, X, Y in src])
                         else:  # whole trees; every source settles key to empty
                             pairs.update([(ru[X], rv[Y]) for _, X, Y in src])
+        if half and k < m - 1:  # a later stored layer reads this one in full
+            states |= {(-o, V, U) for o, U, V in states}
         if budget:
             layers.append(_Layer(states, k, codec, budget))
     pairs.update((U, V) for layer in layers[1:] for _, U, V in layer.groups.get(0, ()))

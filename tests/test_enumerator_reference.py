@@ -21,6 +21,7 @@ runs in milliseconds.
 
 import functools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -28,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_enumerator as ref
 from conftest import _self_module
+from hyperlie import relations
 from hyperlie.generators import (
     gen_orbit_quotient,
     gen_quotient_hyperfield,
@@ -149,6 +151,74 @@ def test_worked_examples_match_reference_at_two_leaves(request, name, bounds):
         assert pairs == ref.summand_pair_family(L, bounds, gate)
         assert (combine_levels(pairs, L.add_ops, bounds.t, _sums_commute(L, bounds.t))
                 == ref.combine_levels(pairs, L.add, bounds.t))
+
+
+def _seeded_algebra(seed):
+    """(unchecked algebra with 2-3 scalars and 2-3 elements, gate): the
+    whole carrier for odd seeds, a random mask for even ones."""
+    rng = random.Random(seed)
+    k, n = rng.randint(2, 3), rng.randint(2, 3)
+
+    def table(rows, cols, size):
+        return [[1 << rng.randrange(size) if rng.random() < 0.75 else rng.randrange(1, 1 << size)
+                 for _ in range(cols)] for _ in range(rows)]
+
+    F = FiniteHyperfield([f"s{i}" for i in range(k)], table(k, k, k), table(k, k, k))
+    L = FiniteLieHyperalgebra(F, [f"x{i}" for i in range(n)],
+                              table(n, n, n), table(k, n, n), table(n, n, n))
+    return L, (1 << n) - 1 if seed % 2 else rng.randrange(1 << n)
+
+
+@pytest.mark.parametrize("bounds", [(1, 3, 1, 1), (1, 3, 2, 1), (1, 4, 1, 1)],
+                         ids=lambda b: ",".join(map(str, b)))
+def test_seeded_unchecked_algebras_match_reference_from_three_leaves(bounds):
+    # the DP builds half of each layer on a diagonal pool and mirrors it;
+    # random tables reach the root splits and owed states that lawful
+    # fixtures, whose alternating brackets mirror the two root splits, do
+    # not. Every pool here has at most 5 leaves at m = 4.
+    bounds = ExpressionBounds(*bounds)
+    wrong = []
+    for seed in range(60):
+        L, gate = _seeded_algebra(seed)
+        if summand_pair_family(L, bounds, gate) != ref.summand_pair_family(L, bounds, gate):
+            wrong.append(seed)
+    assert wrong == []
+
+
+def _non_diagonal_pool_case():
+    """An unchecked algebra whose field + and . do not commute, so that at
+    bounds 1,3,2,2 on the whole carrier its pool holds (x0, x2) and (x2, x0):
+    a leaf whose two sides differ."""
+    F = FiniteHyperfield(["s0", "s1"], [[1, 2], [1, 2]], [[2, 2], [1, 2]])
+    L = FiniteLieHyperalgebra(F, ["x0", "x1", "x2"], [[1, 2, 4], [5, 7, 1], [4, 2, 1]],
+                              [[1, 2, 4], [1, 2, 1]], [[4, 1, 4], [2, 2, 1], [4, 6, 4]])
+    return L, ExpressionBounds(1, 3, 2, 2), 7
+
+
+def test_non_diagonal_pool_keeps_every_state():
+    # its layers are not closed under the mirror, so halving them loses pairs
+    L, bounds, gate = _non_diagonal_pool_case()
+    pool = _leaf_pool(L, coefficient_pair_family(L.field, bounds), gate)
+    assert {(1, 4), (4, 1)} <= {(vl, vr) for vl, vr, _ in pool}
+    pairs = summand_pair_family(L, bounds, gate)
+    assert len(pairs) == 32
+    assert pairs == ref.summand_pair_family(L, bounds, gate)
+
+
+def test_half_build_runs_on_diagonal_pools_only(ex2, monkeypatch):
+    halves = []
+
+    class Layer(relations._Layer):
+        def sources(self, owed, budget, half):
+            halves.append(half)
+            return super().sources(owed, budget, half)
+
+    monkeypatch.setattr(relations, "_Layer", Layer)
+    summand_pair_family(ex2, ExpressionBounds(3, 3, 1, 1), (1 << ex2.size) - 1)
+    assert set(halves) == {True}
+    halves.clear()
+    summand_pair_family(*_non_diagonal_pool_case())
+    assert set(halves) == {False}
 
 
 def _engine_levels(table, pairs, t):
