@@ -83,7 +83,7 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     return parse_structure(text)
 
@@ -395,8 +395,11 @@ def cmd_gen(args) -> int:
         raise ParseError(f"unknown generator {args.generator!r}")
     text = serialize_structure(structure)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseError(f"cannot write {args.out}: {e}") from None
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -28,12 +28,12 @@ from .gf import (
     int_to_digits,
     is_prime,
 )
+from .laws import associativity
 from .sets import mask_of
 from .structures import (
     FiniteHyperfield,
     FiniteLieHyperalgebra,
     Hypergroup,
-    associativity,
     check_carrier_size,
     check_hyperfield,
     check_hypergroup,

@@ -22,6 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import HyperlieError, MalformedTable, NotAField
+from .laws import associativity, commutativity, first_failure, left_distributivity
 
 
 def is_prime(n: int) -> bool:
@@ -131,8 +132,8 @@ def identity(table, elems):
 class FiniteField:
     """Classical finite field given by element-valued Cayley tables.
 
-    neg and validate read the negatives and inverses from lists built once
-    from the tables. The tables are not assumed to be a field until
+    neg and validate read the negatives from a list built once from the
+    tables. The tables are not assumed to be a field until
     validate() says so: neg raises NotAField where no negative exists.
     """
 
@@ -146,11 +147,6 @@ class FiniteField:
         self.zero = identity(self.add, rng)
         self.one = identity(self.mul, [x for x in rng if x != self.zero])
         self._neg = [next((b for b in rng if self.add[a][b] == self.zero), None) for a in rng]
-        self._inv = [
-            next((b for b in rng if b != self.zero and self.mul[a][b] == self.one), None)
-            if a != self.zero else None
-            for a in rng
-        ]
 
     @classmethod
     def from_trivial_hyperfield(cls, F) -> "FiniteField":
@@ -159,31 +155,23 @@ class FiniteField:
         return cls(F.names, F.add_elt, F.mul_elt)
 
     def validate(self):
-        """Field axioms with first witness; raises NotAField."""
-        n = self.size
-        rng = range(n)
-        if n < 2 or self.zero is None or self.one is None or self.zero == self.one:
+        """Field axioms with first witness, by blocks; raises NotAField."""
+        rng, add, mul, zero = range(self.size), self.add, self.mul, self.zero
+        if self.size < 2 or zero is None or self.one is None or zero == self.one:
             raise NotAField("identities", None, "need distinct zero and one")
-        for a, b in product(rng, rng):
-            if self.add[a][b] != self.add[b][a]:
-                raise NotAField("add-commutative", (a, b))
-            if self.mul[a][b] != self.mul[b][a]:
-                raise NotAField("mul-commutative", (a, b))
-        for a, b, c in product(rng, rng, rng):
-            if self.add[self.add[a][b]][c] != self.add[a][self.add[b][c]]:
-                raise NotAField("add-associative", (a, b, c))
-            if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
-                raise NotAField("mul-associative", (a, b, c))
-            if self.mul[a][self.add[b][c]] != self.add[self.mul[a][b]][self.mul[a][c]]:
-                raise NotAField("distributive", (a, b, c))
-        for a in rng:
-            if self._neg[a] is None:
-                raise NotAField("add-inverse", (a,))
-            if a != self.zero:
-                if self.mul[a][self.zero] != self.zero:
-                    raise NotAField("zero-absorbing", (a,))
-                if self._inv[a] is None:
-                    raise NotAField("mul-inverse", (a,))
+        for laws in (
+            (("add-commutative", commutativity(add, rng)),
+             ("mul-commutative", commutativity(mul, rng))),
+            (("add-associative", associativity(add, add, rng, rng)),
+             ("mul-associative", associativity(mul, mul, rng, rng)),
+             ("distributive", left_distributivity(mul, add, rng, rng))),
+            (("add-inverse", ((a,) for a in rng if self._neg[a] is None)),
+             ("zero-absorbing", ((a,) for a in rng if a != zero and mul[a][zero] != zero)),
+             ("mul-inverse", ((a,) for a in rng if a != zero and self.one not in mul[a]))),
+        ):
+            failure = first_failure(*laws)
+            if failure:
+                raise NotAField(*failure)
         return self
 
     @property

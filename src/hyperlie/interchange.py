@@ -151,6 +151,8 @@ def parse_structure(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
     kind = obj.get("kind")

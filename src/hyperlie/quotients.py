@@ -4,7 +4,6 @@ of an algebra that passes detect_trivial's premise."""
 
 from __future__ import annotations
 
-from itertools import product
 from operator import or_
 
 from .errors import (
@@ -16,6 +15,15 @@ from .errors import (
     NotWellDefined,
 )
 from .gf import FiniteField, classical_tables, get_gf, is_prime, trusted_field
+from .laws import (
+    associativity,
+    commutativity,
+    first_failure,
+    homogeneity,
+    jacobi,
+    left_distributivity,
+    right_distributivity,
+)
 from .relations import ClassOfMask, Partition
 from .sets import iter_bits
 from .structures import (
@@ -120,63 +128,35 @@ class FiniteLieAlgebra:
 
         holds_on_generators and scalars_on_generators decide the axioms of
         three vectors, add-commutative, scalar-dist and bracket-homogeneous;
-        the others, and any undecided, loop and name the first witness.
-        """
-        n = self.size
-        F = self.field
-        rng = range(n)
-        z = self.zero
+        the others, and any undecided, run by blocks, as in FiniteField."""
+        F, z, rng, sca = self.field, self.zero, range(self.size), range(self.field.size)
+        add, smul, br = self.add, self.smul, self.bracket
         proof = []
-        decided = holds_on_generators(self.add, self.bracket, z, proof)
-        for x in rng:
-            if self.add[z][x] != x or self.add[x][z] != x:
-                raise NotLie("classical-zero-identity", (x,))
-            if self.smul[F.one][x] != x:
-                raise NotLie("classical-scalar-one", (x,))
-            if self.smul[F.zero][x] != z:
-                raise NotLie("classical-scalar-zero", (x,))
-            if self.bracket[x][x] != z:
-                raise NotLie("classical-alternating", (x,))
-            if z not in self.add[x]:
-                raise NotLie("classical-add-inverse", (x,))
-        for x, y in () if decided else product(rng, rng):
-            if self.add[x][y] != self.add[y][x]:
-                raise NotLie("classical-add-commutative", (x, y))
-        for lam, mu in product(range(F.size), range(F.size)):
-            for x in rng:
-                if self.smul[lam][self.smul[mu][x]] != self.smul[F.mul[lam][mu]][x]:
-                    raise NotLie("classical-scalar-associative", (lam, mu, x))
-                if self.smul[F.add[lam][mu]][x] != self.add[self.smul[lam][x]][self.smul[mu][x]]:
-                    raise NotLie("classical-scalar-add", (lam, mu, x))
-        scaled = decided and scalars_on_generators(self.add, self.smul, self.bracket, z, proof)
-        for lam in () if scaled else range(F.size):
-            for x, y in product(rng, rng):
-                if self.smul[lam][self.add[x][y]] != self.add[self.smul[lam][x]][self.smul[lam][y]]:
-                    raise NotLie("classical-scalar-dist", (lam, x, y))
-                if self.bracket[self.smul[lam][x]][y] != self.smul[lam][self.bracket[x][y]]:
-                    raise NotLie("classical-bracket-homogeneous", (lam, x, y))
-        if not decided:
-            self._scan_triples()
+        decided = holds_on_generators(add, br, z, proof)
+        scaled = decided and scalars_on_generators(add, smul, br, z, proof)
+        for laws in (
+            (("classical-zero-identity", ((x,) for x in rng if add[z][x] != x or add[x][z] != x)),
+             ("classical-scalar-one", ((x,) for x in rng if smul[F.one][x] != x)),
+             ("classical-scalar-zero", ((x,) for x in rng if smul[F.zero][x] != z)),
+             ("classical-alternating", ((x,) for x in rng if br[x][x] != z)),
+             ("classical-add-inverse", ((x,) for x in rng if z not in add[x]))),
+            () if decided else (("classical-add-commutative", commutativity(add, rng)),),
+            (("classical-scalar-associative", associativity(smul, F.mul, sca, rng)),
+             ("classical-scalar-add", right_distributivity(smul, F.add, add, sca, rng))),
+            () if scaled else (
+                ("classical-scalar-dist", left_distributivity(smul, add, sca, rng)),
+                ("classical-bracket-homogeneous", homogeneity(br, smul, sca, rng))),
+            () if decided else (
+                ("classical-add-associative", associativity(add, add, rng, rng)),
+                ("classical-bracket-additive-left", right_distributivity(br, add, add, rng, rng)),
+                ("classical-bracket-additive-right",
+                 right_distributivity([list(c) for c in zip(*br)], add, add, rng, rng)),
+                ("classical-jacobi", jacobi(add, br, rng, z))),
+        ):
+            failure = first_failure(*laws)
+            if failure:
+                raise NotLie(*failure)
         return self
-
-    def _scan_triples(self):
-        """The three-vector axioms on every triple; raises NotLie at the first."""
-        rng = range(self.size)
-        z = self.zero
-        for x, y, c in product(rng, rng, rng):
-            if self.add[self.add[x][y]][c] != self.add[x][self.add[y][c]]:
-                raise NotLie("classical-add-associative", (x, y, c))
-            if self.bracket[self.add[x][y]][c] != self.add[self.bracket[x][c]][self.bracket[y][c]]:
-                raise NotLie("classical-bracket-additive-left", (x, y, c))
-            if self.bracket[c][self.add[x][y]] != self.add[self.bracket[c][x]][self.bracket[c][y]]:
-                raise NotLie("classical-bracket-additive-right", (x, y, c))
-            jac = self.add[
-                self.add[self.bracket[x][self.bracket[y][c]]][
-                    self.bracket[y][self.bracket[c][x]]
-                ]
-            ][self.bracket[c][self.bracket[x][y]]]
-            if jac != z:
-                raise NotLie("classical-jacobi", (x, y, c))
 
     @property
     def dimension(self) -> int:

@@ -3,10 +3,11 @@
 Carriers are indexed 0..n-1; every hyperoperation table cell is an int
 bitmask over the carrier (see sets.py). Checkers decide each axiom over the
 whole carrier, never by sampling. Each law shape (associativity, left and
-right distributivity, homogeneity, Jacobi) is one loop that the checkers
-share, run on a view of the operations that the checker picks once per
-call: the element-index tables when every table is singleton-valued, the
-SetOps set lifts otherwise. Both views decide every instance alike, but on
+right distributivity, homogeneity, Jacobi) is one loop in laws.py, shared
+with the classical validators of gf and quotients, and the checkers run it
+on a view of the operations that they pick once per call: the
+element-index tables when every table is singleton-valued, the SetOps set
+lifts otherwise. Both views decide every instance alike, but on
 element-index tables holds_on_generators and scalars_on_generators prove
 seven Lie laws on additive generators, and only the other laws loop.
 reevaluate replays single instances independently of both views and of
@@ -28,6 +29,7 @@ from .errors import (
     HyperlieError,
     MalformedTable,
 )
+from .laws import associativity, homogeneity, jacobi, left_distributivity, right_distributivity
 from .sets import SetOps, full_mask, is_singleton, iter_bits, setwise
 
 DEFAULT_CARRIER_CAP = 256
@@ -127,67 +129,6 @@ def associates_at(add, steps) -> bool:
     At every (x, g), g in additive generators of a table with identity zero,
     it decides associativity (the g that pass are closed under +)."""
     return all(add[add[x][g]] == list(map(add[x].__getitem__, add[g])) for x, g in steps)
-
-
-# The checkers' loops, one per law shape. Each runs on either view of the
-# operations (element-index tables, or SetOps set lifts), takes the values
-# of its positions as lists, looks every row up outside the innermost loop,
-# and yields the positions of each failing instance in product order.
-def associativity(f, g, A, C):
-    """(a, b, c) in A x A x C with f(g(a, b), c) != f(a, f(b, c))."""
-    for a, va in enumerate(A):
-        fa, ga = f[va], g[va]
-        for b, vb in enumerate(A):
-            fab, fb = f[ga[vb]], f[vb]
-            for c, vc in enumerate(C):
-                if fab[vc] != fa[fb[vc]]:
-                    yield a, b, c
-
-
-def left_distributivity(f, g, A, X):
-    """(a, x, y) in A x X x X with f(a, g(x, y)) != g(f(a, x), f(a, y))."""
-    for a, va in enumerate(A):
-        fa = f[va]
-        for x, vx in enumerate(X):
-            gx, gfx = g[vx], g[fa[vx]]
-            for y, vy in enumerate(X):
-                if fa[gx[vy]] != gfx[fa[vy]]:
-                    yield a, x, y
-
-
-def right_distributivity(f, g, h, A, X):
-    """(a, b, x) in A x A x X with f(g(a, b), x) != h(f(a, x), f(b, x))."""
-    for a, va in enumerate(A):
-        fa, ga = f[va], g[va]
-        for b, vb in enumerate(A):
-            fab, fb = f[ga[vb]], f[vb]
-            for x, vx in enumerate(X):
-                if fab[vx] != h[fa[vx]][fb[vx]]:
-                    yield a, b, x
-
-
-def homogeneity(f, s, A, X):
-    """(a, x, y) in A x X x X with f(s(a, x), y) != s(a, f(x, y))."""
-    for a, va in enumerate(A):
-        sa = s[va]
-        for x, vx in enumerate(X):
-            fx, fax = f[vx], f[sa[vx]]
-            for y, vy in enumerate(X):
-                if fax[vy] != sa[fx[vy]]:
-                    yield a, x, y
-
-
-def jacobi(add, br, X, zero, lifted=False):
-    """(x, y, z) in X x X x X whose Jacobiator [x, [y, z]] + [y, [z, x]] +
-    [z, [x, y]] is not the element zero, or on set lifts misses the mask zero."""
-    rows = [(v, br[v]) for v in X]
-    for x, (vx, bx) in enumerate(rows):
-        for y, (vy, by) in enumerate(rows):
-            bxy = bx[vy]
-            for z, (vz, bz) in enumerate(rows):
-                t = add[add[bx[by[vz]]][by[bz[vx]]]][bz[bxy]]
-                if (not t & zero) if lifted else t != zero:
-                    yield x, y, z
 
 
 def _associative(S) -> bool:

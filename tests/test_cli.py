@@ -454,6 +454,30 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def _one_input_error(code, out, err, text):
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"input error: {text}"), err
+
+
+def test_file_not_utf8_exit_2(capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe{")
+    _one_input_error(*run(capsys, "check", str(p)), f"cannot read {p}: ")
+
+
+def test_deeply_nested_json_exit_2(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200000 + "]" * 200000)
+    _one_input_error(*run(capsys, "check", str(p)), "invalid JSON: ")
+
+
+def test_gen_unwritable_out_exit_2(capsys, tmp_path):
+    p = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "gen", "trivial", "--q", "3", "--dim", "1", "-o", str(p))
+    _one_input_error(code, out, err, f"cannot write {p}: ")
+    assert not p.parent.exists()
+
+
 def test_threads_and_seed_accepted(capsys, fixture_files):
     code, out, _ = run(capsys, "--threads", "4", "--seed", "9", "relation",
                        fixture_files["ex1"], "--rel", "L")

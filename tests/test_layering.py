@@ -1,7 +1,9 @@
-"""Module layering: gf.py is the one home of GF(q) and structure-constant
-arithmetic, so it depends on no other hyperlie module but errors, the
-structures module (the checkers and the axiom replay) imports only errors
-and sets, so the replay never reaches the relation engine, the quotients
+"""Module layering: laws.py holds the law-shape loops and imports nothing
+from the package, and each module that runs a shape loop runs laws.py's;
+gf.py is the one home of GF(q) and structure-constant arithmetic, so it
+depends on no other hyperlie module but errors and laws, the structures
+module (the checkers and the axiom replay) imports only errors, sets and
+laws, so the replay never reaches the relation engine, the quotients
 module (the linear oracle) does not reach into the generators, the
 package imports nothing from the tests, the brute-force reference
 enumerator does not reuse the engine's enumeration, the coordinate-space
@@ -62,12 +64,16 @@ def package_imports(module: str):
     return out
 
 
+def test_laws_imports_nothing_from_the_package():
+    assert package_imports("laws") == set()
+
+
 def test_gf_imports_only_errors():
-    assert package_imports("gf") <= {"errors"}
+    assert package_imports("gf") <= {"errors", "laws"}
 
 
 def test_structures_imports_only_errors_and_sets():
-    assert package_imports("structures") <= {"errors", "sets"}
+    assert package_imports("structures") <= {"errors", "sets", "laws"}
 
 
 def test_quotients_does_not_import_generators():
@@ -75,12 +81,22 @@ def test_quotients_does_not_import_generators():
 
 
 def test_one_home_names_resolve():
-    from hyperlie import generators, gf, quotients, structures
+    from hyperlie import generators, gf, laws, quotients, structures
 
     assert hyperlie.FiniteField is quotients.FiniteField is gf.FiniteField
     assert generators.constants_table is gf.constants_table
     # Jacobi over a set of elements has one implementation
     assert quotients.jacobi_witness is generators.jacobi_witness is structures.jacobi_witness
+    # each law shape has one loop: every module that names one runs laws.py's
+    shapes = {name for name, obj in vars(laws).items()
+              if callable(obj) and getattr(obj, "__module__", None) == laws.__name__}
+    assert {"associativity", "commutativity", "first_failure", "homogeneity", "jacobi",
+            "left_distributivity", "right_distributivity"} <= shapes
+    for module in (structures, gf, quotients, generators):
+        used = _names(_tree(module.__file__)) & shapes
+        assert used, module.__name__
+        for name in used:
+            assert getattr(module, name) is getattr(laws, name), (module.__name__, name)
 
 
 def test_package_imports_nothing_from_tests():

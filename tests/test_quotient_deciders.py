@@ -18,17 +18,22 @@ regularity and collapse run on random partitions, cosets of cyclic
 additive subgroups and relation closures (half of them with two classes
 merged) of hyperfields, their self-modules, orbit quotients, trivial
 algebras and unchecked random tables.
+
+FiniteField.validate runs one loop per law and names the least first
+witness of each block; on random tables with identities it must name the
+failure that the one-loop scan kept here meets first, ties included.
 """
 
 import functools
 import random
+from itertools import product
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import _bilinear_algebra, _self_module, _steiner_loop
 from hyperlie import quotients, structures
-from hyperlie.errors import NotLie, NotWellDefined
+from hyperlie.errors import NotAField, NotLie, NotWellDefined
 from hyperlie.generators import (
     gen_orbit_quotient,
     gen_quotient_hyperfield,
@@ -190,6 +195,91 @@ def test_noncommutative_group_fails_commutativity():
     A = FiniteLieAlgebra(FiniteField.from_trivial_hyperfield(gen_trivial_field(2)), names, add,
                          [[0] * n, list(range(n))], [[0] * n for _ in range(n)])
     assert _validate_outcome(A) == str(NotLie("classical-add-commutative", (1, 2)))
+
+
+def _field_scan(F):
+    """FiniteField.validate's verdict by one loop per block that checks its
+    laws in turn at each instance: the first failure it meets, or "ok"."""
+    rng, add, mul, zero = range(F.size), F.add, F.mul, F.zero
+    if F.size < 2 or zero is None or F.one is None or zero == F.one:
+        return "identities"
+    for a, b in product(rng, rng):
+        for name, t in (("add-commutative", add), ("mul-commutative", mul)):
+            if t[a][b] != t[b][a]:
+                return name, (a, b)
+    for a, b, c in product(rng, rng, rng):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            return "add-associative", (a, b, c)
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            return "mul-associative", (a, b, c)
+        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+            return "distributive", (a, b, c)
+    for a in rng:
+        if all(add[a][b] != zero for b in rng):
+            return "add-inverse", (a,)
+        if a != zero and mul[a][zero] != zero:
+            return "zero-absorbing", (a,)
+        if a != zero and all(b == zero or mul[a][b] != F.one for b in rng):
+            return "mul-inverse", (a,)
+    return "ok"
+
+
+def _random_field_tables(rng, n):
+    """Tables on n elements with 0 an identity of + and 1 one of · on the
+    nonzeros, each random cell mirrored, and now and then one unmirrored."""
+    add = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    mul = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    for t in add, mul:
+        for a in range(n):
+            for b in range(a):
+                t[a][b] = t[b][a]
+    for x in range(n):
+        add[0][x] = add[x][0] = x
+    for x in range(1, n):
+        mul[1][x] = mul[x][1] = x
+    if rng.random() < 0.2:
+        t = rng.choice((add, mul))
+        t[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return add, mul
+
+
+def test_field_validate_names_the_first_failure_of_each_block():
+    # the field's laws run as one loop each; per block, the least first
+    # witness wins, the law listed first on a tie, as in _field_scan
+    rng = random.Random(25)
+    reached = set()
+    for _ in range(600):
+        n = rng.randint(2, 4)
+        F = FiniteField([str(x) for x in range(n)], *_random_field_tables(rng, n))
+        try:
+            F.validate()
+            got = "ok"
+        except NotAField as e:
+            got = e.args if e.args[1] is not None else "identities"
+        assert got == _field_scan(F), (F.add, F.mul)
+        reached.add(got if got == "ok" else got[0])
+    assert reached >= {"ok", "add-commutative", "mul-commutative", "add-associative",
+                       "mul-associative", "distributive"}
+
+
+def test_field_validate_tie_goes_to_the_law_listed_first():
+    # both associativities fail first at (2, 3, 3), distributivity later at
+    # (3, 1, 1); add-associative is listed first, so it is named
+    add = [[0, 1, 2, 3], [1, 1, 1, 1], [2, 1, 2, 1], [3, 1, 1, 0]]
+    mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 0], [0, 3, 0, 1]]
+    def first(t):
+        return next(w for w in product(range(4), repeat=3)
+                    if t[t[w[0]][w[1]]][w[2]] != t[w[0]][t[w[1]][w[2]]])
+
+    assert first(add) == first(mul) == (2, 3, 3)
+    F = FiniteField("0123", add, mul)
+    assert _field_scan(F) == ("add-associative", (2, 3, 3))
+    try:
+        F.validate()
+    except NotAField as e:
+        assert e.args == ("add-associative", (2, 3, 3))
+    else:
+        raise AssertionError("validate accepted a non-associative table")
 
 
 # ---------------------------------------------------------------------------
