@@ -162,9 +162,9 @@ class FiniteField:
         for laws in (
             (("add-commutative", commutativity(add, rng)),
              ("mul-commutative", commutativity(mul, rng))),
-            (("add-associative", associativity(add, add, rng, rng)),
-             ("mul-associative", associativity(mul, mul, rng, rng)),
-             ("distributive", left_distributivity(mul, add, rng, rng))),
+            (("add-associative", associativity(add, add, rng, rng, paced=True)),
+             ("mul-associative", associativity(mul, mul, rng, rng, paced=True)),
+             ("distributive", left_distributivity(mul, add, rng, rng, paced=True))),
             (("add-inverse", ((a,) for a in rng if self._neg[a] is None)),
              ("zero-absorbing", ((a,) for a in rng if a != zero and mul[a][zero] != zero)),
              ("mul-inverse", ((a,) for a in rng if a != zero and self.one not in mul[a]))),

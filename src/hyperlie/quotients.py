@@ -147,11 +147,12 @@ class FiniteLieAlgebra:
                 ("classical-scalar-dist", left_distributivity(smul, add, sca, rng)),
                 ("classical-bracket-homogeneous", homogeneity(br, smul, sca, rng))),
             () if decided else (
-                ("classical-add-associative", associativity(add, add, rng, rng)),
-                ("classical-bracket-additive-left", right_distributivity(br, add, add, rng, rng)),
-                ("classical-bracket-additive-right",
-                 right_distributivity([list(c) for c in zip(*br)], add, add, rng, rng)),
-                ("classical-jacobi", jacobi(add, br, rng, z))),
+                ("classical-add-associative", associativity(add, add, rng, rng, paced=True)),
+                ("classical-bracket-additive-left",
+                 right_distributivity(br, add, add, rng, rng, paced=True)),
+                ("classical-bracket-additive-right", right_distributivity(
+                    [list(c) for c in zip(*br)], add, add, rng, rng, paced=True)),
+                ("classical-jacobi", jacobi(add, br, rng, z, paced=True))),
         ):
             failure = first_failure(*laws)
             if failure:

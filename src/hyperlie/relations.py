@@ -9,10 +9,12 @@ with the gated values a leaf permutation still owes). When every leaf
 shows the same value written and permuted, as on every lawful structure,
 each layer is closed under swapping its two sides and negating what it
 owes, so the DP builds half of each layer and mirrors the layers it reads
-again. Every comparison of a written order with its permutations is one
-fold, combine_levels: scalar products, the sums of products that make
-coefficients, and the sums of summands for A, Sn and alpha, folded over
-rectangles of pairs where + commutes and associates. L compares no
+again. It reads states as bracket operands once per operand class (equal
+bracket rows on the left, equal columns on the right). Every comparison
+of a written order with its permutations is one fold, combine_levels:
+scalar products, the sums of products that make coefficients, and the
+sums of summands for A, Sn and alpha, folded over rectangles of pairs
+where + commutes and associates. L compares no
 permutations, so it builds the written values alone and folds its sums
 over values, not pairs (the pair fold was measured slower on cold L).
 Every stage dedupes by evaluated value sets. RelationStatus reports how
@@ -309,9 +311,10 @@ class _Owed:
 
 class _Layer:
     """Distinct (owed, U, V) states of the subtrees of k leaves, kept only
-    if they owe at most budget values, grouped by owed."""
+    if they owe at most budget values, grouped by owed; lefts and rights
+    hold one state per operand class pair of each group (see the DP)."""
 
-    def __init__(self, states, k: int, codec: _Owed, budget: int):
+    def __init__(self, states, k: int, codec: _Owed, budget: int, rows, cols):
         groups = {}
         for state in states:
             groups.setdefault(state[0], []).append(state)
@@ -319,6 +322,11 @@ class _Layer:
             groups = {o: g for o, g in groups.items() if codec.tokens(o)[0] <= budget}
         self.codec = codec
         self.groups = groups
+
+        def by_class(reps):
+            return {o: list({(o, reps.get(U, U), reps.get(V, V)) for _, U, V in g})
+                    for o, g in groups.items()} if reps else groups
+        self.lefts, self.rights = by_class(rows), by_class(cols)
         self._index = None
 
     def sources(self, owed: int, budget: int, half: bool):
@@ -331,10 +339,10 @@ class _Layer:
         every source, owed == 0 only the sources owing >= 0, and owed < 0
         only the sources that cancel one of its values."""
         if budget == 0:
-            return [self.groups.get(-owed, ())]
+            return [self.rights.get(-owed, ())]
         if self._index is None:
             by_size, nonneg_by_size, by_plus, by_minus = {}, {}, {}, {}
-            for key, group in self.groups.items():
+            for key, group in self.rights.items():
                 size, plus, minus = self.codec.tokens(key)
                 by_size.setdefault(size, []).extend(group)
                 if key >= 0:
@@ -352,6 +360,16 @@ class _Layer:
         out += [by_minus[v] for v in plus if v in by_minus]
         out += [by_plus[v] for v in minus if v in by_plus]
         return out
+
+
+def _operand_classes(table):
+    """(rows, cols): each {x} whose table row, resp. column, repeats a
+    smaller element's, mapped to the least such {y}; empty if none repeats."""
+    def classes(lines):
+        first = {}
+        return {1 << x: 1 << first[line] for x, line in enumerate(lines)
+                if first.setdefault(line, x) != x}
+    return classes(map(tuple, table)), classes(zip(*table))
 
 
 def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate_mask: int):
@@ -390,6 +408,12 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     which the final swap closure adds back. A leaf with vl != vr, which
     only unchecked tables whose + or . does not commute give, breaks the
     premise, and the layers are then built in full.
+
+    br[U][X] depends on a singleton U only through its table row, and on a
+    singleton X only through its column. So each left group is read once
+    per pair of row classes of U and V, and each source list once per owed
+    and pair of column classes of X and Y (_operand_classes): the states
+    and pairs formed are the same on any table.
     """
     coeff_pairs = coefficient_pair_family(L.field, bounds)
     pool = _leaf_pool(L, coeff_pairs, gate_mask)
@@ -411,14 +435,15 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     leaves += [(unit[vr] - unit[w], vl, w)
                for vl, vr, sw in pool if sw for w in gated if w != vr]
     half = all(vl == vr for vl, vr, _ in pool)  # the mirror's premise
-    layers = [None, _Layer(leaves, 1, codec, m - 1)]
+    classes = _operand_classes(L.bracket)
+    layers = [None, _Layer(leaves, 1, codec, m - 1, *classes)]
     pairs = set()
     for k in range(2, m + 1):
         budget = m - k
         states = set()
         for i in range(1, k):
             right = layers[k - i]
-            groups = layers[i].groups.items()
+            groups = layers[i].lefts.items()
             if half and not budget:  # read each split from its half layer's side
                 side = 1 if i == m - 1 else -1
                 groups = [(key, g) for key, g in groups if side * key >= 0]
@@ -434,7 +459,7 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
         if half and k < m - 1:  # a later stored layer reads this one in full
             states |= {(-o, V, U) for o, U, V in states}
         if budget:
-            layers.append(_Layer(states, k, codec, budget))
+            layers.append(_Layer(states, k, codec, budget, *classes))
     pairs.update((U, V) for layer in layers[1:] for _, U, V in layer.groups.get(0, ()))
     pairs |= {(V, U) for U, V in pairs}
     return sorted(pairs)
@@ -498,14 +523,18 @@ def _sums_commute(S, t: int) -> bool:
 
 def _relation_from_levels(levels, names) -> BinaryRelation:
     """x related to every element of Y for each pair (X, Y) of the levels
-    with x in X. The pair families are closed under swapping, so the
-    relation is symmetric; it is reflexive unless an element lies in no
-    value, which only tables that fail their axioms allow."""
-    rows = [0] * len(names)
+    with x in X; the Ys of each distinct X are joined before X's bits are
+    spread. The pair families are closed under swapping, so the relation
+    is symmetric; it is reflexive unless an element lies in no value,
+    which only tables that fail their axioms allow."""
+    related = {}
     for lvl in levels:
         for X, Y in lvl:
-            for x in iter_bits(X):
-                rows[x] |= Y
+            related[X] = related.get(X, 0) | Y
+    rows = [0] * len(names)
+    for X, Y in related.items():
+        for x in iter_bits(X):
+            rows[x] |= Y
     for x, row in enumerate(rows):
         if not row >> x & 1:
             raise AxiomFailure("relation-reflexive", (x,),

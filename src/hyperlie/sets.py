@@ -7,6 +7,8 @@ All hyperoperation tables in this package store one mask per cell.
 
 from __future__ import annotations
 
+from functools import partial
+
 
 def mask_of(indices) -> int:
     m = 0
@@ -42,18 +44,25 @@ class SetOps(dict):
     one entry point, is setwise(table, A, B) memoized per row (the SetOps is
     the dict of its rows). The row of a singleton {x} is born holding its
     singleton cells, copied from table[x] in one step, so a cold cell of two
-    singletons is one lookup; every other cell is filled on demand.
+    singletons is one lookup; it fills any other cell B from table[x] and
+    the bits of B, which the SetOps reads once per B (bits). Any other row
+    fills a cell as the union of its elements' rows at that cell, so each
+    wide cell reuses their memoised work.
     """
 
     def __init__(self, table):
         super().__init__()
         self.table = table
         self.singletons = [1 << y for y in range(len(table[0]) if table else 0)]
+        self.bits = {}
 
     def __missing__(self, a_mask: int) -> "_Row":
-        row = self[a_mask] = _Row(self.table, a_mask)
         if is_singleton(a_mask):
-            row.update(zip(self.singletons, self.table[a_mask.bit_length() - 1]))
+            line = self.table[a_mask.bit_length() - 1]
+            row = self[a_mask] = _Row(partial(_cell, line, self.bits))
+            row.update(zip(self.singletons, line))
+        else:
+            row = self[a_mask] = _Row(partial(_union, [self[1 << x] for x in iter_bits(a_mask)]))
         return row
 
 
@@ -71,20 +80,34 @@ def setwise(table, a_mask: int, b_mask: int) -> int:
     return out
 
 
+def _cell(line, bits, b_mask: int) -> int:
+    ys = bits.get(b_mask)
+    if ys is None:
+        ys = bits[b_mask] = list(iter_bits(b_mask))
+    out = 0
+    for y in ys:
+        out |= line[y]
+    return out
+
+
+def _union(rows, b_mask: int) -> int:
+    out = 0
+    for row in rows:
+        out |= row[b_mask]
+    return out
+
+
 class _Row(dict):
-    """Row A of a SetOps table; a missing B is filled in with setwise.
+    """Row of a SetOps table; a missing cell B is fill(B). fill holds a
+    table row and the bits, or the singleton rows, not the SetOps, so the
+    row cache forms no reference cycle and is freed with its structure."""
 
-    It holds the table, not the SetOps, so the row cache forms no
-    reference cycle and is freed with its structure.
-    """
+    __slots__ = ("fill",)
 
-    __slots__ = ("table", "a_mask")
-
-    def __init__(self, table, a_mask: int):
+    def __init__(self, fill):
         super().__init__()
-        self.table = table
-        self.a_mask = a_mask
+        self.fill = fill
 
     def __missing__(self, b_mask: int) -> int:
-        out = self[b_mask] = setwise(self.table, self.a_mask, b_mask)
+        out = self[b_mask] = self.fill(b_mask)
         return out

@@ -265,6 +265,8 @@ class FiniteLieHyperalgebra:
     verified by the checker).
     """
     associative_add = cached_property(_associative)
+    # the lift of the transposed bracket, which the checker's right-side laws read
+    transposed_bracket_ops = cached_property(lambda L: SetOps([list(c) for c in zip(*L.bracket)]))
 
     def __init__(self, field, names, add, smul, bracket):
         if not isinstance(field, FiniteHyperfield):
@@ -457,8 +459,7 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra) -> CheckReport:
     if not scaled:
         # the bracket transposed: the right-side laws are the left-side
         # loops on it, their witnesses rotated back into the law's order
-        cols = [list(c) for c in zip(*(br if triv else L.bracket))]
-        brt = cols if triv else SetOps(cols)
+        brt = [list(c) for c in zip(*br)] if triv else L.transposed_bracket_ops
     report.record_first("bracket-additive-right", () if decided else (
         (x, y1, y2) for y1, y2, x in right_distributivity(brt, add, add, vec, vec)))
     report.record_first("bracket-homogeneous-left",

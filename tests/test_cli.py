@@ -6,7 +6,7 @@ import copy
 import functools
 import json
 import re
-from itertools import product
+from itertools import count, product
 from unittest import mock
 
 import pytest
@@ -398,13 +398,14 @@ def test_alpha_oracle_only_on_a_field(capsys, tmp_path):
     # a singleton-valued table that is not a field may relate a product
     # with a permuted product, so the diagonal is no oracle for it; every
     # single-cell corruption of GF(3) must end in an exit code, not in the
-    # refinement assertion
+    # refinement assertion. Each document gets its own file: rewriting one
+    # path costs far more than writing a new one on some file systems
     doc = _gf3_document()
-    p = tmp_path / "gf3.json"
     order = [0, 2, 1]  # GF(3)'s tables, then the same field listed as 0, 2, 1
     relisted = dict(doc, elements=[doc["elements"][i] for i in order],
                     **{t: [[doc[t][i][j] for j in order] for i in order] for t in ("add", "mul")})
-    for field in (doc, relisted):
+    for k, field in enumerate((doc, relisted)):
+        p = tmp_path / f"gf3-{k}.json"
         p.write_text(json.dumps(field))
         code, out, _ = run(capsys, "relation", str(p), "--rel", "alpha")
         assert code == 0 and "mode=exact-oracle-match" in out
@@ -413,6 +414,7 @@ def test_alpha_oracle_only_on_a_field(capsys, tmp_path):
         if doc[table][i][j] != [e]:
             bad = copy.deepcopy(doc)
             bad[table][i][j] = [e]
+            p = tmp_path / f"{table}-{i}-{j}-{e}.json"
             p.write_text(json.dumps(bad))
             codes.append(run(capsys, "relation", str(p), "--rel", "alpha")[0])
     assert len(codes) == 36 and set(codes) <= {0, 1, 2, 3}
@@ -616,12 +618,16 @@ def mutated_documents(draw):
     return json.dumps(doc)
 
 
+_EXAMPLES = count()
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_documents())
 def test_mutated_interchange_files_end_in_an_exit_code(capsys, tmp_path, text):
-    # any exception that escapes main fails the example
-    p = tmp_path / "mutated.json"
+    # any exception that escapes main fails the example; each example gets
+    # its own file, as rewriting one path costs far more than a new file
+    p = tmp_path / f"mutated-{next(_EXAMPLES)}.json"
     p.write_text(text)
     runs = [["check"], ["relation", "--rel", "L", "--oracle", "off", "--bounds", "1,1,1,1"],
             ["relation", "--rel", "alpha"]]

@@ -40,6 +40,7 @@ from hyperlie.relations import (
     ExpressionBounds,
     _leaf_pool,
     _Owed,
+    _operand_classes,
     _sums_commute,
     coefficient_pair_family,
     combine_levels,
@@ -169,20 +170,48 @@ def _seeded_algebra(seed):
     return L, (1 << n) - 1 if seed % 2 else rng.randrange(1 << n)
 
 
+def _repeated_operands(L):
+    """L with bracket row 1 copied onto row 0 and, on three elements, then
+    column 0 onto column 2: its rows {0, 1} and its columns {0, 2} repeat,
+    so the DP's row and column classes differ."""
+    br = [list(row) for row in L.bracket]
+    br[0] = list(br[1])
+    for row in br if L.size == 3 else ():
+        row[2] = row[0]
+    return FiniteLieHyperalgebra(L.field, L.names, L.add, L.smul, br)
+
+
 @pytest.mark.parametrize("bounds", [(1, 3, 1, 1), (1, 3, 2, 1), (1, 4, 1, 1)],
                          ids=lambda b: ",".join(map(str, b)))
 def test_seeded_unchecked_algebras_match_reference_from_three_leaves(bounds):
     # the DP builds half of each layer on a diagonal pool and mirrors it;
     # random tables reach the root splits and owed states that lawful
     # fixtures, whose alternating brackets mirror the two root splits, do
-    # not. Every pool here has at most 5 leaves at m = 4.
+    # not. Every pool here has at most 5 leaves at m = 4. Each algebra is
+    # also run with repeated bracket rows and columns, where the DP keeps
+    # one operand per row class on the left and per column class on the right
     bounds = ExpressionBounds(*bounds)
     wrong = []
     for seed in range(60):
         L, gate = _seeded_algebra(seed)
-        if summand_pair_family(L, bounds, gate) != ref.summand_pair_family(L, bounds, gate):
-            wrong.append(seed)
+        R = _repeated_operands(L)
+        assert _operand_classes(R.bracket)[0]
+        for S in (L, R):
+            if summand_pair_family(S, bounds, gate) != ref.summand_pair_family(S, bounds, gate):
+                wrong.append((seed, S is R))
     assert wrong == []
+
+
+@pytest.mark.parametrize("bounds", [(1, 3, 1, 1), (1, 3, 2, 2), (1, 4, 1, 1)],
+                         ids=lambda b: ",".join(map(str, b)))
+def test_equal_bracket_rows_match_reference(ab1, bounds):
+    # every row and every column of ab1's bracket is the zero row, so each
+    # DP layer reads one operand class on each side
+    bounds = ExpressionBounds(*bounds)
+    rows, cols = _operand_classes(ab1.bracket)
+    assert set(rows.values()) == set(cols.values()) == {1}
+    for gate in hyper_derived_sets(ab1, 1):
+        assert summand_pair_family(ab1, bounds, gate) == ref.summand_pair_family(ab1, bounds, gate)
 
 
 def _non_diagonal_pool_case():
@@ -203,6 +232,8 @@ def test_non_diagonal_pool_keeps_every_state():
     pairs = summand_pair_family(L, bounds, gate)
     assert len(pairs) == 32
     assert pairs == ref.summand_pair_family(L, bounds, gate)
+    R = _repeated_operands(L)
+    assert summand_pair_family(R, bounds, gate) == ref.summand_pair_family(R, bounds, gate)
 
 
 def test_half_build_runs_on_diagonal_pools_only(ex2, monkeypatch):

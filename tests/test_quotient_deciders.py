@@ -21,7 +21,9 @@ algebras and unchecked random tables.
 
 FiniteField.validate runs one loop per law and names the least first
 witness of each block; on random tables with identities it must name the
-failure that the one-loop scan kept here meets first, ties included.
+failure that the one-loop scan kept here meets first, ties included. The
+laws of a block run row by row in step, so on GF(243) with one changed
+product a law that holds stops at the row of the failing law's witness.
 """
 
 import functools
@@ -32,7 +34,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from conftest import _bilinear_algebra, _self_module, _steiner_loop
-from hyperlie import quotients, structures
+from hyperlie import gf, laws, quotients, structures
 from hyperlie.errors import NotAField, NotLie, NotWellDefined
 from hyperlie.generators import (
     gen_orbit_quotient,
@@ -280,6 +282,37 @@ def test_field_validate_tie_goes_to_the_law_listed_first():
         assert e.args == ("add-associative", (2, 3, 3))
     else:
         raise AssertionError("validate accepted a non-associative table")
+
+
+def test_field_rejection_stops_the_holding_laws_at_its_witness(monkeypatch):
+    # GF(243) with one symmetric pair of product cells changed: its first
+    # failure is mul-associative in row 2, and add-associative, which holds
+    # and is listed first, stops after the same three rows instead of
+    # scanning all 243
+    F = gen_trivial_field(243)
+    mul = [list(r) for r in F.mul_elt]
+    mul[100][150] = mul[150][100] = (mul[100][150] + 1) % 243 or 2
+    field = FiniteField(F.names, F.add_elt, mul)
+    expected = _field_scan(field)
+    assert expected == ("mul-associative", (2, 100, 150))
+    rows = {}
+
+    def counted(f, g, A, C, paced=False):
+        name = "add" if f is field.add else "mul"
+        rows[name] = 0
+        for witness in laws.associativity(f, g, A, C, paced):
+            rows[name] += witness is None
+            yield witness
+        rows[name] = "exhausted"
+
+    monkeypatch.setattr(gf, "associativity", counted)
+    try:
+        field.validate()
+    except NotAField as e:
+        assert e.args == expected
+    else:
+        raise AssertionError("validate accepted a non-associative table")
+    assert rows == {"add": 3, "mul": 2}
 
 
 # ---------------------------------------------------------------------------

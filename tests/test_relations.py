@@ -18,6 +18,7 @@ from hyperlie.relations import (
     ExpressionBounds,
     Partition,
     _REL_CACHE,
+    _operand_classes,
     clear_relation_cache,
     closed_relation,
     coefficient_pair_family,
@@ -49,6 +50,20 @@ def test_bounds_validation():
     assert b.within(HARD_CAP)
     assert b.succ(HARD_CAP).astuple() == (3, 3, 2, 2)
     assert HARD_CAP.succ(HARD_CAP) == HARD_CAP  # clamped
+
+
+def test_operand_classes_of_the_presets(ex1, ex2, m4):
+    # ex1's bracket has 27 distinct rows and 27 distinct columns, each the
+    # class of its least element; no two rows or columns of ex2's or m4's agree
+    rows, cols = _operand_classes(ex1.bracket)
+    singletons = [1 << x for x in range(ex1.size)]
+    for classes in rows, cols:
+        reps = {classes.get(s, s) for s in singletons}
+        assert len(reps) == 27
+        assert all(classes.get(s, s) <= s for s in singletons)
+    assert {x for x in range(ex1.size) if ex1.bracket[x] == ex1.bracket[0]} == {
+        x for x in range(ex1.size) if rows.get(1 << x, 1 << x) == 1}
+    assert _operand_classes(ex2.bracket) == _operand_classes(m4.bracket) == ({}, {})
 
 
 def test_hyper_derived_chain_ex1(ex1):
