@@ -28,7 +28,7 @@ from .gf import (
     int_to_digits,
     is_prime,
 )
-from .laws import associativity
+from .laws import associativity, jacobi
 from .sets import mask_of
 from .structures import (
     FiniteHyperfield,
@@ -38,7 +38,6 @@ from .structures import (
     check_hyperfield,
     check_hypergroup,
     check_lie_hyperalgebra,
-    jacobi_witness,
 )
 
 BASIS_LETTERS = "abcdefgh"
@@ -72,7 +71,7 @@ def _classical(q: int, dim: int, constants):
     C = constants_table(gf, dim, constants)
     packed = [[digits_to_int(c, q) for c in row] for row in C]
     add, smul, bracket = classical_tables(gf, dim, packed)
-    witness = jacobi_witness(add, bracket, 0, [q ** i for i in range(dim)])
+    witness = next(jacobi(add, bracket, [q ** i for i in range(dim)], 0), None)
     if witness is not None:
         raise NotLie("jacobi-constants", witness, "Jacobi fails on basis triple")
     return add, smul, bracket

@@ -219,6 +219,15 @@ def get_gf(q: int) -> FiniteField:
     return FiniteField([str(x) for x in range(q)], add, mul)
 
 
+def canonical_order(add, mul):
+    """q when add and mul are GF(q)'s own tables, get_gf(q)'s, else None."""
+    try:
+        gf = get_gf(len(add))
+    except HyperlieError:
+        return None
+    return gf.size if (gf.add, gf.mul) == (add, mul) else None
+
+
 def normalize_constants(dim: int, constants):
     """Upper-triangular dict {(i,j): vector} with i < j; fill checks."""
     out = {}

@@ -14,7 +14,7 @@ import json
 
 from .errors import HyperlieError, ParseError
 from .generators import gen_trivial_field
-from .gf import get_gf
+from .gf import canonical_order
 from .sets import iter_bits
 from .structures import FiniteHyperfield, FiniteLieHyperalgebra, Hypergroup, check_carrier_size
 
@@ -99,15 +99,9 @@ def _parse_hyperfield(obj, path) -> FiniteHyperfield:
 
 
 def _is_canonical(F: FiniteHyperfield) -> bool:
-    """Whether F's tables are those of the canonical GF(|F|), get_gf's."""
-    if not F.is_trivial:
-        return False
-    try:
-        check_carrier_size(F.size)
-        gf = get_gf(F.size)
-    except HyperlieError:
-        return False
-    return F.add_elt == gf.add and F.mul_elt == gf.mul
+    """Whether F's tables are those of the canonical GF(|F|), get_gf's; F's
+    carrier passed the cap when F was built."""
+    return F.is_trivial and canonical_order(F.add_elt, F.mul_elt) is not None
 
 
 def _parse_field_ref(ref, path) -> FiniteHyperfield:

@@ -1,10 +1,14 @@
-"""The law-shape loops, shared by the hyperstructure checkers, the
-classical validators and the generators; this module imports nothing from
-the package. Each loop runs on element-index tables or SetOps set lifts,
-takes the values of its positions as lists, looks every row up outside the
-innermost loop and yields the positions of each failing instance in
-product order; a paced loop also yields None after each row of its first
-position, so that first_failure can run several laws in step."""
+"""The law-shape loops and the generator decider, shared by the
+hyperstructure checkers, the classical validators and the generators; this
+module imports nothing from the package. Each loop runs on element-index
+tables or SetOps set lifts, takes the values of its positions as lists,
+looks every row up outside the innermost loop and yields the positions of
+each failing instance in product order; a paced loop also yields None after
+each row of its first position, so that first_failure can run several laws
+in step. on_generators decides seven Lie laws on element tables at steps
+along the additive generators, so that the others alone need loops."""
+
+from itertools import product
 
 
 def commutativity(f, A):
@@ -100,3 +104,83 @@ def first_failure(*laws):
                 best = witness, i, name
         live, row = paced, row + 1
     return best and (best[2], best[0])
+
+
+def spanning_tree(add, zero):
+    """(G, tree): additive generators G, each the least element that steps
+    s -> s + g (g in G) from zero do not reach, and the first step into each."""
+    gens, into = [], {zero: None}
+    for v in range(len(add)):
+        if v not in into:
+            gens.append(v)
+            steps = [(s, v) for s in into]
+            for s, g in steps:
+                if add[s][g] not in into:
+                    into[add[s][g]] = s, g
+                    steps += [(add[s][g], h) for h in gens]
+    return gens, [step for step in into.values() if step]
+
+
+def associates_at(add, steps) -> bool:
+    """Light's test at each step (x, g): (x + g) + c = x + (g + c) for all c.
+    At every (x, g), g in additive generators of a table with identity zero,
+    it decides associativity (the g that pass are closed under +)."""
+    return all(add[add[x][g]] == list(map(add[x].__getitem__, add[g])) for x, g in steps)
+
+
+def _steps(add, zero):
+    """(G, steps) of on_generators. By I and C, zero and g lie on one
+    cycle of s -> s + g, of length p for G's first; ends holds p g."""
+    gens, tree = spanning_tree(add, zero)
+    p, ends = 1, list(gens)
+    while ends and ends[0] != zero and p <= len(add):
+        p, ends = p + 1, [add[e][g] for e, g in zip(ends, gens)]
+    if ends.count(zero) == len(gens) and p ** len(gens) == len(add):
+        return gens, tree + list(product(gens, gens))
+    return gens, list(product(range(len(add)), gens))
+
+
+def _additive(add, rows, steps) -> bool:
+    """Whether rows[x + g] is rows[x] + rows[g] cell by cell at each step."""
+    return all(rows[add[x][g]] == [add[a][b] for a, b in zip(rows[x], rows[g])]
+               for x, g in steps)
+
+
+def on_generators(add, smul, br, zero):
+    """(decided, scaled) on element tables: decided when + is associative,
+    the bracket bi-additive and the Jacobiator zero; scaled when decided and
+    l(x + y) = lx + ly and [lx, y] = l[x, y] = [x, ly] for every row l of
+    smul. Both False unless the proof's premises hold: (I) zero + x = x =
+    x + zero, (C) a + b = b only for a = zero (columns of + permutations)
+    and (K) + commutative. Decided at steps (x, g), g in the additive
+    generators G: the n - 1 of spanning_tree and G x G if (F) p g = 0 for
+    all g, p the order of G's first, and n = p^|G|; else every (x, g). A
+    step checks t_(x+g) = t_x t_g (Light, t_x the row of x) and
+    f(x + g) = f(x) + f(g) for f x -> [x, c] for all c.
+    1. + associates: by G x G and K the t_g commute; along the tree each t_x
+       lies in the abelian group they generate, transitive by I, so regular;
+       t_(x+y) and t_x t_y lie in it and agree at zero, so they are equal.
+    2. f is additive (likewise on the right); f(zero) = 0 at (zero, g) by C.
+       With F, (Z/p)^G -> V, c -> sum c_g g, is onto, so one to one, and f
+       is linear in x's path counts mod p, as its values have exponent p.
+       Else the y with f(x + y) = f(x) + f(y) for all x hold zero and are
+       closed under + by 1, so y in G suffices.
+    3. By 1, 2 and K the Jacobiator is additive in each argument, and zero
+       when one is, so zero once on G x G x G. By C and K + is reproductive.
+    4. x -> (lx for all l) is additive as f in 2.
+    5. The x with [lx, y] = l[x, y] for all l, y hold zero by 2 and 4 and
+       are closed under + by 4 and 2, so x in G suffices; so on the right.
+    """
+    n = len(add)
+    add_cols = [list(c) for c in zip(*add)]
+    if add_cols != add or add[zero] != list(range(n)) or any(
+            len(set(c)) != n for c in add_cols):
+        return False, False
+    gens, steps = _steps(add, zero)
+    cols = [list(c) for c in zip(*br)]
+    if not (associates_at(add, steps) and _additive(add, br, steps)
+            and _additive(add, cols, steps) and next(jacobi(add, br, gens, zero), None) is None):
+        return False, False
+    return True, _additive(add, [list(c) for c in zip(*smul)], steps) and all(
+        br[s[g]] == list(map(s.__getitem__, br[g]))
+        and cols[s[g]] == list(map(s.__getitem__, cols[g])) for s in smul for g in gens)

@@ -14,7 +14,7 @@ from .errors import (
     NotLie,
     NotWellDefined,
 )
-from .gf import FiniteField, classical_tables, get_gf, is_prime, trusted_field
+from .gf import FiniteField, canonical_order, classical_tables, is_prime, trusted_field
 from .laws import (
     associativity,
     commutativity,
@@ -22,17 +22,12 @@ from .laws import (
     homogeneity,
     jacobi,
     left_distributivity,
+    on_generators,
     right_distributivity,
 )
 from .relations import ClassOfMask, Partition
 from .sets import iter_bits
-from .structures import (
-    FiniteHyperfield,
-    FiniteLieHyperalgebra,
-    holds_on_generators,
-    jacobi_witness,
-    scalars_on_generators,
-)
+from .structures import FiniteHyperfield, FiniteLieHyperalgebra
 
 
 def require_char_not_2(field: FiniteField):
@@ -126,14 +121,12 @@ class FiniteLieAlgebra:
     def validate(self):
         """Classical Lie algebra axioms with first witness; raises NotLie.
 
-        holds_on_generators and scalars_on_generators decide the axioms of
-        three vectors, add-commutative, scalar-dist and bracket-homogeneous;
-        the others, and any undecided, run by blocks, as in FiniteField."""
+        laws.on_generators decides the axioms of three vectors,
+        add-commutative, scalar-dist and bracket-homogeneous; the others,
+        and any undecided, run by blocks, as in FiniteField."""
         F, z, rng, sca = self.field, self.zero, range(self.size), range(self.field.size)
         add, smul, br = self.add, self.smul, self.bracket
-        proof = []
-        decided = holds_on_generators(add, br, z, proof)
-        scaled = decided and scalars_on_generators(add, smul, br, z, proof)
+        decided, scaled = on_generators(add, smul, br, z)
         for laws in (
             (("classical-zero-identity", ((x,) for x in rng if add[z][x] != x or add[x][z] != x)),
              ("classical-scalar-one", ((x,) for x in rng if smul[F.one][x] != x)),
@@ -281,7 +274,7 @@ def detect_trivial(L: FiniteLieHyperalgebra):
     if field is None:
         return None
     q = field.size
-    if not is_prime(q) and (field.add, field.mul) != (get_gf(q).add, get_gf(q).mul):
+    if not is_prime(q) and canonical_order(field.add, field.mul) is None:
         return None
     add, smul, br, z = L.add_elt, L.smul_elt, L.br_elt, L.zero
     spanned = _span(add, smul, z, q, range(L.size))
@@ -294,7 +287,7 @@ def detect_trivial(L: FiniteLieHyperalgebra):
         for r, row in zip(rows, classical):
             if list(map(table[r].__getitem__, elts)) != list(map(elts.__getitem__, row)):
                 return None
-    if any(br[x][x] != z for x in elts) or jacobi_witness(add, br, z, basis) is not None:
+    if any(br[x][x] != z for x in elts) or next(jacobi(add, br, basis, z), None) is not None:
         return None
     return field, basis
 

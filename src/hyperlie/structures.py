@@ -8,8 +8,8 @@ with the classical validators of gf and quotients, and the checkers run it
 on a view of the operations that they pick once per call: the
 element-index tables when every table is singleton-valued, the SetOps set
 lifts otherwise. Both views decide every instance alike, but on
-element-index tables holds_on_generators and scalars_on_generators prove
-seven Lie laws on additive generators, and only the other laws loop.
+element-index tables laws.on_generators proves seven Lie laws on additive
+generators, and only the other laws loop.
 reevaluate replays single instances independently of both views and of
 the shape loops: LAWS is a separate statement of each witnessed axiom, as
 equations between expression trees, and evaluate computes a tree from the
@@ -29,7 +29,16 @@ from .errors import (
     HyperlieError,
     MalformedTable,
 )
-from .laws import associativity, homogeneity, jacobi, left_distributivity, right_distributivity
+from .laws import (
+    associates_at,
+    associativity,
+    homogeneity,
+    jacobi,
+    left_distributivity,
+    on_generators,
+    right_distributivity,
+    spanning_tree,
+)
 from .sets import SetOps, full_mask, is_singleton, iter_bits, setwise
 
 DEFAULT_CARRIER_CAP = 256
@@ -105,112 +114,13 @@ def _commutative(table) -> bool:
     return [list(col) for col in zip(*table)] == table
 
 
-def spanning_tree(add, zero):
-    """(G, tree): additive generators G, each the least element that steps
-    s -> s + g (g in G) from zero do not reach, and the first step into each."""
-    gens, into = [], {zero: None}
-    for v in range(len(add)):
-        if v not in into:
-            gens.append(v)
-            steps = [(s, v) for s in into]
-            for s, g in steps:
-                if add[s][g] not in into:
-                    into[add[s][g]] = s, g
-                    steps += [(add[s][g], h) for h in gens]
-    return gens, [step for step in into.values() if step]
-
-
-def additive_generators(add, zero):
-    return spanning_tree(add, zero)[0]
-
-
-def associates_at(add, steps) -> bool:
-    """Light's test at each step (x, g): (x + g) + c = x + (g + c) for all c.
-    At every (x, g), g in additive generators of a table with identity zero,
-    it decides associativity (the g that pass are closed under +)."""
-    return all(add[add[x][g]] == list(map(add[x].__getitem__, add[g])) for x, g in steps)
-
-
 def _associative(S) -> bool:
     """Whether + associates: by Light's test if zero is an identity, else setwise."""
     add, zero, ops, n = S.add_elt, S.zero, SetOps(S.add), S.size
     if add and zero is not None and add[zero] == [r[zero] for r in add] == list(range(n)):
-        return associates_at(add, product(range(n), additive_generators(add, zero)))
+        return associates_at(add, product(range(n), spanning_tree(add, zero)[0]))
     vals = [1 << x for x in range(n)]
     return next(associativity(ops, ops, vals, vals), None) is None
-
-
-def jacobi_witness(add, br, zero, elems):
-    """Positions (i, j, k) in elems of the first triple (x, y, c), in
-    product order, whose Jacobiator [x, [y, c]] + [y, [c, x]] + [c, [x, y]]
-    is not zero on element tables; None when there is none."""
-    return next(jacobi(add, br, elems, zero), None)
-
-
-def _steps(add, zero):
-    """(G, steps) of holds_on_generators. By I and C, zero and g lie on one
-    cycle of s -> s + g, of length p for G's first; ends holds p g."""
-    gens, tree = spanning_tree(add, zero)
-    p, ends = 1, list(gens)
-    while ends and ends[0] != zero and p <= len(add):
-        p, ends = p + 1, [add[e][g] for e, g in zip(ends, gens)]
-    if ends.count(zero) == len(gens) and p ** len(gens) == len(add):
-        return gens, tree + list(product(gens, gens))
-    return gens, list(product(range(len(add)), gens))
-
-
-def _additive(add, rows, steps) -> bool:
-    """Whether rows[x + g] is rows[x] + rows[g] cell by cell at each step."""
-    return all(rows[add[x][g]] == [add[a][b] for a, b in zip(rows[x], rows[g])]
-               for x, g in steps)
-
-
-def holds_on_generators(add, br, zero, proof=None) -> bool:
-    """Whether + is associative, the bracket bi-additive and the Jacobiator
-    zero, on element tables; False unless the proof's premises hold: (I)
-    zero + x = x = x + zero, (C) a + b = b only for a = zero (columns of +
-    permutations) and (K) + commutative. Decided at steps (x, g), g in the
-    additive generators G: the n - 1 of spanning_tree and G x G if (F)
-    p g = 0 for all g, p the order of G's first, and n = p^|G|; else every
-    (x, g). A step checks t_(x+g) = t_x t_g (Light, t_x the row of x) and
-    f(x + g) = f(x) + f(g) for f x -> [x, c] for all c.
-    1. + associates: by G x G and K the t_g commute; along the tree each t_x
-       lies in the abelian group they generate, transitive by I, so regular;
-       t_(x+y) and t_x t_y lie in it and agree at zero, so they are equal.
-    2. f is additive (likewise on the right); f(zero) = 0 at (zero, g) by C.
-       With F, (Z/p)^G -> V, c -> sum c_g g, is onto, so one to one, and f
-       is linear in x's path counts mod p, as its values have exponent p.
-       Else the y with f(x + y) = f(x) + f(y) for all x hold zero and are
-       closed under + by 1, so y in G suffices.
-    3. By 1, 2 and K the Jacobiator is additive in each argument, and zero
-       when one is, so zero once on G x G x G. By C and K + is reproductive.
-    A list passed as proof receives G, the steps and the bracket columns,
-    for scalars_on_generators on the same tables.
-    """
-    n = len(add)
-    add_cols = [list(c) for c in zip(*add)]
-    if add_cols != add or add[zero] != list(range(n)) or any(
-            len(set(c)) != n for c in add_cols):
-        return False
-    gens, steps = _steps(add, zero)
-    cols = [list(c) for c in zip(*br)]
-    if proof is not None:
-        proof[:] = gens, steps, cols
-    return (associates_at(add, steps) and _additive(add, br, steps)
-            and _additive(add, cols, steps) and jacobi_witness(add, br, zero, gens) is None)
-
-
-def scalars_on_generators(add, smul, br, zero, proof=None) -> bool:
-    """Whether l(x + y) = lx + ly and [lx, y] = l[x, y] = [x, ly] for every
-    row l of smul, given holds_on_generators(add, br, zero), whose proof
-    list it reads if given. 4. x -> (lx for all l) is additive as f in 2.
-    5. The x with [lx, y] = l[x, y] for all l, y hold zero by 2 and 4 and
-    are closed under + by 4 and 2, so x in G suffices; so on the right.
-    """
-    gens, steps, cols = proof or (*_steps(add, zero), [list(c) for c in zip(*br)])
-    return _additive(add, [list(c) for c in zip(*smul)], steps) and all(
-        br[s[g]] == list(map(s.__getitem__, br[g]))
-        and cols[s[g]] == list(map(s.__getitem__, cols[g])) for s in smul for g in gens)
 
 
 class Hypergroup:
@@ -413,9 +323,9 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra) -> CheckReport:
     Bilinearity of the bracket is verified through its elementwise-additive
     and scalar-homogeneous decomposition, which is equivalent to the setwise
     statement because setwise operations distribute over unions. On
-    element-index tables, associativity, bracket additivity and Jacobi are
-    recorded as holding when holds_on_generators decides them; otherwise
-    their loops run and name the first witness.
+    element-index tables, the seven laws that laws.on_generators decides
+    are recorded as holding when it decides them; otherwise their loops run
+    and name the first witness.
     """
     report = CheckReport("lie_hyperalgebra")
     field_report = check_hyperfield(L.field)
@@ -428,9 +338,8 @@ def check_lie_hyperalgebra(L: FiniteLieHyperalgebra) -> CheckReport:
     else:
         add, smul, br = L.add_ops, L.smul_ops, L.bracket_ops
         fadd, fmul = F.add_ops, F.mul_ops
-    proof = []
-    decided = triv and L.zero is not None and holds_on_generators(add, br, L.zero, proof)
-    scaled = decided and scalars_on_generators(add, smul, br, L.zero, proof)
+    decided, scaled = (on_generators(add, smul, br, L.zero) if triv and L.zero is not None
+                       else (False, False))
     vec = _values(triv, n)
     sca = _values(triv, F.size)
     report.record("scalar-field", field_report.ok, None,

@@ -29,7 +29,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from conftest import _singleton_lift
-from hyperlie import structures
+from hyperlie import laws, structures
 from hyperlie.gf import digits_to_int, int_to_digits
 from hyperlie.generators import (
     gen_coset_hypergroup,
@@ -47,7 +47,6 @@ from hyperlie.structures import (
     check_hyperfield,
     check_hypergroup,
     check_lie_hyperalgebra,
-    additive_generators,
     reevaluate,
 )
 from test_quotient_deciders import corrupted_algebras, group_bases
@@ -196,26 +195,30 @@ def test_replay_reads_no_set_lift():
         assert len(replayed) == len(domains)
 
 
+def _decided(add, br, zero):
+    """on_generators' first verdict, with the identity as the one scalar."""
+    return laws.on_generators(add, [list(range(len(add)))], br, zero)[0]
+
+
 _DECIDED = ("add-associative", "bracket-additive-left", "bracket-additive-right",
          "jacobi-contains-zero", "scalar-dist-vector-add", "bracket-homogeneous-left",
          "bracket-homogeneous-right")
 
 
 def test_generator_decision_agrees_with_loops():
-    holds_on_generators = structures.holds_on_generators
     outcomes = []
 
     def decide(*tables):
-        outcomes.append(holds_on_generators(*tables))
+        outcomes.append(laws.on_generators(*tables))
         return outcomes[-1]
 
     @settings(max_examples=150, deadline=None)
     @given(corrupted_algebras(keep_group=True))
     def agrees(A):
         L = _singleton_lift(A)
-        with mock.patch.object(structures, "holds_on_generators", decide):
+        with mock.patch.object(structures, "on_generators", decide):
             report = check_lie_hyperalgebra(L)
-        with mock.patch.object(structures, "holds_on_generators", return_value=False):
+        with mock.patch.object(structures, "on_generators", return_value=(False, False)):
             loops = check_lie_hyperalgebra(L)
         assert report.axioms == loops.axioms
         for name in _DECIDED:
@@ -228,7 +231,8 @@ def test_generator_decision_agrees_with_loops():
                            for w in product(*(carriers[c] for c in _LIE_DOMAINS[name])))
 
     agrees()
-    assert set(outcomes) == {True, False}
+    assert {decided for decided, _ in outcomes} == {True, False}
+    assert all(decided for decided, scaled in outcomes if scaled)
 
 
 def test_generator_decision_needs_its_premises():
@@ -237,13 +241,13 @@ def test_generator_decision_needs_its_premises():
     # must refuse on its premises
     add = [[0, 2, 1], [2, 1, 2], [1, 2, 1]]
     zeros = [[0] * 3 for _ in range(3)]
-    assert not structures.holds_on_generators(add, zeros, 0)
+    assert not _decided(add, zeros, 0)
     F = gen_trivial_field(2)
     L = FiniteLieHyperalgebra(F, ["0", "1", "2"], [[1 << v for v in r] for r in add],
                               [[1] * 3, [1, 2, 4]], [[1] * 3 for _ in range(3)])
     report = check_lie_hyperalgebra(L)
     assert report.axioms["add-associative"]["ok"] is False
-    with mock.patch.object(structures, "holds_on_generators", return_value=False):
+    with mock.patch.object(structures, "on_generators", return_value=(False, False)):
         assert check_lie_hyperalgebra(L).axioms == report.axioms
 
 
@@ -257,7 +261,7 @@ def test_generator_decision_needs_zero_to_be_the_identity():
     add = [[label[(u + v) % 5] for v in value] for u in value]
     br = [[label[u * v % 5] for v in value] for u in value]
     assert not _loops_hold(add, br, label[3])
-    assert not structures.holds_on_generators(add, br, label[3])
+    assert not _decided(add, br, label[3])
 
 
 def test_generator_decision_needs_commuting_generators():
@@ -270,10 +274,10 @@ def test_generator_decision_needs_commuting_generators():
     add = [[0] * 8 for _ in range(8)]
     for x, y in product(range(8), repeat=2):
         add[perm[x]][perm[y]] = perm[x ^ y ^ 4 * ({x & 3, y & 3} == {2, 3})]
-    gens, tree = structures.spanning_tree(add, 0)
-    assert gens == [1, 2, 3] and structures.associates_at(add, tree)
-    assert not structures.associates_at(add, product(range(8), gens))
-    assert not structures.holds_on_generators(add, [[0] * 8 for _ in range(8)], 0)
+    gens, tree = laws.spanning_tree(add, 0)
+    assert gens == [1, 2, 3] and laws.associates_at(add, tree)
+    assert not laws.associates_at(add, product(range(8), gens))
+    assert not _decided(add, [[0] * 8 for _ in range(8)], 0)
 
 
 def test_generator_decision_needs_latin_columns():
@@ -283,12 +287,12 @@ def test_generator_decision_needs_latin_columns():
     # of + is a permutation
     add = [[0, 1], [1, 1]]
     zeros = [[0, 0], [0, 0]]
-    assert not structures.holds_on_generators(add, zeros, 0)
+    assert not _decided(add, zeros, 0)
     L = FiniteLieHyperalgebra(gen_trivial_field(2), ["0", "a"], [[1, 2], [2, 2]],
                               [[1, 1], [1, 2]], [[1, 1], [1, 1]])
     report = check_lie_hyperalgebra(L)
     assert report.axioms["add-reproduction"] == {"ok": False, "witness": (1,), "detail": ""}
-    with mock.patch.object(structures, "holds_on_generators", return_value=False):
+    with mock.patch.object(structures, "on_generators", return_value=(False, False)):
         assert check_lie_hyperalgebra(L).axioms == report.axioms
 
 
@@ -324,7 +328,7 @@ def test_generator_decision_is_sound_on_unchecked_tables():
         premises.add(all(add[zero][x] == x == add[x][zero] for x in rng)
                      and all(add[x][y] == add[y][x] for x in rng for y in rng)
                      and all(add[a][b] != b for a in rng for b in rng if a != zero))
-        decided = structures.holds_on_generators(add, br, zero)
+        decided = _decided(add, br, zero)
         outcomes.add(decided)
         if decided:
             for x, y, c in product(rng, repeat=3):
@@ -363,7 +367,7 @@ def scalar_tables(draw):
     algebra, with each scalar row one of its own rows, an additive map or a
     random row, and one cell changed in a quarter of them."""
     A = draw(st.sampled_from(lie_bases()))
-    gens = additive_generators(A.add, A.zero)
+    gens = laws.spanning_tree(A.add, A.zero)[0]
     element = st.integers(0, A.size - 1)
     smul = []
     for _ in range(A.field.size):
@@ -387,8 +391,9 @@ def test_scalar_decision_is_sound_on_unchecked_tables():
     @given(scalar_tables())
     def sound(tables):
         add, smul, br, zero = tables
-        assert structures.holds_on_generators(add, br, zero)
-        decided = structures.scalars_on_generators(add, smul, br, zero)
+        verdicts = laws.on_generators(add, smul, br, zero)
+        assert verdicts[0]
+        decided = verdicts[1]
         outcomes.add(decided)
         if decided:
             for s, x, y in product(smul, range(len(add)), range(len(add))):
@@ -409,7 +414,7 @@ def _sums(orders, values=None):
 
 
 def _per_generator_steps(add, zero):
-    gens = structures.additive_generators(add, zero)
+    gens = laws.spanning_tree(add, zero)[0]
     return gens, list(product(range(len(add)), gens))
 
 
@@ -430,8 +435,8 @@ def _agree_on_tree_brackets(orders, values, tree_path, trials=25):
     add, values = _sums(orders, values)
     index = {v: i for i, v in enumerate(values)}
     zero, n = index[(0,) * len(orders)], len(add)
-    gens, tree = structures.spanning_tree(add, zero)
-    assert (structures._steps(add, zero) != _per_generator_steps(add, zero)) == tree_path
+    gens, tree = laws.spanning_tree(add, zero)
+    assert (laws._steps(add, zero) != _per_generator_steps(add, zero)) == tree_path
     counts = {zero: [0] * len(gens)}
     for s, g in tree:
         counts[add[s][g]] = [k + (h == g) for k, h in zip(counts[s], gens)]
@@ -449,9 +454,9 @@ def _agree_on_tree_brackets(orders, values, tree_path, trials=25):
         if rng.random() < 1 / 3:
             br[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
         truth = _loops_hold(add, br, zero)
-        assert structures.holds_on_generators(add, br, zero) == truth
-        with mock.patch.object(structures, "_steps", _per_generator_steps):
-            assert structures.holds_on_generators(add, br, zero) == truth
+        assert _decided(add, br, zero) == truth
+        with mock.patch.object(laws, "_steps", _per_generator_steps):
+            assert _decided(add, br, zero) == truth
         outcomes.add(truth)
     return outcomes
 
@@ -491,16 +496,16 @@ def test_scalar_decision_matches_loops_on_a_one_sided_bracket():
     vecs = [int_to_digits(v, 3, 2) for v in range(9)]
     add = [[digits_to_int([(a + b) % 3 for a, b in zip(u, w)], 3) for w in vecs] for u in vecs]
     br = [[digits_to_int([0, u[1] * w[0] % 3], 3) for w in vecs] for u in vecs]
-    assert structures.holds_on_generators(add, br, 0)
+    assert _decided(add, br, 0)
     pairs, outcomes = list(product(range(9), repeat=2)), set()
     for m in product(range(3), repeat=4):
         row = [digits_to_int([(m[0] * u[0] + m[1] * u[1]) % 3, (m[2] * u[0] + m[3] * u[1]) % 3],
                              3) for u in vecs]
         for s in (row, row[:4] + [(row[4] + 1) % 9] + row[5:]):
-            laws = (all(s[add[x][y]] == add[s[x]][s[y]] for x, y in pairs),
-                    all(br[s[x]][y] == s[br[x][y]] for x, y in pairs),
-                    all(br[x][s[y]] == s[br[x][y]] for x, y in pairs))
-            assert structures.scalars_on_generators(add, [s], br, 0) == all(laws)
-            outcomes.add(laws)
+            holds = (all(s[add[x][y]] == add[s[x]][s[y]] for x, y in pairs),
+                     all(br[s[x]][y] == s[br[x][y]] for x, y in pairs),
+                     all(br[x][s[y]] == s[br[x][y]] for x, y in pairs))
+            assert laws.on_generators(add, [s], br, 0) == (True, all(holds))
+            outcomes.add(holds)
     assert {(True, True, True), (True, True, False), (True, False, True)} <= outcomes
-    assert any(not laws[0] for laws in outcomes)
+    assert any(not holds[0] for holds in outcomes)

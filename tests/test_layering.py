@@ -1,5 +1,6 @@
-"""Module layering: laws.py holds the law-shape loops and imports nothing
-from the package, and each module that runs a shape loop runs laws.py's;
+"""Module layering: laws.py holds the law-shape loops and the generator
+decider and imports nothing from the package, and each module that runs a
+shape loop or the decider runs laws.py's, which structures does not define;
 gf.py is the one home of GF(q) and structure-constant arithmetic, so it
 depends on no other hyperlie module but errors and laws, the structures
 module (the checkers and the axiom replay) imports only errors, sets and
@@ -12,6 +13,7 @@ module but the package's __init__ imports a name it does not use, and
 `from hyperlie import *` binds every name that __init__ imports."""
 
 import ast
+import importlib
 import os
 import random
 
@@ -85,18 +87,38 @@ def test_one_home_names_resolve():
 
     assert hyperlie.FiniteField is quotients.FiniteField is gf.FiniteField
     assert generators.constants_table is gf.constants_table
-    # Jacobi over a set of elements has one implementation
-    assert quotients.jacobi_witness is generators.jacobi_witness is structures.jacobi_witness
-    # each law shape has one loop: every module that names one runs laws.py's
+    # each law shape has one loop, and the generator decider one home:
+    # every module that names one runs laws.py's
     shapes = {name for name, obj in vars(laws).items()
               if callable(obj) and getattr(obj, "__module__", None) == laws.__name__}
     assert {"associativity", "commutativity", "first_failure", "homogeneity", "jacobi",
-            "left_distributivity", "right_distributivity"} <= shapes
+            "left_distributivity", "right_distributivity", "on_generators", "spanning_tree",
+            "associates_at"} <= shapes
     for module in (structures, gf, quotients, generators):
         used = _names(_tree(module.__file__)) & shapes
         assert used, module.__name__
         for name in used:
             assert getattr(module, name) is getattr(laws, name), (module.__name__, name)
+    # Jacobi over a set of elements is laws.jacobi wherever it is checked
+    assert "jacobi" in _names(_tree(generators.__file__)) & _names(_tree(quotients.__file__))
+    for fname in _package_trees():
+        module = importlib.import_module(f"hyperlie.{fname[:-3]}" if fname != "__init__.py"
+                                         else "hyperlie")
+        for name in _names(_tree(module.__file__)) & {"on_generators", "spanning_tree",
+                                                       "associates_at"}:
+            assert getattr(module, name) is getattr(laws, name), (fname, name)
+
+
+def test_structures_defines_no_generator_decider():
+    # the checkers run laws.on_generators; the decider, its steps and its
+    # premises are written in laws.py only
+    from hyperlie import structures
+
+    defined = {node.name for node in ast.walk(_tree(structures.__file__))
+               if isinstance(node, ast.FunctionDef)}
+    assert defined.isdisjoint({"on_generators", "spanning_tree", "associates_at", "_steps",
+                               "_additive", "holds_on_generators", "scalars_on_generators",
+                               "jacobi_witness", "additive_generators"})
 
 
 def test_package_imports_nothing_from_tests():
@@ -152,7 +174,7 @@ def test_reference_linear_shares_no_oracle_code():
     assert modules <= {"itertools", "hyperlie.errors", "hyperlie.gf", "hyperlie.relations"}
     assert _names(tree).isdisjoint({
         "linear_oracle_partition", "detect_trivial", "_span", "_derived", "quotients",
-        "jacobi_witness", "holds_on_generators", "classical_tables", "generators",
+        "jacobi", "on_generators", "classical_tables", "generators",
     })
 
 

@@ -34,7 +34,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from conftest import _bilinear_algebra, _self_module, _steiner_loop
-from hyperlie import gf, laws, quotients, structures
+from hyperlie import gf, laws, quotients
 from hyperlie.errors import NotAField, NotLie, NotWellDefined
 from hyperlie.generators import (
     gen_orbit_quotient,
@@ -57,7 +57,6 @@ from hyperlie.sets import iter_bits
 from hyperlie.structures import (
     FiniteHyperfield,
     FiniteLieHyperalgebra,
-    additive_generators,
     check_lie_hyperalgebra,
 )
 
@@ -155,18 +154,18 @@ def _validate_outcome(A):
 @settings(max_examples=150, deadline=None)
 @given(corrupted_algebras())
 def test_validate_agrees_with_exhaustive_scan(A):
-    with mock.patch.object(quotients, "holds_on_generators", return_value=False):
+    with mock.patch.object(quotients, "on_generators", return_value=(False, False)):
         exhaustive = _validate_outcome(A)
     assert _validate_outcome(A) == exhaustive
 
 
 def test_generator_steps_are_built_once_per_check(monkeypatch):
-    # holds_on_generators and scalars_on_generators share one spanning tree
-    # per validate and per check_lie_hyperalgebra
+    # on_generators builds one spanning tree per validate and per
+    # check_lie_hyperalgebra
     L = gen_trivial_from_lie(3, 2, {(0, 1): (0, 1)})
     runs = []
-    real = structures.spanning_tree
-    monkeypatch.setattr(structures, "spanning_tree", lambda *args: runs.append(1) or real(*args))
+    real = laws.spanning_tree
+    monkeypatch.setattr(laws, "spanning_tree", lambda *args: runs.append(1) or real(*args))
     quotient_lie_algebra(L, Partition.diagonal(L.size))
     assert len(runs) == 1
     assert check_lie_hyperalgebra(L).ok
@@ -174,7 +173,7 @@ def test_generator_steps_are_built_once_per_check(monkeypatch):
 
 
 def test_generators_outnumber_a_basis_over_prime_powers():
-    counts = {(A.field.size, A.size): len(additive_generators(A.add, A.zero))
+    counts = {(A.field.size, A.size): len(laws.spanning_tree(A.add, A.zero)[0])
               for A in classical_bases()}
     assert counts[(4, 16)] == 4
     assert counts[(8, 8)] == 3
