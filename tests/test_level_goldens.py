@@ -5,7 +5,9 @@ product fold of combine_levels, which formed every |level t| x |level 1|
 sum, before it read levels as rectangles of pairs. Each Sn rung reaches
 t = 4 or a level equal to the one before, so the rectangle kernel is
 compared level by level, also on levels built from rectangles. The alpha
-case pins the rows of the scalar relation at the hard cap.
+case pins the rows of the scalar relation at the hard cap, and the M = 4
+case, whose one level is the summand pair list, was captured from the
+owed-multiset DP before full-gate summands were read as rectangles.
 
 Regenerate (only when the level format changes on purpose):
     PYTHONPATH=src python tests/test_level_goldens.py
@@ -29,6 +31,7 @@ def level_cases():
         "m4 Sn:1 4,2,2,2": ("m4", 1, (4, 2, 2, 2)),
         "ex1 Sn:3 3,3,2,2": ("ex1", 3, (3, 3, 2, 2)),
         "m1 alpha 4,4,3,3": ("m1", None, (4, 4, 3, 3)),
+        "m4 Sn:1 1,4,1,1": ("m4", 1, (1, 4, 1, 1)),
     }
 
 
