@@ -3,23 +3,26 @@
 The relations are defined by unbounded families of expressions; this engine
 covers every expression within ExpressionBounds without evaluating them one
 by one. The swap relations A and Sn read summands of at most two leaves
-off the leaf pool, and from three leaves build bracket trees bottom-up in
-a tree DP over distinct subtree states (the written and permuted values,
-with the gated values a leaf permutation still owes). When every leaf
-shows the same value written and permuted, as on every lawful structure,
-each layer is closed under swapping its two sides and negating what it
-owes, so the DP builds half of each layer and mirrors the layers it reads
-again. It reads states as bracket operands once per operand class (equal
-bracket rows on the left, equal columns on the right). Every comparison
-of a written order with its permutations is one fold, combine_levels:
-scalar products, the sums of products that make coefficients, and the
-sums of summands for A, Sn and alpha, folded over rectangles of pairs
-where + commutes and associates. L compares no
-permutations, so it builds the written values alone and folds its sums
-over values, not pairs (the pair fold was measured slower on cold L).
-Every stage dedupes by evaluated value sets. RelationStatus reports how
-the finite run should be read (exact against an oracle, stabilized, or
-bound-limited).
+off the leaf pool. From three leaves with every leaf gated (A, Sn:1, and
+Sn while its gate is the carrier), a tree and its permuted tree are any
+two orderings of one leaf multiset in one shape, so the summands are
+rectangles of written by permuted values, built multiset by multiset.
+Other gates build bracket trees bottom-up in a tree DP over distinct
+subtree states (the written and permuted values, with the gated values a
+leaf permutation still owes). When every leaf shows the same value written
+and permuted, as on every lawful structure, each layer is closed under
+swapping its two sides and negating what it owes, so the DP builds half
+of each layer and mirrors the layers it reads again. It reads states as
+bracket operands once per operand class (equal bracket rows on the left,
+equal columns on the right). Every comparison of a written order with its
+permutations is one fold, combine_levels: scalar products, the sums of
+products that make coefficients, and the sums of summands for A, Sn and
+alpha, folded over rectangles of pairs where + commutes and associates.
+L compares no permutations, so it builds the written values alone and
+folds its sums over values, not pairs (the pair fold was measured slower
+on cold L). Every stage dedupes by evaluated value sets. RelationStatus
+reports how the finite run should be read (exact against an oracle,
+stabilized, or bound-limited).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, permutations, product
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from operator import itemgetter, or_
 
 from .errors import AxiomFailure, BoundsExceeded, InternalInvariant, NotSymmetric
@@ -378,7 +381,39 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     A summand is a bracket tree over coefficient-scaled leaves; the permuted
     side applies a leaf permutation fixing every position whose element lies
     outside the gate, and each moved position receives the permuted
-    coefficient partner of the leaf it takes.
+    coefficient partner of the leaf it takes. The path is picked from m and
+    the pool's swap flags:
+
+    - Up to m = 2 the pairs are read off the pool: leaves (x1, r1) and
+      (x2, r2) give ([x1, x2], [r1, r2]), and ([x1, x2], [r2, r1]) if both
+      are gated.
+    - From m = 3 with every leaf gated (A, Sn:1, and each Sn whose gate is
+      still the carrier), a written tree may be any ordering of its leaf
+      multiset M in its shape s, and so may its permuted tree. So the
+      pairs of s over M are exactly W_l(s, M) x W_r(s, M), where W_l (W_r)
+      holds the values of s over every ordering of M read on vl (vr):
+      W((s1, s2), M) is every [X, Y] with X in W(s1, M1) and Y in
+      W(s2, M2), over the splits of M into M1 and M2 (_rectangles).
+    - Otherwise, the tree DP over owed multisets (_owed_dp).
+    """
+    pool = _leaf_pool(L, coefficient_pair_family(L.field, bounds), gate_mask)
+    m = bounds.m
+    br = L.bracket_ops
+    if m <= 2:
+        pairs = {(vl, vr) for vl, vr, _ in pool}
+        for x1, r1, sw1 in pool if m == 2 else ():
+            bx, b1 = br[x1], br[r1]
+            pairs.update([(bx[x2], b1[r2]) for x2, r2, _ in pool])
+            if sw1:
+                pairs.update([(bx[x2], br[r2][r1]) for x2, r2, sw2 in pool if sw2])
+        return sorted(pairs | {(V, U) for U, V in pairs})
+    if all(sw for _, _, sw in pool):
+        return _rectangles(pool, br, m)
+    return _owed_dp(L, pool, m)
+
+
+def _owed_dp(L: FiniteLieHyperalgebra, pool, m: int):
+    """Summand pairs from m >= 3 leaves of a pool with an ungated leaf.
 
     Trees are built bottom-up over distinct subtree states (owed, U, V). A
     gated leaf may show any gated value w on its permuted side and then
@@ -386,10 +421,6 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     permutation exists exactly when the owed multiset of the whole tree
     cancels to empty. A subtree of k leaves that owes more values than the
     m - k leaves still to come can settle is dropped.
-
-    Up to m = 2 no state is kept. Leaves (x1, r1), (x2, r2) owe +r1 -w1 and
-    +r2 -w2 with w != r, which cancel only at w1 = r2, w2 = r1: so a tree
-    gives ([x1, x2], [r1, r2]), and ([x1, x2], [r2, r1]) if both are gated.
 
     From m = 3 on a diagonal pool (every leaf has vl == vr, as on every
     lawful structure), each layer is closed under the mirror (owed, U, V)
@@ -415,18 +446,7 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     and pair of column classes of X and Y (_operand_classes): the states
     and pairs formed are the same on any table.
     """
-    coeff_pairs = coefficient_pair_family(L.field, bounds)
-    pool = _leaf_pool(L, coeff_pairs, gate_mask)
-    m = bounds.m
     br = L.bracket_ops
-    if m <= 2:
-        pairs = {(vl, vr) for vl, vr, _ in pool}
-        for x1, r1, sw1 in pool if m == 2 else ():
-            bx, b1 = br[x1], br[r1]
-            pairs.update([(bx[x2], b1[r2]) for x2, r2, _ in pool])
-            if sw1:
-                pairs.update([(bx[x2], br[r2][r1]) for x2, r2, sw2 in pool if sw2])
-        return sorted(pairs | {(V, U) for U, V in pairs})
     gated = sorted({vr for _, vr, sw in pool if sw})
     codec = _Owed(gated, m)
     unit = codec.unit
@@ -465,6 +485,62 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     return sorted(pairs)
 
 
+def _rectangles(pool, br, m: int):
+    """Summand pairs of a pool whose every leaf is gated, m >= 3.
+
+    W(s, M) is kept per sorted tuple M of fewer than m pool indices (a lone
+    index at one leaf), as a bit mask over the values met so far, one per
+    shape s; the bracket of two such masks is memoised. Each distinct split
+    (M1, M2) forms a shape (s1, s2) and its mirror (s2, s1) together.
+    """
+    ids, vals, memo = {}, [], {}
+
+    def unit(v):  # the bit of value v
+        if v not in ids:
+            vals.append(v)
+        return 1 << ids.setdefault(v, len(ids))
+
+    def lift(A, B):
+        out = 0
+        for x in iter_bits(A):
+            row = br[vals[x]]
+            for y in iter_bits(B):
+                out |= unit(row[vals[y]])
+        memo[A, B] = out
+        return out
+
+    # the final swap closure makes the order of the sides immaterial
+    sides = {tuple(vl for vl, _, _ in pool), tuple(vr for _, vr, _ in pool)}
+    tables = [{i: [unit(v)] for i, v in enumerate(side)} for side in sides]
+    rects = {tuple(W[i][0] for W in tables) for i in range(len(pool))}
+    count = [0, 1]  # shapes of k leaves
+    for k in range(2, m + 1):
+        # (a, i, j): shape number i of a leaves under shape number j of k - a
+        slot = {s: n for n, s in enumerate((a, i, j) for a in range(1, k)
+                                           for i in range(count[a]) for j in range(count[k - a]))}
+        count.append(len(slot))
+        cuts = [(a, itemgetter(*p1), itemgetter(*(p for p in range(k) if p not in p1)))
+                for a in range(1, k // 2 + 1) for p1 in combinations(range(k), a)]
+        for M in combinations_with_replacement(range(len(pool)), k):
+            parts = {(a, f1(M)): f2(M) for a, f1, f2 in cuts}
+            row = []
+            for W in tables:
+                out = [0] * count[k]
+                for (a, M1), M2 in parts.items():
+                    for i, A in enumerate(W[M1]):
+                        for j, B in enumerate(W[M2]):
+                            out[slot[a, i, j]] |= memo.get((A, B)) or lift(A, B)
+                            if 2 * a < k:
+                                out[slot[k - a, j, i]] |= memo.get((B, A)) or lift(B, A)
+                row.append(out)
+                if k < m:
+                    W[M] = out
+            rects.update(zip(*row))
+    pairs = {(vals[x], vals[y]) for r in rects for x in iter_bits(r[0]) for y in iter_bits(r[-1])}
+    pairs |= {(V, U) for U, V in pairs}
+    return sorted(pairs)
+
+
 def _blocks(level):
     """A sorted level as rectangles (Xs, Ys) that partition it: the pairs
     grouped by X, then the Xs that share one tuple of Ys."""
@@ -483,15 +559,19 @@ def combine_levels(pairs, ops, t_max: int, commutative: bool):
     and from three terms on associates, level t + 1 is every (X + U, Y + V)
     over (X, Y) of level t and (U, V) of level 1; rectangles Xs x Ys and
     Us x Vs give {X + U} x {Y + V} in |Xs||Us| + |Ys||Vs| sums, taken when
-    |Xs| + |Ys| < |Xs||Ys|. Otherwise every order is evaluated.
+    these sums over level 1, plus 5 per rectangle of level 1 for set-up, are
+    fewer than the |Xs||Ys||level 1| sums of the flat fold. Otherwise every
+    order is evaluated.
     """
     levels = [sorted(set(pairs))]
     if commutative:
         right = _blocks(levels[0])
+        su, sv = (sum(map(len, side)) for side in zip(*right))
         for t in range(2, t_max + 1):
             nxt = set()
             for Xs, Ys in right if t == 2 else _blocks(levels[-1]):
-                if len(Xs) + len(Ys) < len(Xs) * len(Ys):
+                if (5 * len(right) + len(Xs) * su + len(Ys) * sv
+                        < len(Xs) * len(Ys) * len(levels[0])):
                     for Us, Vs in right:
                         nxt.update(product({ops[X][U] for X in Xs for U in Us},
                                            {ops[Y][V] for Y in Ys for V in Vs}))

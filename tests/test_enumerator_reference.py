@@ -41,6 +41,8 @@ from hyperlie.relations import (
     _leaf_pool,
     _Owed,
     _operand_classes,
+    _owed_dp,
+    _rectangles,
     _sums_commute,
     coefficient_pair_family,
     combine_levels,
@@ -236,7 +238,9 @@ def test_non_diagonal_pool_keeps_every_state():
     assert summand_pair_family(R, bounds, gate) == ref.summand_pair_family(R, bounds, gate)
 
 
-def test_half_build_runs_on_diagonal_pools_only(ex2, monkeypatch):
+def test_half_build_runs_on_diagonal_pools_only(ex1, monkeypatch):
+    # the DP runs on gates that leave a leaf ungated: ex1's Sn:2 gate on a
+    # diagonal pool, and the non-diagonal tables with x1 left out
     halves = []
 
     class Layer(relations._Layer):
@@ -245,11 +249,37 @@ def test_half_build_runs_on_diagonal_pools_only(ex2, monkeypatch):
             return super().sources(owed, budget, half)
 
     monkeypatch.setattr(relations, "_Layer", Layer)
-    summand_pair_family(ex2, ExpressionBounds(3, 3, 1, 1), (1 << ex2.size) - 1)
+    summand_pair_family(ex1, ExpressionBounds(3, 3, 1, 1), hyper_derived_sets(ex1, 1)[-1])
     assert set(halves) == {True}
     halves.clear()
-    summand_pair_family(*_non_diagonal_pool_case())
+    L, bounds, _ = _non_diagonal_pool_case()
+    pool = _leaf_pool(L, coefficient_pair_family(L.field, bounds), 5)
+    assert {(1, 4), (4, 1)} <= {(vl, vr) for vl, vr, _ in pool}
+    assert not all(sw for _, _, sw in pool)
+    summand_pair_family(L, bounds, 5)
     assert set(halves) == {False}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rectangles_match_the_owed_dp_on_full_gates(m):
+    # the full-gate path against the DP it replaces there, on the lawful
+    # fixtures, the whole-carrier (odd-seed) unchecked algebras with their
+    # repeated-operand copies, and the pool whose leaves differ by side
+    bounds = ExpressionBounds(1, m, 2, 2)
+    structures = list(lawful_fixtures())
+    for seed in range(1, 60, 2):
+        L, gate = _seeded_algebra(seed)
+        assert gate == (1 << L.size) - 1
+        structures += [L, _repeated_operands(L)]
+    L = _non_diagonal_pool_case()[0]
+    structures += [L, _repeated_operands(L)]
+    wrong = []
+    for i, S in enumerate(structures):
+        pool = _leaf_pool(S, coefficient_pair_family(S.field, bounds), (1 << S.size) - 1)
+        assert all(sw for _, _, sw in pool)
+        if _rectangles(pool, S.bracket_ops, m) != _owed_dp(S, pool, m):
+            wrong.append(i)
+    assert wrong == []
 
 
 def _engine_levels(table, pairs, t):

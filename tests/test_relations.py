@@ -299,17 +299,34 @@ def test_relation_S_enumerates_up_to_its_proven_stop(request, monkeypatch, name,
     assert len(runs) == enumerations
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_owed_states_are_built_from_three_leaves(ab1, monkeypatch, m):
-    # up to two leaves the summands are read off the leaf pool in closed
-    # form; the owed-multiset DP runs from m = 3
+def _built_owed_classes(monkeypatch):
+    """Names of relations._Owed and _Layer, each time one is built."""
     built = []
     for name in ("_Owed", "_Layer"):
         real = getattr(relations, name)
         monkeypatch.setattr(relations, name,
-                            lambda *args, real=real: built.append(real) or real(*args))
-    relations.summand_pair_family(ab1, ExpressionBounds(1, m, 1, 1), (1 << ab1.size) - 1)
-    assert {cls.__name__ for cls in built} == ({"_Owed", "_Layer"} if m == 3 else set())
+                            lambda *args, real=real: built.append(real.__name__) or real(*args))
+    return built
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_owed_states_are_built_from_three_leaves(ab1, monkeypatch, m):
+    # up to two leaves the summands are read off the leaf pool in closed
+    # form; the owed-multiset DP runs from m = 3 on a gate that leaves a
+    # leaf of the pool ungated (Sn:2's, which is {0} on the abelian ab1)
+    built = _built_owed_classes(monkeypatch)
+    relations.summand_pair_family(ab1, ExpressionBounds(1, m, 1, 1), hyper_derived_sets(ab1, 1)[-1])
+    assert set(built) == ({"_Owed", "_Layer"} if m == 3 else set())
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_full_gates_build_no_owed_states(ab1, ex2, monkeypatch, m):
+    # with every leaf gated the summands are rectangles, and no owed
+    # multiset is formed
+    built = _built_owed_classes(monkeypatch)
+    for L in (ab1, ex2):
+        relations.summand_pair_family(L, ExpressionBounds(1, m, 1, 1), (1 << L.size) - 1)
+    assert built == []
 
 
 _SN_ENTRIES = {
