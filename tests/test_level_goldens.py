@@ -6,8 +6,10 @@ sum, before it read levels as rectangles of pairs. Each Sn rung reaches
 t = 4 or a level equal to the one before, so the rectangle kernel is
 compared level by level, also on levels built from rectangles. The alpha
 case pins the rows of the scalar relation at the hard cap, and the M = 4
-case, whose one level is the summand pair list, was captured from the
-owed-multiset DP before full-gate summands were read as rectangles.
+case of m4, whose one level is the summand pair list, was captured from the
+owed-multiset DP before full-gate summands were read as rectangles. The
+ex1 M = 4 cases (ex1 Sn:2 at t = 1 pins the summand pair list) were
+captured before summands read their leaves by operand class.
 
 Regenerate (only when the level format changes on purpose):
     PYTHONPATH=src python tests/test_level_goldens.py
@@ -32,6 +34,8 @@ def level_cases():
         "ex1 Sn:3 3,3,2,2": ("ex1", 3, (3, 3, 2, 2)),
         "m1 alpha 4,4,3,3": ("m1", None, (4, 4, 3, 3)),
         "m4 Sn:1 1,4,1,1": ("m4", 1, (1, 4, 1, 1)),
+        "ex1 Sn:2 1,4,1,1": ("ex1", 2, (1, 4, 1, 1)),
+        "ex1 Sn:3 4,4,3,3": ("ex1", 3, (4, 4, 3, 3)),
     }
 
 

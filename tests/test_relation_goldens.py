@@ -2,8 +2,10 @@
 
 The goldens in tests/data/relation_goldens.json were captured from the
 per-leaf-tuple enumerator, before summand enumeration became a dynamic
-programme over subtree values; the M = 4 case was captured from that
-programme, before full-gate summands were read as rectangles. Each case
+programme over subtree values; the m4 M = 4 case was captured from that
+programme, before full-gate summands were read as rectangles, and the ex1
+M = 4 cases (partial gates over bracket operands that share a table row
+and column) before summands read their leaves by operand class. Each case
 pins one relation at one fixed bound rung, so the partition, its class order and the reported bounds of
 every engine path (gated swaps at each depth, common values, the scalar
 relation, a multivalued algebra) are compared as well as the exit code.
@@ -36,6 +38,8 @@ def relation_cases():
     for rel in ("Sn:1", "Sn:2", "L"):
         cases[f"m4 {rel} 3,3,2,2"] = ("m4", rel, "3,3,2,2")
     cases["m4 Sn:1 1,4,1,1"] = ("m4", "Sn:1", "1,4,1,1")
+    cases["ex1 Sn:2 1,4,1,1"] = ("ex1", "Sn:2", "1,4,1,1")
+    cases["ex1 Sn:3 4,4,3,3"] = ("ex1", "Sn:3", "4,4,3,3")
     for bounds in ("2,2,1,1", "4,4,3,3"):
         cases[f"m1 alpha {bounds}"] = ("m1", "alpha", bounds)
     return cases
