@@ -2,11 +2,13 @@
 
 The relations are defined by unbounded families of expressions; this engine
 covers every expression within ExpressionBounds without evaluating them one
-by one. The swap relations A and Sn read summands of at most two leaves
-off the leaf pool. From three leaves with every leaf gated (A, Sn:1, and
-Sn while its gate is the carrier), a tree and its permuted tree are any
-two orderings of one leaf multiset in one shape, so the summands are
-rectangles of written by permuted values, built multiset by multiset.
+by one. The swap relations A and Sn read the leaves of a tree of two or
+more leaves by operand class (equal bracket rows and columns), and
+summands of at most two leaves off the leaf pool. From three leaves with
+every leaf gated (A, Sn:1, and Sn while its gate is the carrier), a tree
+and its permuted tree are any two orderings of one leaf multiset in one
+shape, so the summands are rectangles of written by permuted values,
+built multiset by multiset.
 Other gates build bracket trees bottom-up in a tree DP over distinct
 subtree states (the written and permuted values, with the gated values a
 leaf permutation still owes). When every leaf shows the same value written
@@ -375,16 +377,35 @@ def _operand_classes(table):
     return classes(map(tuple, table)), classes(zip(*table))
 
 
+def _leaf_map(rows, cols, size: int):
+    """Map of a mask to the mask of its elements' least class mates, under
+    which br[U][X] is unchanged: mates share a bracket row and a column
+    (rows and cols as from _operand_classes). None if no element has one."""
+    first, bits = {}, [1 << x for x in range(size if rows and cols else 0)]
+    reps = {s: 1 << first.setdefault((rows.get(s, s), cols.get(s, s)), x) for x, s in enumerate(bits)}
+    if len(first) == len(reps):
+        return None
+    return lambda mask: reps.get(mask) or sum({reps[1 << x] for x in iter_bits(mask)})
+
+
 def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate_mask: int):
     """All (unpermuted, permuted) value-set pairs of single summands.
 
     A summand is a bracket tree over coefficient-scaled leaves; the permuted
     side applies a leaf permutation fixing every position whose element lies
     outside the gate, and each moved position receives the permuted
-    coefficient partner of the leaf it takes. The path is picked from m and
-    the pool's swap flags:
+    coefficient partner of the leaf it takes. One-leaf summands are the
+    pool's (vl, vr). Trees of two or more leaves read each leaf only as a
+    bracket operand, so they run on the class pool: each pool value mapped
+    to its elements' least class mates (_leaf_map), leaves that then
+    coincide merged with their swap flags OR-ed. This is exact: br[U][X]
+    is unchanged by the map, a gated class leaf is realised by a gated
+    member, which may also stay in place, and so class trees and pool
+    trees give the same pairs. Each path below may leave out the swap of a
+    pair it forms, which one swap closure adds back. The path is picked
+    from m and the class pool's swap flags:
 
-    - Up to m = 2 the pairs are read off the pool: leaves (x1, r1) and
+    - At m = 2 the pairs are read off the class pool: leaves (x1, r1) and
       (x2, r2) give ([x1, x2], [r1, r2]), and ([x1, x2], [r2, r1]) if both
       are gated.
     - From m = 3 with every leaf gated (A, Sn:1, and each Sn whose gate is
@@ -397,23 +418,33 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     - Otherwise, the tree DP over owed multisets (_owed_dp).
     """
     pool = _leaf_pool(L, coefficient_pair_family(L.field, bounds), gate_mask)
-    m = bounds.m
-    br = L.bracket_ops
-    if m <= 2:
-        pairs = {(vl, vr) for vl, vr, _ in pool}
-        for x1, r1, sw1 in pool if m == 2 else ():
-            bx, b1 = br[x1], br[r1]
-            pairs.update([(bx[x2], b1[r2]) for x2, r2, _ in pool])
-            if sw1:
-                pairs.update([(bx[x2], br[r2][r1]) for x2, r2, sw2 in pool if sw2])
-        return sorted(pairs | {(V, U) for U, V in pairs})
-    if all(sw for _, _, sw in pool):
-        return _rectangles(pool, br, m)
-    return _owed_dp(L, pool, m)
+    pairs = {(vl, vr) for vl, vr, _ in pool}
+    m, br = bounds.m, L.bracket_ops
+    if m >= 2:
+        classes = _operand_classes(L.bracket)
+        leaf = _leaf_map(*classes, L.size)
+        leaves = pool
+        if leaf:  # the class pool: leaves of one class merged, swap flags OR-ed
+            merged = {}
+            for vl, vr, sw in pool:
+                key = leaf(vl), leaf(vr)
+                merged[key] = merged.get(key, False) or sw
+            leaves = [(*key, sw) for key, sw in sorted(merged.items())]
+        if m == 2:
+            for x1, r1, sw1 in leaves:
+                bx, b1 = br[x1], br[r1]
+                pairs.update([(bx[x2], b1[r2]) for x2, r2, _ in leaves])
+                if sw1:
+                    pairs.update([(bx[x2], br[r2][r1]) for x2, r2, sw2 in leaves if sw2])
+        elif all(sw for _, _, sw in leaves):
+            pairs |= _rectangles(leaves, br, m)
+        else:
+            pairs |= _owed_dp(leaves, br, m, classes)
+    return sorted(pairs | {(V, U) for U, V in pairs})
 
 
-def _owed_dp(L: FiniteLieHyperalgebra, pool, m: int):
-    """Summand pairs from m >= 3 leaves of a pool with an ungated leaf.
+def _owed_dp(pool, br, m: int, classes):
+    """Summand pairs, up to swaps, of 2 to m >= 3 leaves of a partly gated pool.
 
     Trees are built bottom-up over distinct subtree states (owed, U, V). A
     gated leaf may show any gated value w on its permuted side and then
@@ -436,17 +467,16 @@ def _owed_dp(L: FiniteLieHyperalgebra, pool, m: int):
     measured slower and larger. The root reads each split from that
     layer's side: left owing <= 0 where it is on the right, >= 0 where it
     is on the left. The trees it skips are the swaps of those it forms,
-    which the final swap closure adds back. A leaf with vl != vr, which
+    which the caller's swap closure adds back. A leaf with vl != vr, which
     only unchecked tables whose + or . does not commute give, breaks the
     premise, and the layers are then built in full.
 
     br[U][X] depends on a singleton U only through its table row, and on a
     singleton X only through its column. So each left group is read once
     per pair of row classes of U and V, and each source list once per owed
-    and pair of column classes of X and Y (_operand_classes): the states
-    and pairs formed are the same on any table.
+    and pair of column classes of X and Y (classes, as from
+    _operand_classes): the states and pairs formed are the same on any table.
     """
-    br = L.bracket_ops
     gated = sorted({vr for _, vr, sw in pool if sw})
     codec = _Owed(gated, m)
     unit = codec.unit
@@ -455,7 +485,6 @@ def _owed_dp(L: FiniteLieHyperalgebra, pool, m: int):
     leaves += [(unit[vr] - unit[w], vl, w)
                for vl, vr, sw in pool if sw for w in gated if w != vr]
     half = all(vl == vr for vl, vr, _ in pool)  # the mirror's premise
-    classes = _operand_classes(L.bracket)
     layers = [None, _Layer(leaves, 1, codec, m - 1, *classes)]
     pairs = set()
     for k in range(2, m + 1):
@@ -480,13 +509,12 @@ def _owed_dp(L: FiniteLieHyperalgebra, pool, m: int):
             states |= {(-o, V, U) for o, U, V in states}
         if budget:
             layers.append(_Layer(states, k, codec, budget, *classes))
-    pairs.update((U, V) for layer in layers[1:] for _, U, V in layer.groups.get(0, ()))
-    pairs |= {(V, U) for U, V in pairs}
-    return sorted(pairs)
+    pairs.update((U, V) for layer in layers[2:] for _, U, V in layer.groups.get(0, ()))
+    return pairs
 
 
 def _rectangles(pool, br, m: int):
-    """Summand pairs of a pool whose every leaf is gated, m >= 3.
+    """Summand pairs, up to swaps, of 2 to m >= 3 leaves of a fully gated pool.
 
     W(s, M) is kept per sorted tuple M of fewer than m pool indices (a lone
     index at one leaf), as a bit mask over the values met so far, one per
@@ -509,10 +537,10 @@ def _rectangles(pool, br, m: int):
         memo[A, B] = out
         return out
 
-    # the final swap closure makes the order of the sides immaterial
+    # the caller's swap closure makes the order of the sides immaterial
     sides = {tuple(vl for vl, _, _ in pool), tuple(vr for _, vr, _ in pool)}
     tables = [{i: [unit(v)] for i, v in enumerate(side)} for side in sides]
-    rects = {tuple(W[i][0] for W in tables) for i in range(len(pool))}
+    rects = set()
     count = [0, 1]  # shapes of k leaves
     for k in range(2, m + 1):
         # (a, i, j): shape number i of a leaves under shape number j of k - a
@@ -536,9 +564,7 @@ def _rectangles(pool, br, m: int):
                 if k < m:
                     W[M] = out
             rects.update(zip(*row))
-    pairs = {(vals[x], vals[y]) for r in rects for x in iter_bits(r[0]) for y in iter_bits(r[-1])}
-    pairs |= {(V, U) for U, V in pairs}
-    return sorted(pairs)
+    return {(vals[x], vals[y]) for r in rects for x in iter_bits(r[0]) for y in iter_bits(r[-1])}
 
 
 def _blocks(level):
@@ -641,10 +667,13 @@ def relation_L_values(L: FiniteLieHyperalgebra, bounds: ExpressionBounds):
 
     Bracket trees of k leaves take the values of T[k], the union over
     splits i of the brackets of T[i] with T[k - i]; sums are folded on top.
+    Brackets read the leaves T[1] by operand class (_leaf_map).
     """
     coeff_pairs = coefficient_pair_family(L.field, bounds)
     br, add, smul = L.bracket_ops, L.add_ops, L.smul_ops
-    layers = [None, {smul[cl][1 << h] for cl, _ in coeff_pairs for h in range(L.size)}]
+    leaves = {smul[cl][1 << h] for cl, _ in coeff_pairs for h in range(L.size)}
+    leaf = _leaf_map(*_operand_classes(L.bracket), L.size) if bounds.m > 1 else None
+    layers = [None, set(map(leaf, leaves)) if leaf else leaves]
     for k in range(2, bounds.m + 1):
         layer = set()
         for i in range(1, k):
@@ -653,7 +682,7 @@ def relation_L_values(L: FiniteLieHyperalgebra, bounds: ExpressionBounds):
                 row = br[A]
                 layer.update([row[B] for B in right])
         layers.append(layer)
-    tree_values = set().union(*layers[1:])
+    tree_values = leaves.union(*layers[2:])
     total = set(tree_values)
     prev = tree_values
     for _ in range(bounds.t - 1):

@@ -38,6 +38,7 @@ from hyperlie.generators import (
 )
 from hyperlie.relations import (
     ExpressionBounds,
+    _leaf_map,
     _leaf_pool,
     _Owed,
     _operand_classes,
@@ -55,6 +56,8 @@ from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra
 
 # brute-force evaluations allowed per example
 REF_BUDGET = 20_000
+# seeded algebras given twin bracket operands
+TWIN_SEEDS = 24
 
 
 @functools.cache
@@ -216,6 +219,45 @@ def test_equal_bracket_rows_match_reference(ab1, bounds):
         assert summand_pair_family(ab1, bounds, gate) == ref.summand_pair_family(ab1, bounds, gate)
 
 
+def _twin_operands(L):
+    """L with element 0's bracket row and column copied onto element 1, so
+    that 0 and 1 are operand class mates and their leaves merge."""
+    br = [list(row) for row in L.bracket]
+    br[1] = list(br[0])
+    for row in br:
+        row[1] = row[0]
+    return FiniteLieHyperalgebra(L.field, L.names, L.add, L.smul, br)
+
+
+@pytest.mark.parametrize("bounds", [(1, 2, 1, 1), (1, 3, 1, 1), (1, 3, 2, 2), (1, 4, 1, 1)],
+                         ids=lambda b: ",".join(map(str, b)))
+def test_twin_operands_match_reference_under_every_gate(bounds):
+    # summands of two or more leaves run on the class pool; every gate mask
+    # is tried, so some hold one twin only and merge a gated leaf with an
+    # ungated one into one gated class leaf. Cases whose reference would
+    # take more than REF_BUDGET evaluations are left out
+    bounds = ExpressionBounds(*bounds)
+    wrong, split, run, cases = [], 0, 0, 0
+    for seed in range(TWIN_SEEDS):
+        T = _twin_operands(_seeded_algebra(seed)[0])
+        leaf = _leaf_map(*_operand_classes(T.bracket), T.size)
+        assert leaf(2) == 1
+        cases += 1 << T.size
+        for gate in range(1 << T.size):
+            pool = _leaf_pool(T, coefficient_pair_family(T.field, bounds), gate)
+            if _tree_cost(len(pool), bounds.m, sum(sw for *_, sw in pool)) > REF_BUDGET:
+                continue
+            run += 1
+            flags = {}
+            for vl, vr, sw in pool:
+                flags.setdefault((leaf(vl), leaf(vr)), set()).add(sw)
+            split += any(len(f) == 2 for f in flags.values())
+            if summand_pair_family(T, bounds, gate) != ref.summand_pair_family(T, bounds, gate):
+                wrong.append((seed, gate))
+    assert wrong == []
+    assert split and 2 * run >= cases
+
+
 def _non_diagonal_pool_case():
     """An unchecked algebra whose field + and . do not commute, so that at
     bounds 1,3,2,2 on the whole carrier its pool holds (x0, x2) and (x2, x0):
@@ -264,7 +306,8 @@ def test_half_build_runs_on_diagonal_pools_only(ex1, monkeypatch):
 def test_rectangles_match_the_owed_dp_on_full_gates(m):
     # the full-gate path against the DP it replaces there, on the lawful
     # fixtures, the whole-carrier (odd-seed) unchecked algebras with their
-    # repeated-operand copies, and the pool whose leaves differ by side
+    # repeated-operand copies, and the pool whose leaves differ by side;
+    # each forms trees of two or more leaves, up to the swap of a pair
     bounds = ExpressionBounds(1, m, 2, 2)
     structures = list(lawful_fixtures())
     for seed in range(1, 60, 2):
@@ -277,9 +320,15 @@ def test_rectangles_match_the_owed_dp_on_full_gates(m):
     for i, S in enumerate(structures):
         pool = _leaf_pool(S, coefficient_pair_family(S.field, bounds), (1 << S.size) - 1)
         assert all(sw for _, _, sw in pool)
-        if _rectangles(pool, S.bracket_ops, m) != _owed_dp(S, pool, m):
+        rects = _rectangles(pool, S.bracket_ops, m)
+        owed = _owed_dp(pool, S.bracket_ops, m, _operand_classes(S.bracket))
+        if {*rects, *_swapped(rects)} != {*owed, *_swapped(owed)}:
             wrong.append(i)
     assert wrong == []
+
+
+def _swapped(pairs):
+    return {(V, U) for U, V in pairs}
 
 
 def _engine_levels(table, pairs, t):

@@ -310,13 +310,23 @@ def _built_owed_classes(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_owed_states_are_built_from_three_leaves(ab1, monkeypatch, m):
+def test_owed_states_are_built_from_three_leaves(ex1, monkeypatch, m):
     # up to two leaves the summands are read off the leaf pool in closed
     # form; the owed-multiset DP runs from m = 3 on a gate that leaves a
-    # leaf of the pool ungated (Sn:2's, which is {0} on the abelian ab1)
+    # class leaf ungated: ex1's Sn:2 gate, where the 81 leaves fall into 27
+    # operand classes, 9 of them gated. The exact pool, which the reference
+    # enumerator reads, keeps all 81 leaves
     built = _built_owed_classes(monkeypatch)
-    relations.summand_pair_family(ab1, ExpressionBounds(1, m, 1, 1), hyper_derived_sets(ab1, 1)[-1])
+    pools, real = [], relations._owed_dp
+    monkeypatch.setattr(relations, "_owed_dp",
+                        lambda pool, *args: pools.append(pool) or real(pool, *args))
+    gate = hyper_derived_sets(ex1, 1)[-1]
+    relations.summand_pair_family(ex1, ExpressionBounds(1, m, 1, 1), gate)
     assert set(built) == ({"_Owed", "_Layer"} if m == 3 else set())
+    assert [(len(pool), sum(sw for *_, sw in pool)) for pool in pools] == (
+        [(27, 9)] if m == 3 else [])
+    coeffs = coefficient_pair_family(ex1.field, ExpressionBounds(3, 3, 1, 1))
+    assert len(relations._leaf_pool(ex1, coeffs, gate)) == 81
 
 
 @pytest.mark.parametrize("m", [3, 4])

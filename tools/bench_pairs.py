@@ -7,7 +7,10 @@ with ``git archive`` into a temporary directory, so each side runs its own
 ``perfbench/`` on its own ``src/``. For every workload in BENCHMARK.json and
 every seed, the tool runs ``perfbench/run.py`` (untraced, for the
 benchmark's ``run_seconds``) once on each side, alternating which side
-goes first, one process at a time.
+goes first, one process at a time. It then runs the Tier-1 tests once on
+each side, in the order the next seed would take (``python -m pytest -q
+--continue-on-collection-errors`` with ``src`` on PYTHONPATH), and
+records their wall seconds and passed and failed counts under ``tier1``.
 
 The output holds, per workload and end-to-end metric, each side's median
 and quartiles, the parent IQR, the number of pairs the change won (ties
@@ -27,11 +30,13 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,6 +90,25 @@ def run_once(tree: str, command, workload: str, seed: int, seconds: float):
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def tier1_once(tree: str):
+    """Wall seconds and passed and failed counts of one Tier-1 run in tree;
+    failing tests do not stop the benchmark."""
+    pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                         cwd=tree, env={**os.environ, "PYTHONPATH": pythonpath},
+                         capture_output=True, text=True).stdout
+    wall = time.perf_counter() - start
+    summary = out.rstrip().rpartition("\n")[2]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+
+
+def sides_in_order(i: int):
+    """Which side runs first in pair number i: the parent on even i."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
 def summarize(metric, pairs):
@@ -144,7 +168,7 @@ def main(argv=None) -> int:
         for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for i, seed in enumerate(args.seeds):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                order = sides_in_order(i)
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_once(trees[side], bench["command"], workload, seed, seconds)
@@ -158,6 +182,12 @@ def main(argv=None) -> int:
                 "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in trees},
                 "runs": pairs,
             }
+        order = sides_in_order(len(args.seeds))
+        doc["tier1"] = {"first": order[0]}
+        for side in order:
+            run = doc["tier1"][side] = tier1_once(trees[side])
+            print(f"tier1 {side}: wall_s={run['wall_s']:.1f} passed={run['passed']} "
+                  f"failed={run['failed']}", file=sys.stderr, flush=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
