@@ -475,6 +475,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads "--name=--" as []
+                raise ParseError(f"argument --{name}: expected one argument")
         return args.fn(args)
     except (InternalInvariant, NotSymmetric) as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -11,15 +11,12 @@ shape, so the summands are rectangles of written by permuted values,
 built multiset by multiset.
 Other gates build bracket trees bottom-up in a tree DP over distinct
 subtree states (the written and permuted values, with the gated values a
-leaf permutation still owes). When every leaf shows the same value written
-and permuted, as on every lawful structure, each layer is closed under
-swapping its two sides and negating what it owes, so the DP builds half
-of each layer and mirrors the layers it reads again. It reads states as
-bracket operands once per operand class (equal bracket rows on the left,
-equal columns on the right). Every comparison of a written order with its
-permutations is one fold, combine_levels: scalar products, the sums of
-products that make coefficients, and the sums of summands for A, Sn and
-alpha, folded over rectangles of pairs where + commutes and associates.
+leaf permutation still owes), reading each state as a bracket operand
+through the same operand-class map as the leaves. Every comparison of a
+written order with its permutations is one fold, combine_levels: scalar
+products, the sums of products that make coefficients, and the sums of
+summands for A, Sn and alpha, folded over rectangles of pairs where +
+commutes and associates.
 L compares no permutations, so it builds the written values alone and
 folds its sums over values, not pairs (the pair fold was measured slower
 on cold L). Every stage dedupes by evaluated value sets. RelationStatus
@@ -316,10 +313,10 @@ class _Owed:
 
 class _Layer:
     """Distinct (owed, U, V) states of the subtrees of k leaves, kept only
-    if they owe at most budget values, grouped by owed; lefts and rights
-    hold one state per operand class pair of each group (see the DP)."""
+    if they owe at most budget values, grouped by owed; operands holds each
+    group with U and V read through the leaf map, as bracket operands."""
 
-    def __init__(self, states, k: int, codec: _Owed, budget: int, rows, cols):
+    def __init__(self, states, k: int, codec: _Owed, budget: int, leaf):
         groups = {}
         for state in states:
             groups.setdefault(state[0], []).append(state)
@@ -327,62 +324,42 @@ class _Layer:
             groups = {o: g for o, g in groups.items() if codec.tokens(o)[0] <= budget}
         self.codec = codec
         self.groups = groups
-
-        def by_class(reps):
-            return {o: list({(o, reps.get(U, U), reps.get(V, V)) for _, U, V in g})
-                    for o, g in groups.items()} if reps else groups
-        self.lefts, self.rights = by_class(rows), by_class(cols)
+        self.operands = {o: list({(o, leaf(U), leaf(V)) for _, U, V in g})
+                         for o, g in groups.items()} if leaf else groups
         self._index = None
 
-    def sources(self, owed: int, budget: int, half: bool):
+    def sources(self, owed: int, budget: int):
         """State lists a subtree owing owed may pair with so that the sum
         owes at most budget values: at budget 0 the exact negation; else
         those small enough not to need cancelling and those that cancel at
-        least one value. A state may be listed twice.
-
-        With half, only sums owing >= 0 are asked for: owed > 0 still gets
-        every source, owed == 0 only the sources owing >= 0, and owed < 0
-        only the sources that cancel one of its values."""
+        least one value. A state may be listed twice."""
         if budget == 0:
-            return [self.rights.get(-owed, ())]
+            return [self.operands.get(-owed, ())]
         if self._index is None:
-            by_size, nonneg_by_size, by_plus, by_minus = {}, {}, {}, {}
-            for key, group in self.rights.items():
+            by_size, by_plus, by_minus = {}, {}, {}
+            for key, group in self.operands.items():
                 size, plus, minus = self.codec.tokens(key)
                 by_size.setdefault(size, []).extend(group)
-                if key >= 0:
-                    nonneg_by_size.setdefault(size, []).extend(group)
                 for v in plus:
                     by_plus.setdefault(v, []).extend(group)
                 for v in minus:
                     by_minus.setdefault(v, []).extend(group)
-            self._index = by_size, nonneg_by_size, by_plus, by_minus
-        by_size, nonneg_by_size, by_plus, by_minus = self._index
+            self._index = by_size, by_plus, by_minus
+        by_size, by_plus, by_minus = self._index
         size, plus, minus = self.codec.tokens(owed)
-        if half and owed <= 0:
-            by_size = nonneg_by_size if owed == 0 else {}
         out = [by_size[r] for r in range(budget - size + 1) if r in by_size]
         out += [by_minus[v] for v in plus if v in by_minus]
         out += [by_plus[v] for v in minus if v in by_plus]
         return out
 
 
-def _operand_classes(table):
-    """(rows, cols): each {x} whose table row, resp. column, repeats a
-    smaller element's, mapped to the least such {y}; empty if none repeats."""
-    def classes(lines):
-        first = {}
-        return {1 << x: 1 << first[line] for x, line in enumerate(lines)
-                if first.setdefault(line, x) != x}
-    return classes(map(tuple, table)), classes(zip(*table))
-
-
-def _leaf_map(rows, cols, size: int):
-    """Map of a mask to the mask of its elements' least class mates, under
-    which br[U][X] is unchanged: mates share a bracket row and a column
-    (rows and cols as from _operand_classes). None if no element has one."""
-    first, bits = {}, [1 << x for x in range(size if rows and cols else 0)]
-    reps = {s: 1 << first.setdefault((rows.get(s, s), cols.get(s, s)), x) for x, s in enumerate(bits)}
+def _leaf_map(table):
+    """Map of a mask to the mask of its elements' least class mates, two
+    elements being mates when they share a table row and a table column;
+    None if no element has a mate. Under it br[U][X] is unchanged."""
+    first, reps = {}, {}
+    for x, line in enumerate(zip(map(tuple, table), zip(*table))):
+        reps[1 << x] = 1 << first.setdefault(line, x)
     if len(first) == len(reps):
         return None
     return lambda mask: reps.get(mask) or sum({reps[1 << x] for x in iter_bits(mask)})
@@ -421,8 +398,7 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     pairs = {(vl, vr) for vl, vr, _ in pool}
     m, br = bounds.m, L.bracket_ops
     if m >= 2:
-        classes = _operand_classes(L.bracket)
-        leaf = _leaf_map(*classes, L.size)
+        leaf = _leaf_map_of(L)
         leaves = pool
         if leaf:  # the class pool: leaves of one class merged, swap flags OR-ed
             merged = {}
@@ -439,11 +415,11 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
         elif all(sw for _, _, sw in leaves):
             pairs |= _rectangles(leaves, br, m)
         else:
-            pairs |= _owed_dp(leaves, br, m, classes)
+            pairs |= _owed_dp(leaves, br, m, leaf)
     return sorted(pairs | {(V, U) for U, V in pairs})
 
 
-def _owed_dp(pool, br, m: int, classes):
+def _owed_dp(pool, br, m: int, leaf):
     """Summand pairs, up to swaps, of 2 to m >= 3 leaves of a partly gated pool.
 
     Trees are built bottom-up over distinct subtree states (owed, U, V). A
@@ -453,29 +429,10 @@ def _owed_dp(pool, br, m: int, classes):
     cancels to empty. A subtree of k leaves that owes more values than the
     m - k leaves still to come can settle is dropped.
 
-    From m = 3 on a diagonal pool (every leaf has vl == vr, as on every
-    lawful structure), each layer is closed under the mirror (owed, U, V)
-    -> (-owed, V, U): a gated leaf (v, v) showing w mirrors to (w, w)
-    showing v, and the bracket of two mirrors is the mirror of their
-    bracket. So a layer is formed only from pairs whose sum owes >= 0 (a
-    packed owed has the sign of its top digit): a left state owing > 0
-    takes every source, one owing 0 the sources owing >= 0, one owing < 0
-    only those that cancel one of its values. Its other sums are mirrors
-    of sums formed from its mirror, and at budget 1 owe < 0 anyway. A layer
-    that a later stored layer reads is mirrored back to full; the last one
-    (budget 1, read only by the root) stays half, as mirroring it too
-    measured slower and larger. The root reads each split from that
-    layer's side: left owing <= 0 where it is on the right, >= 0 where it
-    is on the left. The trees it skips are the swaps of those it forms,
-    which the caller's swap closure adds back. A leaf with vl != vr, which
-    only unchecked tables whose + or . does not commute give, breaks the
-    premise, and the layers are then built in full.
-
-    br[U][X] depends on a singleton U only through its table row, and on a
-    singleton X only through its column. So each left group is read once
-    per pair of row classes of U and V, and each source list once per owed
-    and pair of column classes of X and Y (classes, as from
-    _operand_classes): the states and pairs formed are the same on any table.
+    Each state is read as a bracket operand through leaf, the _leaf_map of
+    the bracket (None if no element has a class mate). Mates share a row
+    and a column, so br[leaf(U)][X] == br[U][X] == br[U][leaf(X)], for
+    sets too: the states and pairs formed are the same on any table.
     """
     gated = sorted({vr for _, vr, sw in pool if sw})
     codec = _Owed(gated, m)
@@ -484,20 +441,15 @@ def _owed_dp(pool, br, m: int, classes):
     leaves = [(0, vl, vr) for vl, vr, _ in pool]
     leaves += [(unit[vr] - unit[w], vl, w)
                for vl, vr, sw in pool if sw for w in gated if w != vr]
-    half = all(vl == vr for vl, vr, _ in pool)  # the mirror's premise
-    layers = [None, _Layer(leaves, 1, codec, m - 1, *classes)]
+    layers = [None, _Layer(leaves, 1, codec, m - 1, leaf)]
     pairs = set()
     for k in range(2, m + 1):
         budget = m - k
         states = set()
         for i in range(1, k):
             right = layers[k - i]
-            groups = layers[i].lefts.items()
-            if half and not budget:  # read each split from its half layer's side
-                side = 1 if i == m - 1 else -1
-                groups = [(key, g) for key, g in groups if side * key >= 0]
-            for key, group in groups:
-                sources = right.sources(key, budget, half)
+            for key, group in layers[i].operands.items():
+                sources = right.sources(key, budget)
                 for _, U, V in group:
                     ru, rv = br[U], br[V]
                     for src in sources:
@@ -505,10 +457,8 @@ def _owed_dp(pool, br, m: int, classes):
                             states.update([(key + o, ru[X], rv[Y]) for o, X, Y in src])
                         else:  # whole trees; every source settles key to empty
                             pairs.update([(ru[X], rv[Y]) for _, X, Y in src])
-        if half and k < m - 1:  # a later stored layer reads this one in full
-            states |= {(-o, V, U) for o, U, V in states}
         if budget:
-            layers.append(_Layer(states, k, codec, budget, *classes))
+            layers.append(_Layer(states, k, codec, budget, leaf))
     pairs.update((U, V) for layer in layers[2:] for _, U, V in layer.groups.get(0, ()))
     return pairs
 
@@ -672,7 +622,7 @@ def relation_L_values(L: FiniteLieHyperalgebra, bounds: ExpressionBounds):
     coeff_pairs = coefficient_pair_family(L.field, bounds)
     br, add, smul = L.bracket_ops, L.add_ops, L.smul_ops
     leaves = {smul[cl][1 << h] for cl, _ in coeff_pairs for h in range(L.size)}
-    leaf = _leaf_map(*_operand_classes(L.bracket), L.size) if bounds.m > 1 else None
+    leaf = _leaf_map_of(L) if bounds.m > 1 else None
     layers = [None, set(map(leaf, leaves)) if leaf else leaves]
     for k in range(2, bounds.m + 1):
         layer = set()
@@ -792,8 +742,9 @@ def is_strongly_regular(S, partition: Partition):
 
 
 # structure -> its own {(kind, bounds) | ("Sn", gate, bounds) |
-# ("Sn-levels", gate, bounds): entry}, dropped with the structure. A and Sn
-# key on the gate, not the depth, so depths with equal gates share entries.
+# ("Sn-levels", gate, bounds) | ("leaf-map",): entry}, dropped with the
+# structure. A and Sn key on the gate, not the depth, so depths with equal
+# gates share entries.
 _REL_CACHE = weakref.WeakKeyDictionary()
 
 
@@ -806,6 +757,12 @@ def _memo(obj, key, build):
     cache = _REL_CACHE.get(obj) or _REL_CACHE.setdefault(obj, {})
     hit = cache.get(key)
     return hit if hit is not None else cache.setdefault(key, build())
+
+
+def _leaf_map_of(L: FiniteLieHyperalgebra):
+    """_leaf_map of L's bracket, kept once per structure (in a tuple, since
+    the cache takes a stored None for a miss)."""
+    return _memo(L, ("leaf-map",), lambda: (_leaf_map(L.bracket),))[0]
 
 
 def _gate(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds) -> int:

@@ -511,6 +511,27 @@ def test_argparse_rejection_is_an_input_error(capsys, fixture_files, argv, messa
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
+_DASHED_OPTIONS = [
+    *((("check", "{ab1}"), opt) for opt in ("--threads", "--seed")),
+    *(((cmd, "{ab1}"), opt) for cmd in ("relation", "quotient")
+      for opt in ("--bounds", "--n", "--rel", "--oracle")),
+    *((("analyze", "{ab1}", "snpart"), opt) for opt in ("--set", "--bounds", "--n")),
+    *((("gen", "trivial", "--q", "3", "--dim", "1"), opt)
+      for opt in ("--q", "--dim", "--constants", "--group", "--subgroup", "-o", "--out")),
+]
+
+
+@pytest.mark.parametrize("argv, option", _DASHED_OPTIONS,
+                         ids=[f"{argv[0]}{opt}" for argv, opt in _DASHED_OPTIONS])
+def test_option_valued_double_dash_is_an_input_error(capsys, fixture_files, argv, option):
+    # argparse takes "--opt=--" as an empty list, which no command reads
+    argv = [a.format_map(fixture_files) for a in argv]
+    argv = [f"{option}=--", *argv] if option in ("--threads", "--seed") else [*argv, f"{option}=--"]
+    code, out, err = run(capsys, *argv)
+    name = "--out" if option == "-o" else option
+    assert (code, out, err) == (2, "", f"input error: argument {name}: expected one argument\n")
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["relation", "--help"])

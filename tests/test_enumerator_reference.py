@@ -29,7 +29,6 @@ from hypothesis import given, settings, strategies as st
 
 import reference_enumerator as ref
 from conftest import _self_module
-from hyperlie import relations
 from hyperlie.generators import (
     gen_orbit_quotient,
     gen_quotient_hyperfield,
@@ -41,7 +40,6 @@ from hyperlie.relations import (
     _leaf_map,
     _leaf_pool,
     _Owed,
-    _operand_classes,
     _owed_dp,
     _rectangles,
     _sums_commute,
@@ -178,7 +176,7 @@ def _seeded_algebra(seed):
 def _repeated_operands(L):
     """L with bracket row 1 copied onto row 0 and, on three elements, then
     column 0 onto column 2: its rows {0, 1} and its columns {0, 2} repeat,
-    so the DP's row and column classes differ."""
+    so elements that share a row need not share a column."""
     br = [list(row) for row in L.bracket]
     br[0] = list(br[1])
     for row in br if L.size == 3 else ():
@@ -189,18 +187,18 @@ def _repeated_operands(L):
 @pytest.mark.parametrize("bounds", [(1, 3, 1, 1), (1, 3, 2, 1), (1, 4, 1, 1)],
                          ids=lambda b: ",".join(map(str, b)))
 def test_seeded_unchecked_algebras_match_reference_from_three_leaves(bounds):
-    # the DP builds half of each layer on a diagonal pool and mirrors it;
-    # random tables reach the root splits and owed states that lawful
-    # fixtures, whose alternating brackets mirror the two root splits, do
-    # not. Every pool here has at most 5 leaves at m = 4. Each algebra is
-    # also run with repeated bracket rows and columns, where the DP keeps
-    # one operand per row class on the left and per column class on the right
+    # random tables reach owed states that lawful fixtures, whose brackets
+    # alternate, do not. Every pool here has at most 5 leaves at m = 4. Each
+    # algebra is also run with repeated bracket rows and columns, where the
+    # leaf map merges two elements only if they share a row and a column
     bounds = ExpressionBounds(*bounds)
     wrong = []
     for seed in range(60):
         L, gate = _seeded_algebra(seed)
         R = _repeated_operands(L)
-        assert _operand_classes(R.bracket)[0]
+        leaf, cols = _leaf_map(R.bracket), list(zip(*R.bracket))
+        assert R.bracket[0] == R.bracket[1]
+        assert bool(leaf and leaf(2) == 1) == (cols[0] == cols[1])
         for S in (L, R):
             if summand_pair_family(S, bounds, gate) != ref.summand_pair_family(S, bounds, gate):
                 wrong.append((seed, S is R))
@@ -210,11 +208,11 @@ def test_seeded_unchecked_algebras_match_reference_from_three_leaves(bounds):
 @pytest.mark.parametrize("bounds", [(1, 3, 1, 1), (1, 3, 2, 2), (1, 4, 1, 1)],
                          ids=lambda b: ",".join(map(str, b)))
 def test_equal_bracket_rows_match_reference(ab1, bounds):
-    # every row and every column of ab1's bracket is the zero row, so each
-    # DP layer reads one operand class on each side
+    # every row and every column of ab1's bracket is the zero row, so the
+    # leaf map sends every element to 0
     bounds = ExpressionBounds(*bounds)
-    rows, cols = _operand_classes(ab1.bracket)
-    assert set(rows.values()) == set(cols.values()) == {1}
+    leaf = _leaf_map(ab1.bracket)
+    assert {leaf(1 << x) for x in range(ab1.size)} == {1}
     for gate in hyper_derived_sets(ab1, 1):
         assert summand_pair_family(ab1, bounds, gate) == ref.summand_pair_family(ab1, bounds, gate)
 
@@ -240,7 +238,7 @@ def test_twin_operands_match_reference_under_every_gate(bounds):
     wrong, split, run, cases = [], 0, 0, 0
     for seed in range(TWIN_SEEDS):
         T = _twin_operands(_seeded_algebra(seed)[0])
-        leaf = _leaf_map(*_operand_classes(T.bracket), T.size)
+        leaf = _leaf_map(T.bracket)
         assert leaf(2) == 1
         cases += 1 << T.size
         for gate in range(1 << T.size):
@@ -269,37 +267,18 @@ def _non_diagonal_pool_case():
 
 
 def test_non_diagonal_pool_keeps_every_state():
-    # its layers are not closed under the mirror, so halving them loses pairs
-    L, bounds, gate = _non_diagonal_pool_case()
-    pool = _leaf_pool(L, coefficient_pair_family(L.field, bounds), gate)
-    assert {(1, 4), (4, 1)} <= {(vl, vr) for vl, vr, _ in pool}
-    pairs = summand_pair_family(L, bounds, gate)
-    assert len(pairs) == 32
-    assert pairs == ref.summand_pair_family(L, bounds, gate)
+    # leaves whose two sides differ: on the whole carrier, and on gate 5,
+    # which leaves x1 out and (2, 2) ungated, so that the DP runs
+    L, bounds, full = _non_diagonal_pool_case()
     R = _repeated_operands(L)
-    assert summand_pair_family(R, bounds, gate) == ref.summand_pair_family(R, bounds, gate)
-
-
-def test_half_build_runs_on_diagonal_pools_only(ex1, monkeypatch):
-    # the DP runs on gates that leave a leaf ungated: ex1's Sn:2 gate on a
-    # diagonal pool, and the non-diagonal tables with x1 left out
-    halves = []
-
-    class Layer(relations._Layer):
-        def sources(self, owed, budget, half):
-            halves.append(half)
-            return super().sources(owed, budget, half)
-
-    monkeypatch.setattr(relations, "_Layer", Layer)
-    summand_pair_family(ex1, ExpressionBounds(3, 3, 1, 1), hyper_derived_sets(ex1, 1)[-1])
-    assert set(halves) == {True}
-    halves.clear()
-    L, bounds, _ = _non_diagonal_pool_case()
-    pool = _leaf_pool(L, coefficient_pair_family(L.field, bounds), 5)
-    assert {(1, 4), (4, 1)} <= {(vl, vr) for vl, vr, _ in pool}
-    assert not all(sw for _, _, sw in pool)
-    summand_pair_family(L, bounds, 5)
-    assert set(halves) == {False}
+    for gate in full, 5:
+        pool = _leaf_pool(L, coefficient_pair_family(L.field, bounds), gate)
+        assert {(1, 4), (4, 1)} <= {(vl, vr) for vl, vr, _ in pool}
+        assert all(sw for _, _, sw in pool) == (gate == full)
+        pairs = summand_pair_family(L, bounds, gate)
+        assert len(pairs) == 32 or gate != full
+        assert pairs == ref.summand_pair_family(L, bounds, gate)
+        assert summand_pair_family(R, bounds, gate) == ref.summand_pair_family(R, bounds, gate)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -321,7 +300,7 @@ def test_rectangles_match_the_owed_dp_on_full_gates(m):
         pool = _leaf_pool(S, coefficient_pair_family(S.field, bounds), (1 << S.size) - 1)
         assert all(sw for _, _, sw in pool)
         rects = _rectangles(pool, S.bracket_ops, m)
-        owed = _owed_dp(pool, S.bracket_ops, m, _operand_classes(S.bracket))
+        owed = _owed_dp(pool, S.bracket_ops, m, _leaf_map(S.bracket))
         if {*rects, *_swapped(rects)} != {*owed, *_swapped(owed)}:
             wrong.append(i)
     assert wrong == []

@@ -18,7 +18,7 @@ from hyperlie.relations import (
     ExpressionBounds,
     Partition,
     _REL_CACHE,
-    _operand_classes,
+    _leaf_map,
     clear_relation_cache,
     closed_relation,
     coefficient_pair_family,
@@ -53,17 +53,32 @@ def test_bounds_validation():
 
 
 def test_operand_classes_of_the_presets(ex1, ex2, m4):
-    # ex1's bracket has 27 distinct rows and 27 distinct columns, each the
-    # class of its least element; no two rows or columns of ex2's or m4's agree
-    rows, cols = _operand_classes(ex1.bracket)
+    # ex1's bracket has 27 operand classes, elements with equal rows and
+    # equal columns, each mapped to its least element, and a set to the
+    # union of its elements' images; no two elements of ex2 or m4 are mates
+    leaf = _leaf_map(ex1.bracket)
     singletons = [1 << x for x in range(ex1.size)]
-    for classes in rows, cols:
-        reps = {classes.get(s, s) for s in singletons}
-        assert len(reps) == 27
-        assert all(classes.get(s, s) <= s for s in singletons)
-    assert {x for x in range(ex1.size) if ex1.bracket[x] == ex1.bracket[0]} == {
-        x for x in range(ex1.size) if rows.get(1 << x, 1 << x) == 1}
-    assert _operand_classes(ex2.bracket) == _operand_classes(m4.bracket) == ({}, {})
+    reps = {leaf(s) for s in singletons}
+    assert len(reps) == 27
+    assert all(leaf(s) <= s and leaf(leaf(s)) == leaf(s) for s in singletons)
+    assert leaf((1 << ex1.size) - 1) == sum(reps)
+    cols = list(zip(*ex1.bracket))
+    mates = {x for x in range(ex1.size) if leaf(1 << x) == 1}
+    assert {x for x in range(ex1.size) if ex1.bracket[x] == ex1.bracket[0]} == mates
+    assert {x for x in range(ex1.size) if cols[x] == cols[0]} == mates
+    assert _leaf_map(ex2.bracket) is None and _leaf_map(m4.bracket) is None
+
+
+def test_leaf_map_is_kept_once_per_structure(ex1, ex2, monkeypatch):
+    # read by every summand enumeration and relation_L_values from two
+    # leaves, and kept even where it is None
+    built, real = [], relations._leaf_map
+    monkeypatch.setattr(relations, "_leaf_map", lambda table: built.append(table) or real(table))
+    clear_relation_cache()
+    for L in ex1, ex2, ex1, ex2:
+        relations.summand_pair_family(L, DEFAULT_BOUNDS, (1 << L.size) - 1)
+        relations.relation_L_values(L, DEFAULT_BOUNDS)
+    assert built == [ex1.bracket, ex2.bracket]
 
 
 def test_hyper_derived_chain_ex1(ex1):
@@ -327,6 +342,27 @@ def test_owed_states_are_built_from_three_leaves(ex1, monkeypatch, m):
         [(27, 9)] if m == 3 else [])
     coeffs = coefficient_pair_family(ex1.field, ExpressionBounds(3, 3, 1, 1))
     assert len(relations._leaf_pool(ex1, coeffs, gate)) == 81
+
+
+def test_the_dp_reads_every_state_through_the_leaf_map(ex1, monkeypatch):
+    # br[U][X] reads U and X only up to class mates, so every state that
+    # the DP brackets, on either side and at the root, is its own class
+    # image; on ex1's Sn:2 gate some stored states are not
+    leaf, layers, read = _leaf_map(ex1.bracket), [], []
+
+    class Layer(relations._Layer):
+        def sources(self, owed, budget):
+            out = super().sources(owed, budget)
+            read.extend(state for src in out for state in src)
+            return out
+
+    monkeypatch.setattr(relations, "_Layer", lambda *args: layers.append(Layer(*args)) or layers[-1])
+    gate = hyper_derived_sets(ex1, 1)[-1]
+    relations.summand_pair_family(ex1, ExpressionBounds(1, 3, 1, 1), gate)
+    read += [state for layer in layers for group in layer.operands.values() for state in group]
+    assert read and all(leaf(U) == U and leaf(V) == V for _, U, V in read)
+    assert any(leaf(U) != U or leaf(V) != V
+               for layer in layers for group in layer.groups.values() for _, U, V in group)
 
 
 @pytest.mark.parametrize("m", [3, 4])
