@@ -292,15 +292,13 @@ def cmd_analyze(args) -> int:
                  f"agrees with engine: {certificate['agrees_with_engine']}"]
         _emit(args, payload, lines)
         return 0
-    if sub == "s-stabilize":
-        part, m = relation_S(x, bounds)
-        payload = {"m": m, "classes": part.num_classes,
-                   "class_list": part.classes_as_names(names)}
-        lines = [f"intersection relation stabilizes at m={m}",
-                 f"classes: {part.num_classes}"]
-        _emit(args, payload, lines)
-        return 0
-    raise ParseError(f"unknown analysis {sub!r}")
+    part, m = relation_S(x, bounds)  # s-stabilize
+    payload = {"m": m, "classes": part.num_classes,
+               "class_list": part.classes_as_names(names)}
+    lines = [f"intersection relation stabilizes at m={m}",
+             f"classes: {part.num_classes}"]
+    _emit(args, payload, lines)
+    return 0
 
 
 def _parse_subgroup(text: str):
@@ -336,6 +334,8 @@ def _parse_inline_constants(text: str):
             vec = _int_tuple(val)
         except ValueError:
             raise ParseError(f"--constants: cannot parse {chunk!r}") from None
+        if (i, j) in out:
+            raise ParseError(f"--constants: key ({i},{j}) given twice")
         out[(i, j)] = vec
     return out
 
@@ -367,7 +367,7 @@ def cmd_gen(args) -> int:
         except ValueError:
             raise ParseError(f"--subgroup: expected integers, got {args.subgroup!r}") from None
         structure = gen_quotient_hyperfield(args.q, subgroup)
-    elif args.generator == "coset":
+    else:  # coset
         if args.group is None or args.subgroup is None:
             raise ParseError("gen coset needs --group and --subgroup")
         if args.group == "s3":
@@ -391,8 +391,6 @@ def cmd_gen(args) -> int:
                 except ValueError:
                     raise ParseError(f"--subgroup: unknown element {tok!r}") from None
         structure = gen_coset_hypergroup(table, subgroup)
-    else:
-        raise ParseError(f"unknown generator {args.generator!r}")
     text = serialize_structure(structure)
     if args.out:
         try:

@@ -325,7 +325,7 @@ class _Layer:
         self.codec = codec
         self.groups = groups
         self.operands = {o: list({(o, leaf(U), leaf(V)) for _, U, V in g})
-                         for o, g in groups.items()} if leaf else groups
+                         for o, g in groups.items()}
         self._index = None
 
     def sources(self, owed: int, budget: int):
@@ -355,13 +355,12 @@ class _Layer:
 
 def _leaf_map(table):
     """Map of a mask to the mask of its elements' least class mates, two
-    elements being mates when they share a table row and a table column;
-    None if no element has a mate. Under it br[U][X] is unchanged."""
+    elements being mates when they share a table row and a table column
+    (the identity where no element has a mate). Under it br[U][X] is
+    unchanged."""
     first, reps = {}, {}
     for x, line in enumerate(zip(map(tuple, table), zip(*table))):
         reps[1 << x] = 1 << first.setdefault(line, x)
-    if len(first) == len(reps):
-        return None
     return lambda mask: reps.get(mask) or sum({reps[1 << x] for x in iter_bits(mask)})
 
 
@@ -398,14 +397,11 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
     pairs = {(vl, vr) for vl, vr, _ in pool}
     m, br = bounds.m, L.bracket_ops
     if m >= 2:
-        leaf = _leaf_map_of(L)
-        leaves = pool
-        if leaf:  # the class pool: leaves of one class merged, swap flags OR-ed
-            merged = {}
-            for vl, vr, sw in pool:
-                key = leaf(vl), leaf(vr)
-                merged[key] = merged.get(key, False) or sw
-            leaves = [(*key, sw) for key, sw in sorted(merged.items())]
+        leaf, merged = _leaf_map_of(L), {}
+        for vl, vr, sw in pool:  # the class pool: leaves of one class merged
+            key = leaf(vl), leaf(vr)
+            merged[key] = merged.get(key, False) or sw
+        leaves = [(*key, sw) for key, sw in sorted(merged.items())]
         if m == 2:
             for x1, r1, sw1 in leaves:
                 bx, b1 = br[x1], br[r1]
@@ -430,9 +426,8 @@ def _owed_dp(pool, br, m: int, leaf):
     m - k leaves still to come can settle is dropped.
 
     Each state is read as a bracket operand through leaf, the _leaf_map of
-    the bracket (None if no element has a class mate). Mates share a row
-    and a column, so br[leaf(U)][X] == br[U][X] == br[U][leaf(X)], for
-    sets too: the states and pairs formed are the same on any table.
+    the bracket. Mates share a row and a column, so br[leaf(U)][X] ==
+    br[U][X] == br[U][leaf(X)], for sets too.
     """
     gated = sorted({vr for _, vr, sw in pool if sw})
     codec = _Owed(gated, m)
@@ -622,8 +617,7 @@ def relation_L_values(L: FiniteLieHyperalgebra, bounds: ExpressionBounds):
     coeff_pairs = coefficient_pair_family(L.field, bounds)
     br, add, smul = L.bracket_ops, L.add_ops, L.smul_ops
     leaves = {smul[cl][1 << h] for cl, _ in coeff_pairs for h in range(L.size)}
-    leaf = _leaf_map_of(L) if bounds.m > 1 else None
-    layers = [None, set(map(leaf, leaves)) if leaf else leaves]
+    layers = [None, set(map(_leaf_map_of(L), leaves))]
     for k in range(2, bounds.m + 1):
         layer = set()
         for i in range(1, k):
@@ -760,9 +754,8 @@ def _memo(obj, key, build):
 
 
 def _leaf_map_of(L: FiniteLieHyperalgebra):
-    """_leaf_map of L's bracket, kept once per structure (in a tuple, since
-    the cache takes a stored None for a miss)."""
-    return _memo(L, ("leaf-map",), lambda: (_leaf_map(L.bracket),))[0]
+    """_leaf_map of L's bracket, kept once per structure."""
+    return _memo(L, ("leaf-map",), lambda: _leaf_map(L.bracket))
 
 
 def _gate(L: FiniteLieHyperalgebra, n: int, bounds: ExpressionBounds) -> int:

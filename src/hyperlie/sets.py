@@ -25,10 +25,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def bit_count(mask: int) -> int:
-    return mask.bit_count()
-
-
 def is_singleton(mask: int) -> bool:
     return mask != 0 and mask & (mask - 1) == 0
 

@@ -38,7 +38,7 @@ from hyperlie.relations import (
     relation_with_escalation,
     transitive_closure,
 )
-from hyperlie.sets import bit_count, iter_bits
+from hyperlie.sets import iter_bits
 
 ESCALATION_CAP = ExpressionBounds(3, 3, 2, 2)
 
@@ -298,7 +298,7 @@ def test_criterion_10_dimension_formula(ex1, ex2, ab1, randomized_trivial,
             part = _closure(L, "Sn", n)  # engine only, no oracle steering
             quotient_dim = quotient_lie_algebra(L, part).dimension
             oracle = linear_oracle_partition(L, n)
-            sub = bit_count(oracle.class_mask_of(L.zero))
+            sub = oracle.class_mask_of(L.zero).bit_count()
             q = L.field.gf_order
             dim_Ln = 0
             while q ** dim_Ln < sub:

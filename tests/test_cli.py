@@ -491,6 +491,7 @@ def test_threads_and_seed_accepted(capsys, fixture_files):
     ("gen", "trivial", "--q", "6", "--dim", "1"),
     ("gen", "trivial", "--q", "3", "--dim", "2", "--constants", "(0,1):(0,1"),
     ("gen", "qhyperfield", "--q", "6", "--subgroup", "1"),
+    ("gen", "trivial", "--q", "3", "--dim", "2", "--constants", "(0,1):(1,1);(0,1):(2,2)"),
 ])
 def test_gen_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -198,7 +198,7 @@ def test_seeded_unchecked_algebras_match_reference_from_three_leaves(bounds):
         R = _repeated_operands(L)
         leaf, cols = _leaf_map(R.bracket), list(zip(*R.bracket))
         assert R.bracket[0] == R.bracket[1]
-        assert bool(leaf and leaf(2) == 1) == (cols[0] == cols[1])
+        assert (leaf(2) == 1) == (cols[0] == cols[1])
         for S in (L, R):
             if summand_pair_family(S, bounds, gate) != ref.summand_pair_family(S, bounds, gate):
                 wrong.append((seed, S is R))

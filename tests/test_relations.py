@@ -34,7 +34,7 @@ from hyperlie.relations import (
 )
 from hyperlie.generators import gen_trivial_field, preset_structure
 from hyperlie.quotients import linear_oracle_partition
-from hyperlie.sets import bit_count, iter_bits
+from hyperlie.sets import iter_bits
 from hyperlie.structures import FiniteHyperfield, FiniteLieHyperalgebra
 
 
@@ -55,7 +55,8 @@ def test_bounds_validation():
 def test_operand_classes_of_the_presets(ex1, ex2, m4):
     # ex1's bracket has 27 operand classes, elements with equal rows and
     # equal columns, each mapped to its least element, and a set to the
-    # union of its elements' images; no two elements of ex2 or m4 are mates
+    # union of its elements' images; no two elements of ex2 or m4 are mates,
+    # so their maps fix every singleton and the full mask
     leaf = _leaf_map(ex1.bracket)
     singletons = [1 << x for x in range(ex1.size)]
     reps = {leaf(s) for s in singletons}
@@ -66,12 +67,15 @@ def test_operand_classes_of_the_presets(ex1, ex2, m4):
     mates = {x for x in range(ex1.size) if leaf(1 << x) == 1}
     assert {x for x in range(ex1.size) if ex1.bracket[x] == ex1.bracket[0]} == mates
     assert {x for x in range(ex1.size) if cols[x] == cols[0]} == mates
-    assert _leaf_map(ex2.bracket) is None and _leaf_map(m4.bracket) is None
+    for L in ex2, m4:
+        leaf = _leaf_map(L.bracket)
+        assert all(leaf(1 << x) == 1 << x for x in range(L.size))
+        assert leaf((1 << L.size) - 1) == (1 << L.size) - 1
 
 
 def test_leaf_map_is_kept_once_per_structure(ex1, ex2, monkeypatch):
-    # read by every summand enumeration and relation_L_values from two
-    # leaves, and kept even where it is None
+    # read by every summand enumeration from two leaves and by
+    # relation_L_values
     built, real = [], relations._leaf_map
     monkeypatch.setattr(relations, "_leaf_map", lambda table: built.append(table) or real(table))
     clear_relation_cache()
@@ -85,7 +89,7 @@ def test_hyper_derived_chain_ex1(ex1):
     # bracket values: all of <a,b,c> plus 0 at depth 1 (27 elements),
     # then <a> (3), then {0}
     chain = hyper_derived_sets(ex1, 3)
-    assert [bit_count(m) for m in chain] == [81, 27, 3, 1]
+    assert [m.bit_count() for m in chain] == [81, 27, 3, 1]
     assert _names(ex1, chain[2]) == ["0", "2a", "a"]
     assert _names(ex1, chain[3]) == ["0"]
 
@@ -278,7 +282,7 @@ def test_relation_cache_keys_hold_gates_not_depths(ex1):
     served += [closed_relation(ex1, "Sn", n, b) for n in (1, 2, 3, 4, 5, 10**6)]
     levels = [sn_pair_levels(ex1, n, b) for n in (1, 2, 3, 4, 5, 10**6)]
     gates = hyper_derived_sets(ex1, 4)
-    assert [bit_count(g) for g in gates] == [81, 27, 3, 1, 1]
+    assert [g.bit_count() for g in gates] == [81, 27, 3, 1, 1]
     assert set(_REL_CACHE[ex1]) == {
         (kind, g, (1, 1, 1, 1)) for kind in ("Sn", "Sn-levels") for g in gates}
     assert served[0] is served[1]
