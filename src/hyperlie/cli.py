@@ -103,6 +103,8 @@ def _resolve_rel(args):
             n = int(k)
         except ValueError:
             raise ParseError(f"--rel Sn:k wants an integer depth, got {k!r}") from None
+        if n < 1:
+            raise ParseError(f"--rel {args.rel}: depth must be at least 1")
     if rel not in ("L", "A", "Sn", "alpha"):
         raise ParseError(f"--rel: unknown relation {args.rel!r}")
     if rel == "Sn" and n < 1:

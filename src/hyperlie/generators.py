@@ -24,11 +24,10 @@ from .gf import (
     constants_table,
     digits_to_int,
     get_gf,
-    identity,
     int_to_digits,
     is_prime,
 )
-from .laws import associativity, jacobi
+from .laws import associativity, identity, jacobi
 from .sets import mask_of
 from .structures import (
     FiniteHyperfield,
@@ -125,7 +124,7 @@ def _group_checks(table):
             raise MalformedTable("group table must be square over its own indices")
     for witness in associativity(table, table, range(n), range(n)):
         raise NotAGroup("group-associative", witness)
-    ident = identity(table, range(n))
+    ident = identity(table, range(n), range(n))
     if ident is None:
         raise NotAGroup("group-identity", ())
     for x in range(n):

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import HyperlieError, MalformedTable, NotAField
-from .laws import associativity, commutativity, first_failure, left_distributivity
+from .laws import associativity, commutativity, first_failure, identity, left_distributivity
 
 
 def is_prime(n: int) -> bool:
@@ -120,15 +120,6 @@ def digits_to_int(digits, p: int) -> int:
     return out
 
 
-def identity(table, elems):
-    """The first e of elems with table[e][x] = x = table[x][e] for every x
-    of elems, or None."""
-    for e in elems:
-        if all(table[e][x] == x == table[x][e] for x in elems):
-            return e
-    return None
-
-
 class FiniteField:
     """Classical finite field given by element-valued Cayley tables.
 
@@ -144,8 +135,8 @@ class FiniteField:
         self.mul = [list(r) for r in mul]
         self.index = {nm: i for i, nm in enumerate(self.names)}
         rng = range(self.size)
-        self.zero = identity(self.add, rng)
-        self.one = identity(self.mul, [x for x in rng if x != self.zero])
+        self.zero = identity(self.add, rng, rng)
+        self.one = identity(self.mul, [x for x in rng if x != self.zero], rng)
         self._neg = [next((b for b in rng if self.add[a][b] == self.zero), None) for a in rng]
 
     @classmethod

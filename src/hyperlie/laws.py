@@ -1,11 +1,11 @@
-"""The law-shape loops and the generator decider, shared by the
-hyperstructure checkers, the classical validators and the generators; this
-module imports nothing from the package. Each loop runs on element-index
-tables or SetOps set lifts, takes the values of its positions as lists,
-looks every row up outside the innermost loop and yields the positions of
-each failing instance in product order; a paced loop also yields None after
-each row of its first position, so that first_failure can run several laws
-in step. on_generators decides seven Lie laws on element tables at steps
+"""The law-shape loops, the identity search and the generator decider,
+shared by the hyperstructure checkers, the classical validators and the
+generators; this module imports nothing from the package. Each loop runs
+on element-index tables or SetOps set lifts, takes the values of its
+positions as lists, looks every row up outside the innermost loop and
+yields the positions of each failing instance in product order; a paced
+loop also yields None after each row of its first position, so that
+first_failure can run several laws in step. on_generators decides seven Lie laws on element tables at steps
 along the additive generators, so that the others alone need loops."""
 
 from itertools import product
@@ -83,6 +83,16 @@ def jacobi(add, br, X, zero, lifted=False, paced=False):
                     yield x, y, z
         if paced:
             yield None
+
+
+def identity(f, E, vals):
+    """The first e of E with f(e, x) = vals[x] = f(x, e) for every x of E,
+    vals[x] the value of x in the table's view, or None."""
+    for e in E:
+        fe = f[e]
+        if all(fe[x] == vals[x] == f[x][e] for x in E):
+            return e
+    return None
 
 
 def first_failure(*laws):

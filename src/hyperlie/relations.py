@@ -203,49 +203,50 @@ class ClassOfMask(dict):
 
 
 def transitive_closure(rel: BinaryRelation) -> Partition:
-    """Union-find closure of a reflexive symmetric relation."""
+    """Closure of a reflexive symmetric relation by reachability: each class
+    grows from its least unseen element, taking in the rows of the elements
+    it newly reaches until it reaches no new element."""
     if not rel.is_symmetric():
         raise NotSymmetric("relation is not symmetric; closure refused")
     if not rel.is_reflexive():
         raise NotSymmetric("relation is not reflexive; closure refused")
-    n = rel.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in range(n):
-        rx = find(x)
-        for y in iter_bits(rel.rows[x] >> (x + 1) << (x + 1)):
-            ry = find(y)
-            if rx != ry:
-                parent[ry] = rx
-    return Partition.from_class_of([find(x) for x in range(n)])
+    rows, seen, classes = rel.rows, 0, []
+    for x in range(rel.size):
+        if not seen >> x & 1:
+            cls = new = 1 << x
+            while new:
+                reach = 0
+                for y in iter_bits(new):
+                    reach |= rows[y]
+                new = reach & ~cls
+                cls |= new
+            seen |= cls
+            classes.append(cls)
+    return Partition(classes)
 
 
-def _product_pairs(F: FiniteHyperfield, q: int):
-    """Sorted (written order, permuted order) values of products of at most
-    q scalars."""
+def _scalar_levels(F: FiniteHyperfield, terms: int, q: int):
+    """Per-length levels of (written order, permuted order) values of sums
+    of at most terms products of at most q scalars: the products in every
+    order, their sums by combine_levels' fold rule (_sums_commute)."""
     singletons = [(1 << e, 1 << e) for e in range(F.size)]
-    return sorted(set().union(*combine_levels(singletons, F.mul_ops, q, False)))
+    products = set().union(*combine_levels(singletons, F.mul_ops, q, False))
+    return combine_levels(products, F.add_ops, terms, _sums_commute(F, terms))
 
 
 def coefficient_pair_family(F: FiniteHyperfield, bounds: ExpressionBounds):
     """Deduplicated (unpermuted value, permuted value) scalar-set pairs.
 
-    Products of at most q factors in every order, summed in at most p terms
-    in every order; the left entry evaluates the written order, the right
-    entry a permuted order. Neither operation is assumed commutative or
-    associative, since the tables may be unchecked. The family is closed
+    The levels of alpha at sum length p (_scalar_levels): products of at
+    most q factors, summed in at most p terms; the left entry evaluates the
+    written order, the right entry a permuted order. The tables may be
+    unchecked, so only sums whose + is seen to commute (and, from three
+    terms, to associate) take the order-free fold. The family is closed
     under swapping with no extra step: a permuted order, read as written,
     has the written order among its permutations.
     """
     validate_bounds(bounds)
-    return sorted(set().union(*combine_levels(_product_pairs(F, bounds.q), F.add_ops,
-                                              bounds.p, False)))
+    return sorted(set().union(*_scalar_levels(F, bounds.p, bounds.q)))
 
 
 def hyper_derived_sets(L: FiniteLieHyperalgebra, depth: int):
@@ -357,11 +358,14 @@ def _leaf_map(table):
     """Map of a mask to the mask of its elements' least class mates, two
     elements being mates when they share a table row and a table column
     (the identity where no element has a mate). Under it br[U][X] is
-    unchanged."""
+    unchanged. A mask that meets no moved element, one whose least mate is
+    another element, maps to itself before any lookup."""
     first, reps = {}, {}
     for x, line in enumerate(zip(map(tuple, table), zip(*table))):
         reps[1 << x] = 1 << first.setdefault(line, x)
-    return lambda mask: reps.get(mask) or sum({reps[1 << x] for x in iter_bits(mask)})
+    moved = sum(bit for bit, rep in reps.items() if bit != rep)
+    return lambda mask: (mask if not mask & moved
+                         else reps.get(mask) or sum({reps[1 << x] for x in iter_bits(mask)}))
 
 
 def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate_mask: int):
@@ -652,9 +656,7 @@ def relation_alpha(F: FiniteHyperfield, bounds: ExpressionBounds) -> BinaryRelat
     length <= q; m and p are inert here.
     """
     validate_bounds(bounds)
-    levels = combine_levels(_product_pairs(F, bounds.q), F.add_ops, bounds.t,
-                            _sums_commute(F, bounds.t))
-    return _relation_from_levels(levels, F.names)
+    return _relation_from_levels(_scalar_levels(F, bounds.t, bounds.q), F.names)
 
 
 def _conditions(S):

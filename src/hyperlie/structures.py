@@ -33,6 +33,7 @@ from .laws import (
     associates_at,
     associativity,
     homogeneity,
+    identity,
     jacobi,
     left_distributivity,
     on_generators,
@@ -101,15 +102,6 @@ def _intake(table, rows, cols, size, what):
     return masks, [[c.bit_length() - 1 for c in row] for row in masks]
 
 
-def _identity(table, elems):
-    """The first e of elems with table[e][x] = {x} = table[x][e] for every
-    x of elems, or None."""
-    for e in elems:
-        if all(table[e][x] == 1 << x == table[x][e] for x in elems):
-            return e
-    return None
-
-
 def _commutative(table) -> bool:
     return [list(col) for col in zip(*table)] == table
 
@@ -152,8 +144,9 @@ class FiniteHyperfield:
         self.add_ops = SetOps(self.add)
         self.mul_ops = SetOps(self.mul)
         self.index = {nm: i for i, nm in enumerate(self.names)}
-        self.zero = _identity(self.add, range(n))
-        self.one = _identity(self.mul, [x for x in range(n) if x != self.zero])
+        singletons = [1 << x for x in range(n)]
+        self.zero = identity(self.add, range(n), singletons)
+        self.one = identity(self.mul, [x for x in range(n) if x != self.zero], singletons)
         self.is_trivial = self.add_elt is not None and self.mul_elt is not None
         self.commutative_add = _commutative(self.add)
         # q when the tables are GF(q)'s: set by the generators and the parser

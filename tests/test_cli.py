@@ -512,6 +512,17 @@ def test_argparse_rejection_is_an_input_error(capsys, fixture_files, argv, messa
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("cmd", ["relation", "quotient"])
+@pytest.mark.parametrize("opts, message", [
+    (("--rel", "Sn:0"), "--rel Sn:0: depth must be at least 1"),
+    (("--rel", "Sn:-2"), "--rel Sn:-2: depth must be at least 1"),
+    (("--rel", "Sn", "--n", "0"), "--rel Sn needs --n at least 1"),
+], ids=["Sn:0", "Sn:-2", "n0"])
+def test_sn_depth_below_one_names_what_was_given(capsys, fixture_files, cmd, opts, message):
+    code, out, err = run(capsys, cmd, fixture_files["ab1"], *opts)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 _DASHED_OPTIONS = [
     *((("check", "{ab1}"), opt) for opt in ("--threads", "--seed")),
     *(((cmd, "{ab1}"), opt) for cmd in ("relation", "quotient")

@@ -93,7 +93,7 @@ def test_one_home_names_resolve():
               if callable(obj) and getattr(obj, "__module__", None) == laws.__name__}
     assert {"associativity", "commutativity", "first_failure", "homogeneity", "jacobi",
             "left_distributivity", "right_distributivity", "on_generators", "spanning_tree",
-            "associates_at"} <= shapes
+            "associates_at", "identity"} <= shapes
     for module in (structures, gf, quotients, generators):
         used = _names(_tree(module.__file__)) & shapes
         assert used, module.__name__

@@ -27,6 +27,7 @@ from hyperlie.quotients import (
 )
 from hyperlie.relations import (
     DEFAULT_BOUNDS,
+    BinaryRelation,
     ExpressionBounds,
     Partition,
     clear_relation_cache,
@@ -141,6 +142,33 @@ def test_closure_idempotent_and_coarser(L, n):
         assert rel.row(x) & ~part.class_mask_of(x) == 0
     regrouped = Partition(list(part.classes))
     assert regrouped == part
+
+
+def _warshall(rows):
+    """Reachability rows of a relation, by Warshall's algorithm on booleans."""
+    n = len(rows)
+    reach = [[bool(r >> y & 1) for y in range(n)] for r in rows]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return [sum(1 << y for y in range(n) if reach[x][y]) for x in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=2 * n))))
+def test_closure_is_reachability(case):
+    # a reflexive symmetric relation from random edges: each class is what
+    # its elements reach, however long the path
+    n, edges = case
+    rows = [1 << x for x in range(n)]
+    for x, y in edges:
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    part = transitive_closure(BinaryRelation(rows))
+    assert [part.class_mask_of(x) for x in range(n)] == _warshall(rows)
 
 
 @settings(max_examples=15, deadline=None)

@@ -216,6 +216,27 @@ def test_sums_on_a_commutative_nonassociative_addition_fold_every_order():
         assert relation_A(L, bounds).rows == rows
 
 
+@pytest.mark.parametrize("case", ["ex1", "commutative-nonassociative"])
+def test_coefficient_sums_fold_as_alpha_sums(request, monkeypatch, case):
+    # coefficient pairs are alpha's levels at sum length p, so both hand
+    # their sums over + to combine_levels with one commutative flag
+    if case == "ex1":
+        F, terms, flag = request.getfixturevalue("ex1").field, 2, True
+    else:  # the field of the test above
+        F, terms, flag = FiniteHyperfield(["a", "b"], [[2, 1], [1, 1]], [[1, 1], [1, 2]]), 3, False
+    seen, fold = [], relations.combine_levels
+
+    def recording(pairs, ops, t_max, commutative):
+        if ops is F.add_ops:
+            seen.append(commutative)
+        return fold(pairs, ops, t_max, commutative)
+
+    monkeypatch.setattr(relations, "combine_levels", recording)
+    coefficient_pair_family(F, ExpressionBounds(1, 1, terms, 1))
+    relation_alpha(F, ExpressionBounds(terms, 1, 1, 1))
+    assert seen == [flag, flag]
+
+
 def test_alpha_coset_field_collapses(m1):
     # [1] + [-1] covers both 0 and nonzero classes, so closure is all-pairs
     part = transitive_closure(relation_alpha(m1, DEFAULT_BOUNDS))
