@@ -42,13 +42,18 @@ from .structures import (
 BASIS_LETTERS = "abcdefgh"
 
 
+def _masks(elt):
+    """The mask table of an element-index table."""
+    return [[1 << x for x in row] for row in elt]
+
+
 def gen_trivial_field(q: int) -> FiniteHyperfield:
     """Trivial hyperfield of GF(q): the field with singleton-valued tables.
     Not checked: they are GF(q)'s own tables."""
     check_carrier_size(q)
     gf = get_gf(q)
-    add, mul = ([[1 << x for x in row] for row in table] for table in (gf.add, gf.mul))
-    return FiniteHyperfield(gf.names, add, mul, gf_order=q)
+    elt = [row[:] for row in gf.add], [row[:] for row in gf.mul]  # get_gf's are cached
+    return FiniteHyperfield(gf.names, *map(_masks, elt), gf_order=q, elt=elt)
 
 
 def vector_name(vec, q: int) -> str:
@@ -93,10 +98,9 @@ def gen_trivial_from_lie(q: int, dim: int, constants) -> FiniteLieHyperalgebra:
     result (theorem pipelines gate on characteristic separately).
     """
     check_trivial_carrier(q, dim)
-    add, smul, bracket = ([[1 << x for x in row] for row in t]
-                          for t in _classical(q, dim, constants))
+    elt = _classical(q, dim, constants)
     names = [vector_name(int_to_digits(u, q, dim), q) for u in range(q ** dim)]
-    L = FiniteLieHyperalgebra(gen_trivial_field(q), names, add, smul, bracket)
+    L = FiniteLieHyperalgebra(gen_trivial_field(q), names, *map(_masks, elt), elt=elt)
     L.even_char_warning = q % 2 == 0
     check_lie_hyperalgebra(L).raise_if_failed()
     return L

@@ -11,6 +11,7 @@ byte-deterministic and round-trips to an equal structure.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .errors import HyperlieError, ParseError
 from .generators import gen_trivial_field
@@ -48,26 +49,30 @@ def _cell_mask(cell, index, table, r, c):
 
 
 def _table(obj, key, nrows, ncols, index, path):
+    """The mask table obj[key], with its element-index form when every row
+    is of one-identifier cells, else None."""
     rows = obj.get(key)
     if rows is None:
         raise ParseError(f"{path}.{key}: table is missing")
     if not isinstance(rows, list) or len(rows) != nrows:
         raise ParseError(f"{path}.{key}: expected {nrows} rows, got "
                          f"{len(rows) if isinstance(rows, list) else type(rows).__name__}")
-    out = []
+    masks, elt = [], []
     table = f"{path}.{key}"
-    bit = {nm: 1 << i for nm, i in index.items()}.get
+    bits = [1 << i for i in range(len(index))]
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != ncols:
             raise ParseError(f"{table} row {r}: expected {ncols} entries")
-        try:  # a row of one-identifier cells is read through bit alone
-            masks = [bit(c[0]) if type(c) is list and len(c) == 1 else None for c in row]
-        except TypeError:  # an unhashable identifier
-            masks = [None]
-        if not all(masks):
-            masks = [_cell_mask(cell, index, table, r, c) for c, cell in enumerate(row)]
-        out.append(masks)
-    return out
+        try:  # a row of one-identifier cells is read straight to element indices
+            elts = [index[c] for [c] in row] if {list}.issuperset(map(type, row)) else None
+        except (ValueError, KeyError, TypeError):  # any other row is read cell by cell
+            elts = None
+        elt.append(elts)
+        if elts is None:
+            masks.append([_cell_mask(cell, index, table, r, c) for c, cell in enumerate(row)])
+        else:  # itemgetter of one index returns the item, not a tuple
+            masks.append(list(itemgetter(*elts)(bits)) if ncols > 1 else [bits[elts[0]]])
+    return masks, (None if None in elt else elt)
 
 
 def _identifier(obj, key, index, path):
@@ -82,11 +87,11 @@ def _identifier(obj, key, index, path):
 def _parse_hyperfield(obj, path) -> FiniteHyperfield:
     names, index = _names_and_index(obj, path)
     n = len(names)
-    add = _table(obj, "add", n, n, index, path)
-    mul = _table(obj, "mul", n, n, index, path)
+    add, add_elt = _table(obj, "add", n, n, index, path)
+    mul, mul_elt = _table(obj, "mul", n, n, index, path)
     zero = _identifier(obj, "zero", index, path)
     one = _identifier(obj, "one", index, path)
-    F = FiniteHyperfield(names, add, mul)
+    F = FiniteHyperfield(names, add, mul, elt=(add_elt, mul_elt))
     if _is_canonical(F):
         F.gf_order = n
     if F.zero is not None and F.zero != zero:
@@ -128,11 +133,11 @@ def _parse_lie(obj, path) -> FiniteLieHyperalgebra:
     names, index = _names_and_index(obj, path)
     n = len(names)
     F = _parse_field_ref(obj.get("field"), f"{path}.field")
-    add = _table(obj, "add", n, n, index, path)
-    bracket = _table(obj, "bracket", n, n, index, path)
-    smul = _table(obj, "scalar", F.size, n, index, path)
+    add, add_elt = _table(obj, "add", n, n, index, path)
+    bracket, br_elt = _table(obj, "bracket", n, n, index, path)
+    smul, smul_elt = _table(obj, "scalar", F.size, n, index, path)
     zero = _identifier(obj, "zero", index, path)
-    L = FiniteLieHyperalgebra(F, names, add, smul, bracket)
+    L = FiniteLieHyperalgebra(F, names, add, smul, bracket, elt=(add_elt, smul_elt, br_elt))
     if L.zero is not None and L.zero != zero:
         raise ParseError(f"{path}.zero: declared {names[zero]!r} but tables "
                          f"make {names[L.zero]!r} the zero vector")
@@ -157,8 +162,8 @@ def parse_structure(text: str):
     if kind == "hypergroup":
         names, index = _names_and_index(obj, "hypergroup")
         n = len(names)
-        add = _table(obj, "add", n, n, index, "hypergroup")
-        return Hypergroup(names, add)
+        add, add_elt = _table(obj, "add", n, n, index, "hypergroup")
+        return Hypergroup(names, add, elt=(add_elt,))
     return _parse_lie(obj, "lie_hyperalgebra")
 
 

@@ -75,11 +75,19 @@ def _carrier(names):
     return names
 
 
-def _intake(table, rows, cols, size, what):
-    """Checked copy of a mask table, with its element-index form, or None
-    in its place unless every cell is a singleton. A table of int cells that
-    all hit {1 << i: i} is checked by that map alone, which also gives the
-    element-index form; any other table is checked cell by cell."""
+def _intake(table, rows, cols, size, what, elt=None):
+    """The mask table with its element-index form, or None in its place
+    unless every cell is a singleton. An element-index form elt passed in
+    is trusted, and the tables owned, as the parser and the generators
+    build them; any other table is checked and copied by _checked."""
+    return (table, elt) if elt is not None else _checked(table, rows, cols, size, what)
+
+
+def _checked(table, rows, cols, size, what):
+    """Checked copy of a mask table, with its element-index form or None.
+    A table of int cells that all hit {1 << i: i} is checked by that map
+    alone, which also gives the element-index form; any other table is
+    checked cell by cell."""
     if len(table) != rows:
         raise MalformedTable(f"{what}: expected {rows} rows, got {len(table)}")
     masks = [list(row) for row in table]
@@ -118,10 +126,10 @@ def _associative(S) -> bool:
 class Hypergroup:
     """Carrier with one hyperoperation. Names double as JSON element ids."""
 
-    def __init__(self, names, add):
+    def __init__(self, names, add, *, elt=(None,)):
         self.names = _carrier(names)
         self.size = n = len(self.names)
-        self.add, self.add_elt = _intake(add, n, n, n, "add")
+        self.add, self.add_elt = _intake(add, n, n, n, "add", elt[0])
         self.add_ops = SetOps(self.add)
         self.index = {nm: i for i, nm in enumerate(self.names)}
 
@@ -136,11 +144,11 @@ class FiniteHyperfield:
     """
     associative_add = cached_property(_associative)
 
-    def __init__(self, names, add, mul, gf_order=None):
+    def __init__(self, names, add, mul, gf_order=None, *, elt=(None, None)):
         self.names = _carrier(names)
         self.size = n = len(self.names)
-        self.add, self.add_elt = _intake(add, n, n, n, "add")
-        self.mul, self.mul_elt = _intake(mul, n, n, n, "mul")
+        self.add, self.add_elt = _intake(add, n, n, n, "add", elt[0])
+        self.mul, self.mul_elt = _intake(mul, n, n, n, "mul", elt[1])
         self.add_ops = SetOps(self.add)
         self.mul_ops = SetOps(self.mul)
         self.index = {nm: i for i, nm in enumerate(self.names)}
@@ -171,15 +179,15 @@ class FiniteLieHyperalgebra:
     # the lift of the transposed bracket, which the checker's right-side laws read
     transposed_bracket_ops = cached_property(lambda L: SetOps([list(c) for c in zip(*L.bracket)]))
 
-    def __init__(self, field, names, add, smul, bracket):
+    def __init__(self, field, names, add, smul, bracket, *, elt=(None, None, None)):
         if not isinstance(field, FiniteHyperfield):
             raise FieldMismatch("field must be a FiniteHyperfield")
         self.field = field
         self.names = _carrier(names)
         self.size = n = len(self.names)
-        self.add, self.add_elt = _intake(add, n, n, n, "add")
-        self.smul, self.smul_elt = _intake(smul, field.size, n, n, "smul")
-        self.bracket, self.br_elt = _intake(bracket, n, n, n, "bracket")
+        self.add, self.add_elt = _intake(add, n, n, n, "add", elt[0])
+        self.smul, self.smul_elt = _intake(smul, field.size, n, n, "smul", elt[1])
+        self.bracket, self.br_elt = _intake(bracket, n, n, n, "bracket", elt[2])
         self.add_ops = SetOps(self.add)
         self.smul_ops = SetOps(self.smul)
         self.bracket_ops = SetOps(self.bracket)

@@ -181,3 +181,23 @@ def test_trivial_fields_pass_the_field_check(q):
     report = check_hyperfield(F)
     assert report.ok, report.failures
     assert F.gf_order == q and F.is_trivial
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_trivial_fields_own_their_index_tables(q):
+    # the constructor keeps the index tables it is handed, so they must not
+    # be get_gf's cached lists
+    F, field = gen_trivial_field(q), gf.get_gf(q)
+    assert F.add_elt == field.add and F.mul_elt == field.mul
+    cached = {id(row) for row in field.add + field.mul}
+    assert not cached & {id(row) for row in F.add_elt + F.mul_elt + F.add + F.mul}
+
+
+def test_trivial_generators_hand_over_their_index_tables(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a generated table was checked cell by cell")
+
+    monkeypatch.setattr("hyperlie.structures._checked", refuse)
+    assert gen_trivial_field(5).is_trivial
+    for name in CONSTANT_PRESETS:
+        assert preset_structure(name).is_trivial

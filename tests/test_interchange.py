@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_interchange
 from conftest import _gf_line_document, _self_module
+from hyperlie import interchange
 from hyperlie.errors import ParseError
 from hyperlie.generators import (
     gen_coset_hypergroup,
@@ -23,6 +24,28 @@ from hyperlie.structures import (
     check_hyperfield,
     check_lie_hyperalgebra,
 )
+
+
+def _mask_only(y):
+    """y built again from its mask tables alone, through the constructors'
+    checked path."""
+    if isinstance(y, FiniteLieHyperalgebra):
+        return FiniteLieHyperalgebra(_mask_only(y.field), y.names, y.add, y.smul, y.bracket)
+    if isinstance(y, FiniteHyperfield):
+        return FiniteHyperfield(y.names, y.add, y.mul)
+    return Hypergroup(y.names, y.add)
+
+
+def _index_forms(y):
+    """y's element-index tables and is_trivial, then its field's."""
+    forms = [getattr(y, k, None) for k in ("add_elt", "mul_elt", "smul_elt", "br_elt", "is_trivial")]
+    return forms + (_index_forms(y.field) if isinstance(y, FiniteLieHyperalgebra) else [])
+
+
+def _assert_index_forms_match(x):
+    y = parse_structure(serialize_structure(x))
+    assert _index_forms(y) == _index_forms(_mask_only(y)) == _index_forms(x)
+    return y
 
 
 def _roundtrip(x):
@@ -247,3 +270,53 @@ def test_serializer_matches_the_reference_and_round_trips(x):
         y = parse_structure(text)
         assert type(y) is type(x)
         assert _tables(y) == _tables(x)
+
+
+def test_index_form_matches_the_mask_only_constructor(ex1, ex2, ab1, ab5, m1, m2, m3, m4,
+                                                      m1_module, randomized_trivial):
+    table, _ = make_s3()
+    for x in (ex1, ex2, ab1, ab5, m1, m2, m3, m4, m1_module, *randomized_trivial,
+              *map(gen_trivial_field, (2, 3, 4, 9)), gen_coset_hypergroup(table, [0, 1])):
+        _assert_index_forms_match(x)
+
+
+def test_index_form_of_rows_off_the_fast_path(ab1):
+    doc = json.loads(serialize_structure(ab1))
+    names, index = doc["elements"], {nm: i for i, nm in enumerate(doc["elements"])}
+    # one multivalued cell: no index form, and the algebra is not trivial
+    doc["bracket"][1][2] = [names[0], names[1]]
+    assert interchange._table(doc, "bracket", 3, 3, index, "x")[1] is None
+    L = parse_structure(json.dumps(doc))
+    assert L.br_elt is None and not L.is_trivial
+    assert _index_forms(L) == _index_forms(_mask_only(L))
+    # a repeated identifier: its row is read cell by cell, but its mask is a
+    # singleton, so the constructor still derives the index form
+    doc = json.loads(serialize_structure(ab1))
+    doc["add"][1][2] = [names[0], names[0]]
+    masks, elt = interchange._table(doc, "add", 3, 3, index, "x")
+    assert elt is None and masks[1][2] == 1
+    L = parse_structure(json.dumps(doc))
+    assert L.add_elt is not None and L.is_trivial
+    assert _index_forms(L) == _index_forms(_mask_only(L))
+
+
+def test_singleton_files_take_the_fast_path(monkeypatch, ex1, ex2, ab1, randomized_trivial):
+    # a file of one-identifier cells is read without the cell-by-cell path
+    # of the parser or the checked path of the constructors
+    texts = [serialize_structure(x) for x in (ex1, ex2, ab1, *randomized_trivial)]
+
+    def refuse(*_):
+        raise AssertionError("a singleton table left the fast path")
+
+    monkeypatch.setattr("hyperlie.interchange._cell_mask", refuse)
+    monkeypatch.setattr("hyperlie.structures._checked", refuse)
+    for text in texts:
+        y = parse_structure(text)
+        assert y.is_trivial and serialize_structure(y) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(_structures())
+def test_index_form_matches_the_mask_only_constructor_on_random_structures(x):
+    if _parses(x):
+        _assert_index_forms_match(x)
