@@ -9,9 +9,11 @@ the check and relation goldens only see through their outputs:
 - every preset;
 - trivial algebras over GF(4), GF(8) and GF(9), with brackets whose
   coefficients lie outside the prime field;
-- the trivial field GF(q) for every prime power q <= 27, which fixes the
+- the trivial field GF(q) for every prime power q <= 27 and for
+  q = 32, 49, 64, 81, 121, 125, 128, 169, 243 and 256, which fixes the
   field tables and the choice of irreducible polynomial;
-- scalar-orbit quotients and quotient hyperfields;
+- scalar-orbit quotients, quotient hyperfields and coset hypergroups of
+  S3, Z6, Z8 and Z12;
 - the reference linear_oracle_Sn on the constants of ex1 and ex2 and
   linear_oracle_partition on the generated algebras, at n = 1..3.
 
@@ -25,10 +27,13 @@ import os
 
 from hyperlie.generators import (
     CONSTANT_PRESETS,
+    gen_coset_hypergroup,
     gen_orbit_quotient,
     gen_quotient_hyperfield,
     gen_trivial_field,
     gen_trivial_from_lie,
+    make_cyclic_group,
+    make_s3,
     preset_structure,
 )
 from hyperlie.interchange import serialize_structure
@@ -37,7 +42,8 @@ from reference_linear import linear_oracle_Sn
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "generator_goldens.json")
 
-PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
+                32, 49, 64, 81, 121, 125, 128, 169, 243, 256)
 
 TRIVIAL_CASES = {
     "GF(4)^2 [a,b]=b": (4, 2, {(0, 1): (0, 1)}),
@@ -60,6 +66,18 @@ QUOTIENT_FIELD_CASES = {
     "qhyperfield q=5 H=1,4": (5, [1, 4]),
     "qhyperfield q=13 H=1,3,9": (13, [1, 3, 9]),
     "qhyperfield q=11 H=1": (11, [1]),
+}
+
+S3 = make_s3()[0]
+
+COSET_CASES = {
+    "coset S3 H=0": (S3, [0]),
+    "coset S3 H=0,1": (S3, [0, 1]),
+    "coset S3 H=0,3,4": (S3, [0, 3, 4]),
+    "coset S3 H=S3": (S3, range(6)),
+    "coset Z6 H=0,3": (make_cyclic_group(6)[0], [0, 3]),
+    "coset Z8 H=0,4": (make_cyclic_group(8)[0], [0, 4]),
+    "coset Z12 H=0,4,8": (make_cyclic_group(12)[0], [0, 4, 8]),
 }
 
 
@@ -86,6 +104,8 @@ def generator_digests():
         out[name] = _sha(gen_orbit_quotient(*args))
     for name, args in QUOTIENT_FIELD_CASES.items():
         out[name] = _sha(gen_quotient_hyperfield(*args))
+    for name, args in COSET_CASES.items():
+        out[name] = _sha(gen_coset_hypergroup(*args))
     return out
 
 
