@@ -4,7 +4,12 @@ quotient hyperfields, and scalar-orbit quotients.
 Every generator validates its own output with the matching checker before
 returning; outputs are never trusted by construction. The one exception is
 gen_trivial_field: GF(q)'s own tables are a field (gf_order set, the rule
-gf.trusted_field applies), and a test checks them for every q up to 27.
+gf.trusted_field applies). A test runs the field check on them for every q
+up to 27, and the generator goldens pin them for q up to 256.
+
+Every quotient table (coset, quotient hyperfield, scalar orbit) is
+_quotient, the class hyperoperation by its definition: no argument about
+representatives is needed.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ def gen_trivial_field(q: int) -> FiniteHyperfield:
     return FiniteHyperfield(gf.names, *map(_masks, elt), gf_order=q, elt=elt)
 
 
-def vector_name(vec, q: int) -> str:
+def vector_name(vec) -> str:
     """Display name of a coefficient vector: 0, a, 2a, a+2b, ..."""
     terms = []
     for i, c in enumerate(vec):
@@ -99,7 +104,7 @@ def gen_trivial_from_lie(q: int, dim: int, constants) -> FiniteLieHyperalgebra:
     """
     check_trivial_carrier(q, dim)
     elt = _classical(q, dim, constants)
-    names = [vector_name(int_to_digits(u, q, dim), q) for u in range(q ** dim)]
+    names = [vector_name(int_to_digits(u, q, dim)) for u in range(q ** dim)]
     L = FiniteLieHyperalgebra(gen_trivial_field(q), names, *map(_masks, elt), elt=elt)
     L.even_char_warning = q % 2 == 0
     check_lie_hyperalgebra(L).raise_if_failed()
@@ -119,6 +124,11 @@ def _orbits(n: int, orbit):
                 class_of[v] = len(members)
             members.append(orb)
     return members, class_of
+
+
+def _quotient(op, rows, cols, class_of):
+    """Cell (X, Y) is the mask of the classes of op(x, y), x in X, y in Y."""
+    return [[mask_of(class_of[op(x, y)] for x in X for y in Y) for Y in cols] for X in rows]
 
 
 def _group_checks(table):
@@ -155,16 +165,7 @@ def gen_coset_hypergroup(group_table, subgroup) -> Hypergroup:
 
     cosets, coset_of = _orbits(n, lambda x: (table[x][h] for h in H))
     coset_names = [f"[{members[0]}]" for members in cosets]
-    k = len(cosets)
-    add = []
-    for a in range(k):
-        row = []
-        x = cosets[a][0]
-        for b in range(k):
-            y = cosets[b][0]
-            row.append(mask_of(coset_of[table[table[x][h]][y]] for h in H))
-        add.append(row)
-    hg = Hypergroup(coset_names, add)
+    hg = Hypergroup(coset_names, _quotient(lambda x, y: table[x][y], cosets, cosets, coset_of))
     report = check_hypergroup(hg)
     if not report.ok:
         raise InternalInvariant(f"coset hypergroup failed checks: {report.failures}")
@@ -216,17 +217,8 @@ def gen_quotient_hyperfield(q: int, subgroup) -> FiniteHyperfield:
     """
     members, class_of = _unit_cosets(q, subgroup)
     names = ["0"] + [f"[{m[0]}]" for m in members[1:]]
-    k = len(members)
-    add = []
-    mul = []
-    for a in range(k):
-        add_row = []
-        mul_row = []
-        for b in range(k):
-            add_row.append(mask_of({class_of[(u + v) % q] for u in members[a] for v in members[b]}))
-            mul_row.append(1 << class_of[(members[a][0] * members[b][0]) % q])
-        add.append(add_row)
-        mul.append(mul_row)
+    add = _quotient(lambda u, v: (u + v) % q, members, members, class_of)
+    mul = _quotient(lambda u, v: u * v % q, members, members, class_of)
     F = FiniteHyperfield(names, add, mul, gf_order=q if len(members) == q else None)
     check_hyperfield(F).raise_if_failed()
     return F
@@ -247,16 +239,11 @@ def gen_orbit_quotient(q: int, dim: int, constants, subgroup) -> FiniteLieHypera
     check_carrier_size(1 + (q ** dim - 1) // len(H))
     vadd, vsmul, vbracket = _classical(q, dim, constants)
     orbits, orbit_of = _orbits(len(vadd), lambda u: (vsmul[h][u] for h in H))
-    names = ["0" if members == [0] else f"[{vector_name(int_to_digits(members[0], q, dim), q)}]"
+    names = ["0" if members == [0] else f"[{vector_name(int_to_digits(members[0], q, dim))}]"
              for members in orbits]
-    reps = [members[0] for members in orbits]
-    # h u + v = h (u + v / h) for h in H: a representative's sums meet every
-    # orbit that its whole orbit's sums meet
-    add = [[mask_of(orbit_of[vadd[a][v]] for v in b) for b in orbits] for a in reps]
-    bracket = [[1 << orbit_of[vbracket[a][b]] for b in reps] for a in reps]
-    # a field class acts by any representative scalar
-    smul = [[1 << orbit_of[vsmul[lam][b]] for b in reps] for lam, *_ in field_members]
-
+    add = _quotient(lambda u, v: vadd[u][v], orbits, orbits, orbit_of)
+    smul = _quotient(lambda lam, v: vsmul[lam][v], field_members, orbits, orbit_of)
+    bracket = _quotient(lambda u, v: vbracket[u][v], orbits, orbits, orbit_of)
     L = FiniteLieHyperalgebra(F, names, add, smul, bracket)
     check_lie_hyperalgebra(L).raise_if_failed()
     return L

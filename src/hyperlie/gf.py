@@ -4,8 +4,10 @@ This module is the one home of that arithmetic:
 
 - FiniteField, a field given by element-valued tables. get_gf(q) returns
   the canonical GF(q): element x is the polynomial over F_p whose base-p
-  digits are those of x, reduced modulo the first monic irreducible of
-  degree k (q = p^k), q <= 256. trusted_field reads a hyperfield as one.
+  digits are those of x, taken modulo f, the first monic irreducible of
+  degree k (q = p^k) in _monic_polys order, q <= 256. Its tables are
+  classical_tables over GF(p) with basis products t^(i+j) mod f.
+  trusted_field reads a hyperfield as one.
 - The base-q packing of coordinate vectors, int_to_digits and
   digits_to_int: the vector (v_0, ..., v_{d-1}) has index sum v_i q^i, so
   basis vector 0 is the lowest digit. Every carrier built from GF(q)^d is
@@ -69,16 +71,6 @@ def _poly_mod(a, mod, p):
         for i, c in enumerate(mod):
             a[shift + i] = (a[shift + i] - lead * c) % p
     return _poly_trim(a)
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
 
 
 def _monic_polys(p, deg):
@@ -196,17 +188,19 @@ def trusted_field(F):
 
 @lru_cache(maxsize=None)
 def get_gf(q: int) -> FiniteField:
-    """The canonical GF(q), built once per q."""
+    """The canonical GF(q), built once per q. GF(p) has the residue tables
+    mod p; GF(p^k), k >= 2, is classical_tables over GF(p) in dimension k
+    with basis products t^i t^j = t^(i+j) mod f, f the first monic
+    irreducible of degree k in _monic_polys order."""
     p, k = factor_prime_power(q)
-    mod = _find_irreducible(p, k)
-    digs = [int_to_digits(x, p, k) for x in range(q)]
-    add = [[digits_to_int([(a + b) % p for a, b in zip(dx, dy)], p) for dy in digs]
-           for dx in digs]
     if k == 1:
+        add = [[(x + y) % p for y in range(q)] for x in range(q)]
         mul = [[x * y % p for y in range(q)] for x in range(q)]
     else:
-        mul = [[digits_to_int(_poly_mod(_poly_mul(dx, dy, p), mod, p), p) for dy in digs]
-               for dx in digs]
+        f = _find_irreducible(p, k)
+        C = [[digits_to_int(_poly_mod([0] * (i + j) + [1], f, p), p) for j in range(k)]
+             for i in range(k)]
+        add, _, mul = classical_tables(get_gf(p), k, C)
     return FiniteField([str(x) for x in range(q)], add, mul)
 
 

@@ -221,7 +221,7 @@ def _gf_line_document(q):
     """The file that gen trivial --q q --dim 1 writes, built from GF(q)'s
     tables, because the generator's own checks take seconds near the cap."""
     gf = get_gf(q)
-    names = [vector_name([x], q) for x in range(q)]
+    names = [vector_name([x]) for x in range(q)]
     return {
         "kind": "lie_hyperalgebra", "elements": names, "zero": "0",
         "add": [[[names[x]] for x in row] for row in gf.add],
