@@ -9,7 +9,10 @@ case pins the rows of the scalar relation at the hard cap, and the M = 4
 case of m4, whose one level is the summand pair list, was captured from the
 owed-multiset DP before full-gate summands were read as rectangles. The
 ex1 M = 4 cases (ex1 Sn:2 at t = 1 pins the summand pair list) were
-captured before summands read their leaves by operand class.
+captured before summands read their leaves by operand class. The ex2 and
+ex1 Sn:1 cases at 1,4,1,1, whose summand pair lists come from full-gate
+rectangles of up to four leaves, were captured before the rectangle
+enumeration stopped once its value bound was covered.
 
 Regenerate (only when the level format changes on purpose):
     PYTHONPATH=src python tests/test_level_goldens.py
@@ -36,6 +39,8 @@ def level_cases():
         "m4 Sn:1 1,4,1,1": ("m4", 1, (1, 4, 1, 1)),
         "ex1 Sn:2 1,4,1,1": ("ex1", 2, (1, 4, 1, 1)),
         "ex1 Sn:3 4,4,3,3": ("ex1", 3, (4, 4, 3, 3)),
+        "ex2 Sn:1 1,4,1,1": ("ex2", 1, (1, 4, 1, 1)),
+        "ex1 Sn:1 1,4,1,1": ("ex1", 1, (1, 4, 1, 1)),
     }
 
 
