@@ -8,7 +8,9 @@ summands of at most two leaves off the leaf pool. From three leaves with
 every leaf gated (A, Sn:1, and Sn while its gate is the carrier), a tree
 and its permuted tree are any two orderings of one leaf multiset in one
 shape, so the summands are rectangles of written by permuted values,
-built multiset by multiset.
+built multiset by multiset. The values of each shape over every multiset,
+a few brackets of whole-level value sets, bound the pairs still to come,
+and the multisets stop once the pairs found cover that bound.
 Other gates build bracket trees bottom-up in a tree DP over distinct
 subtree states (the written and permuted values, with the gated values a
 leaf permutation still owes), reading each state as a bracket operand
@@ -27,8 +29,9 @@ stabilized, or bound-limited).
 from __future__ import annotations
 
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from operator import itemgetter, or_
 
@@ -394,7 +397,9 @@ def summand_pair_family(L: FiniteLieHyperalgebra, bounds: ExpressionBounds, gate
       pairs of s over M are exactly W_l(s, M) x W_r(s, M), where W_l (W_r)
       holds the values of s over every ordering of M read on vl (vr):
       W((s1, s2), M) is every [X, Y] with X in W(s1, M1) and Y in
-      W(s2, M2), over the splits of M into M1 and M2 (_rectangles).
+      W(s2, M2), over the splits of M into M1 and M2. The multisets stop
+      once the pairs found hold every pair that the values of the shapes
+      still to come allow (_rectangles).
     - Otherwise, the tree DP over owed multisets (_owed_dp).
     """
     pool = _leaf_pool(L, coefficient_pair_family(L.field, bounds), gate_mask)
@@ -466,11 +471,24 @@ def _rectangles(pool, br, m: int):
     """Summand pairs, up to swaps, of 2 to m >= 3 leaves of a fully gated pool.
 
     W(s, M) is kept per sorted tuple M of fewer than m pool indices (a lone
-    index at one leaf), as a bit mask over the values met so far, one per
-    shape s; the bracket of two such masks is memoised. Each distinct split
-    (M1, M2) forms a shape (s1, s2) and its mirror (s2, s1) together.
+    index at one leaf), as a bit mask over the values the trees take, one
+    per shape s; the bracket of two such masks is memoised as memo[A][B]. Each
+    cut of M into M1 and M2 forms a shape (s1, s2) and, when M1 is the
+    smaller part, its mirror (s2, s1) too; a cut that equal indices repeat
+    only ORs a memoised mask again.
+
+    The enumeration stops once the pairs found cover all that the multisets
+    still to come could add. A bracket of masks is the union of the
+    brackets of their elements, so V(s), the values of shape s over every
+    multiset, is the bracket of V(s1) and V(s2), from V(leaf), the OR of the
+    pool's values on one side: a few brackets of whole-level masks, taken
+    before any multiset. Every pair that shape s forms lies in V_l(s) x
+    V_r(s). missing counts the pairs of the union of these bounds over the
+    levels not yet finished that no rectangle found so far holds. Once it is
+    0, every later rectangle holds only pairs already found, and the pairs
+    returned are those of the whole enumeration.
     """
-    ids, vals, memo = {}, [], {}
+    ids, vals, memo = {}, [], defaultdict(dict)
 
     def unit(v):  # the bit of value v
         if v not in ids:
@@ -483,37 +501,68 @@ def _rectangles(pool, br, m: int):
             row = br[vals[x]]
             for y in iter_bits(B):
                 out |= unit(row[vals[y]])
-        memo[A, B] = out
+        memo[A][B] = out
         return out
 
     # the caller's swap closure makes the order of the sides immaterial
     sides = {tuple(vl for vl, _, _ in pool), tuple(vr for _, vr, _ in pool)}
     tables = [{i: [unit(v)] for i, v in enumerate(side)} for side in sides]
-    rects = set()
-    count = [0, 1]  # shapes of k leaves
+    # shapes[k][n] = (a, i, j): shape number i of a leaves under shape number j of k - a
+    shapes = [[], [()]]
     for k in range(2, m + 1):
-        # (a, i, j): shape number i of a leaves under shape number j of k - a
-        slot = {s: n for n, s in enumerate((a, i, j) for a in range(1, k)
-                                           for i in range(count[a]) for j in range(count[k - a]))}
-        count.append(len(slot))
-        cuts = [(a, itemgetter(*p1), itemgetter(*(p for p in range(k) if p not in p1)))
+        shapes.append([(a, i, j) for a in range(1, k)
+                       for i in range(len(shapes[a])) for j in range(len(shapes[k - a]))])
+    bounds = []  # per side, V(s) of each shape s, level by level
+    for W in tables:
+        V = [[], [reduce(or_, (units[0] for units in W.values()))]]
+        for k in range(2, m + 1):
+            V.append([lift(V[a][i], V[k - a][j]) for a, i, j in shapes[k]])
+        bounds.append(V)
+    # cover[k][x]: the ys that some shape of k to m leaves may pair with x;
+    # every value any shape takes has its bit by now
+    cover, reach = [None] * (m + 1), [0] * len(vals)
+    for k in range(m, 1, -1):
+        for Vl, Vr in zip(bounds[0][k], bounds[-1][k]):
+            for x in iter_bits(Vl):
+                reach[x] |= Vr
+        cover[k] = list(reach)
+    paired, rects = [0] * len(vals), set()
+    for k in range(2, m + 1):
+        missing = sum((c & ~p).bit_count() for c, p in zip(cover[k], paired))
+        if not missing:  # cover[k] shrinks with k, so this stops every level after
+            break
+        slot = {s: n for n, s in enumerate(shapes[k])}
+        cuts = [(itemgetter(*p1), itemgetter(*(p for p in range(k) if p not in p1)),
+                 [(i, j, slot[a, i, j], slot[k - a, j, i] if 2 * a < k else None)
+                  for i in range(len(shapes[a])) for j in range(len(shapes[k - a]))])
                 for a in range(1, k // 2 + 1) for p1 in combinations(range(k), a)]
+        width = len(shapes[k])
         for M in combinations_with_replacement(range(len(pool)), k):
-            parts = {(a, f1(M)): f2(M) for a, f1, f2 in cuts}
             row = []
             for W in tables:
-                out = [0] * count[k]
-                for (a, M1), M2 in parts.items():
-                    for i, A in enumerate(W[M1]):
-                        for j, B in enumerate(W[M2]):
-                            out[slot[a, i, j]] |= memo.get((A, B)) or lift(A, B)
-                            if 2 * a < k:
-                                out[slot[k - a, j, i]] |= memo.get((B, A)) or lift(B, A)
+                out = [0] * width
+                for f1, f2, links in cuts:
+                    W1, W2 = W[f1(M)], W[f2(M)]
+                    for i, j, s, t in links:
+                        A, B = W1[i], W2[j]
+                        out[s] |= memo[A].get(B) or lift(A, B)
+                        if t is not None:
+                            out[t] |= memo[B].get(A) or lift(B, A)
                 row.append(out)
                 if k < m:
                     W[M] = out
-            rects.update(zip(*row))
-    return {(vals[x], vals[y]) for r in rects for x in iter_bits(r[0]) for y in iter_bits(r[-1])}
+            for rect in zip(row[0], row[-1]):
+                if rect not in rects:
+                    rects.add(rect)
+                    X, Y = rect
+                    for x in iter_bits(X):
+                        new = Y & ~paired[x]
+                        if new:
+                            paired[x] |= new
+                            missing -= new.bit_count()
+            if not missing:
+                break
+    return {(vals[x], vals[y]) for x, ys in enumerate(paired) for y in iter_bits(ys)}
 
 
 def _blocks(level):

@@ -281,20 +281,23 @@ def test_non_diagonal_pool_keeps_every_state():
         assert summand_pair_family(R, bounds, gate) == ref.summand_pair_family(R, bounds, gate)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_rectangles_match_the_owed_dp_on_full_gates(m):
     # the full-gate path against the DP it replaces there, on the lawful
     # fixtures, the whole-carrier (odd-seed) unchecked algebras with their
     # repeated-operand copies, and the pool whose leaves differ by side;
-    # each forms trees of two or more leaves, up to the swap of a pair
-    bounds = ExpressionBounds(1, m, 2, 2)
-    structures = list(lawful_fixtures())
+    # each forms trees of two or more leaves, up to the swap of a pair. At
+    # m = 4 only the unchecked algebras run, at p = q = 1, where their pools
+    # hold at most 5 leaves
+    bounds = ExpressionBounds(1, m, 2, 2) if m < 4 else ExpressionBounds(1, 4, 1, 1)
+    structures = list(lawful_fixtures()) if m < 4 else []
     for seed in range(1, 60, 2):
         L, gate = _seeded_algebra(seed)
         assert gate == (1 << L.size) - 1
         structures += [L, _repeated_operands(L)]
-    L = _non_diagonal_pool_case()[0]
-    structures += [L, _repeated_operands(L)]
+    if m < 4:
+        L = _non_diagonal_pool_case()[0]
+        structures += [L, _repeated_operands(L)]
     wrong = []
     for i, S in enumerate(structures):
         pool = _leaf_pool(S, coefficient_pair_family(S.field, bounds), (1 << S.size) - 1)

@@ -5,6 +5,11 @@ against the linear oracle, and frozen. Derivations are noted inline.
 """
 
 import gc
+import hashlib
+import json
+import math
+import os
+from collections import Counter
 
 import pytest
 
@@ -398,6 +403,29 @@ def test_full_gates_build_no_owed_states(ab1, ex2, monkeypatch, m):
     for L in (ab1, ex2):
         relations.summand_pair_family(L, ExpressionBounds(1, m, 1, 1), (1 << L.size) - 1)
     assert built == []
+
+
+def test_full_gate_rectangles_stop_once_their_value_bound_is_covered(ex2, monkeypatch):
+    # ex2's rectangles of three leaves pair every two values that shapes of
+    # three or four leaves could pair, so no multiset of four leaves is
+    # drawn; the pairs are still those of the whole enumeration, whose level
+    # golden was recorded before the enumeration could stop
+    drawn, pool_size, real = Counter(), {}, relations.combinations_with_replacement
+
+    def recorder(indices, k):
+        pool_size[k] = len(indices)
+        for M in real(indices, k):
+            drawn[k] += 1
+            yield M
+
+    monkeypatch.setattr(relations, "combinations_with_replacement", recorder)
+    pairs = relations.summand_pair_family(ex2, ExpressionBounds(1, 4, 1, 1), (1 << ex2.size) - 1)
+    assert pool_size == {2: 27, 3: 27}
+    assert drawn[2] == math.comb(28, 2) and 0 < drawn[3] < math.comb(29, 3) and drawn[4] == 0
+    with open(os.path.join(os.path.dirname(__file__), "data", "level_goldens.json"),
+              encoding="utf-8") as fh:
+        golden = json.load(fh)["ex2 Sn:1 1,4,1,1"]
+    assert hashlib.sha256(repr([pairs]).encode()).hexdigest() == golden
 
 
 _SN_ENTRIES = {
