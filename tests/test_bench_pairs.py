@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py refuses a seed list it could not summarize, and
-records one Tier-1 run per side."""
+"""tools/bench_pairs.py refuses a seed list it could not summarize,
+records one Tier-1 run per side, and runs both sides outside the checkout,
+the change from a copy of the working tree."""
 
 import importlib.util
 import json
@@ -42,19 +43,25 @@ def test_one_tier1_run_per_side_in_the_next_pairs_order(tmp_path, monkeypatch):
         metrics = {m["name"]: {"value": 1.0} for m in json.load(fh)["end_to_end"]}
     tier1 = []
 
+    def is_parent(tree):
+        return os.path.exists(os.path.join(tree, "BASE"))
+
     def run(cmd, cwd=None, **kwargs):
         if cmd[0] == "git":
             out = "" if cmd[1] in ("status", "ls-files") else "0" * 40
         elif cmd[1:3] == ["-m", "pytest"]:
-            tier1.append((cwd, kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0]))
-            out = "..F.\n" + ("1 failed, 424 passed in 15.00s" if cwd == bench_pairs.ROOT
-                              else "2 failed, 9 passed, 1 warning in 3.00s") + "\n"
+            tier1.append((cwd, is_parent(cwd), kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0]))
+            out = "..F.\n" + ("2 failed, 9 passed, 1 warning in 3.00s" if is_parent(cwd)
+                              else "1 failed, 424 passed in 15.00s") + "\n"
         else:
             out = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics})
         return subprocess.CompletedProcess(cmd, 0, stdout=out)
 
+    def extract(rev, dest):
+        open(os.path.join(dest, "BASE"), "w").close()
+
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
-    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "extract", extract)
     out = tmp_path / "bench.json"
     for seeds, first in (("1-2", "parent"), ("1-3", "change")):
         tier1.clear()
@@ -64,5 +71,47 @@ def test_one_tier1_run_per_side_in_the_next_pairs_order(tmp_path, monkeypatch):
         assert {side: (doc[side]["passed"], doc[side]["failed"]) for side in ("parent", "change")} == {
             "parent": (9, 2), "change": (424, 1)}
         assert all(doc[side]["wall_s"] >= 0 for side in ("parent", "change"))
-        assert [cwd == bench_pairs.ROOT for cwd, _ in tier1] == [first == "change", first == "parent"]
-        assert {path for _, path in tier1} == {"src"}
+        assert [parent for _, parent, _ in tier1] == [first == "parent", first == "change"]
+        assert {path for *_, path in tier1} == {"src"}
+        assert bench_pairs.ROOT not in {cwd for cwd, *_ in tier1}
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                    *args], cwd=repo, check=True, capture_output=True)
+
+
+def test_the_change_runs_from_a_copy_of_the_working_tree(tmp_path, monkeypatch):
+    # a repository of its own, whose src/ holds an edit made after its one
+    # commit and a file not yet added: both reach the change's tree and
+    # neither the parent's, and neither side runs in the checkout itself
+    bench_pairs = _bench_pairs()
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["run"], "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.1}]}))
+    (repo / "src" / "engine.py").write_text("committed\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "engine.py").write_text("edited\n")
+    (repo / "src" / "new.py").write_text("added\n")
+    seen = []
+
+    def run_once(tree, command, workload, seed, seconds):
+        src = os.path.join(tree, "src")
+        seen.append((tree, sorted(os.listdir(src)), open(os.path.join(src, "engine.py")).read()))
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "tier1_once", lambda tree: {"wall_s": 0.0, "passed": 0, "failed": 0})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--seeds", "1-2", "--out", str(out)]) == 0
+    parent, change, change_again, parent_again = seen
+    assert parent[0] == parent_again[0] and change[0] == change_again[0]
+    assert str(repo) not in {parent[0], change[0]} and parent[0] != change[0]
+    assert parent[1:] == (["engine.py"], "committed\n")
+    assert change[1:] == (["engine.py", "new.py"], "edited\n")
+    assert json.loads(out.read_text())["change_dirty"]

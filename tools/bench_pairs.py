@@ -3,8 +3,10 @@
     python3 tools/bench_pairs.py --base <rev> --seeds 1-10 --out BENCH_<n>.json
 
 Run from the root of a git checkout. The base commit's files are extracted
-with ``git archive`` into a temporary directory, so each side runs its own
-``perfbench/`` on its own ``src/``. For every workload in BENCHMARK.json and
+with ``git archive`` into a temporary directory, and the files of the
+working tree that git tracks or would track are copied, as they are, into a
+second one, so each side runs its own ``perfbench/`` on its own ``src/``
+from a fresh directory of its own. For every workload in BENCHMARK.json and
 every seed, the tool runs ``perfbench/run.py`` (untraced, for the
 benchmark's ``run_seconds``) once on each side, alternating which side
 goes first, one process at a time. It then runs the Tier-1 tests once on
@@ -31,6 +33,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,16 +58,29 @@ def extract(rev: str, dest: str) -> None:
             tar.extractall(dest)
 
 
+def worktree_files(*dirs):
+    """Sorted paths of the files under dirs (the whole tree if none) that
+    git tracks or would track and that the working tree holds."""
+    paths = git("ls-files", "-z", "-co", "--exclude-standard", "--", *dirs).split("\0")
+    return sorted(path for path in paths if path and os.path.isfile(os.path.join(ROOT, path)))
+
+
+def copy_worktree(dest: str) -> None:
+    """The working tree's files that git tracks or would track, as they
+    are, copied under dest."""
+    for path in worktree_files():
+        os.makedirs(os.path.dirname(os.path.join(dest, path)), exist_ok=True)
+        shutil.copy2(os.path.join(ROOT, path), os.path.join(dest, path))
+
+
 def source_digest(*dirs) -> str:
     """sha256 over the path and bytes of every file under dirs that git
     tracks or would track, as they are in the working tree."""
     digest = hashlib.sha256()
-    for path in sorted(git("ls-files", "-co", "--exclude-standard", "--", *dirs).splitlines()):
-        full = os.path.join(ROOT, path)
-        if os.path.isfile(full):
-            with open(full, "rb") as fh:
-                data = fh.read()
-            digest.update(f"{path}\0{len(data)}\0".encode() + data)
+    for path in worktree_files(*dirs):
+        with open(os.path.join(ROOT, path), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{path}\0{len(data)}\0".encode() + data)
     return digest.hexdigest()
 
 
@@ -162,9 +178,11 @@ def main(argv=None) -> int:
         "quartile_method": "statistics.quantiles(n=4, method='inclusive')",
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree:
+    with (tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree,
+          tempfile.TemporaryDirectory(prefix="bench-change-") as change_tree):
         extract(base_commit, base_tree)
-        trees = {"parent": base_tree, "change": ROOT}
+        copy_worktree(change_tree)
+        trees = {"parent": base_tree, "change": change_tree}
         for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for i, seed in enumerate(args.seeds):
