@@ -472,8 +472,8 @@ def _rectangles(pool, br, m: int):
 
     W(s, M) is kept per sorted tuple M of fewer than m pool indices (a lone
     index at one leaf), as a bit mask over the values the trees take, one
-    per shape s; the bracket of two such masks is memoised as memo[A][B]. Each
-    cut of M into M1 and M2 forms a shape (s1, s2) and, when M1 is the
+    per shape s; the bracket of two such masks is memoised as memo[A][B].
+    Each cut of M into M1 and M2 forms a shape (s1, s2) and, when M1 is the
     smaller part, its mirror (s2, s1) too; a cut that equal indices repeat
     only ORs a memoised mask again.
 
@@ -512,17 +512,17 @@ def _rectangles(pool, br, m: int):
     for k in range(2, m + 1):
         shapes.append([(a, i, j) for a in range(1, k)
                        for i in range(len(shapes[a])) for j in range(len(shapes[k - a]))])
-    bounds = []  # per side, V(s) of each shape s, level by level
+    side_values = []  # per side, V(s) of each shape s, level by level
     for W in tables:
         V = [[], [reduce(or_, (units[0] for units in W.values()))]]
         for k in range(2, m + 1):
             V.append([lift(V[a][i], V[k - a][j]) for a, i, j in shapes[k]])
-        bounds.append(V)
+        side_values.append(V)
     # cover[k][x]: the ys that some shape of k to m leaves may pair with x;
     # every value any shape takes has its bit by now
     cover, reach = [None] * (m + 1), [0] * len(vals)
     for k in range(m, 1, -1):
-        for Vl, Vr in zip(bounds[0][k], bounds[-1][k]):
+        for Vl, Vr in zip(side_values[0][k], side_values[-1][k]):
             for x in iter_bits(Vl):
                 reach[x] |= Vr
         cover[k] = list(reach)
@@ -556,7 +556,7 @@ def _rectangles(pool, br, m: int):
                     rects.add(rect)
                     X, Y = rect
                     for x in iter_bits(X):
-                        new = Y & ~paired[x]
+                        new = Y & ~paired[x]  # within cover[k][x], as X x Y is
                         if new:
                             paired[x] |= new
                             missing -= new.bit_count()
