@@ -15,7 +15,13 @@ the check and relation goldens only see through their outputs:
 - scalar-orbit quotients, quotient hyperfields and coset hypergroups of
   S3, Z6, Z8 and Z12;
 - the reference linear_oracle_Sn on the constants of ex1 and ex2 and
-  linear_oracle_partition on the generated algebras, at n = 1..3.
+  linear_oracle_partition on the generated algebras, at n = 1..3;
+- the linear oracle's premise: detect_trivial's verdict (field order and
+  basis names, or null) and linear_oracle_partition at n = 1..3, or the
+  name of the error it raises, on algebras it accepts (in characteristic
+  2 too) and on ones it refuses: an orbit quotient, two tables whose span
+  from zero misses an element, a bracket with [a, a] = a and GF(9) with
+  1 and 2 trading labels.
 
 Regenerate (only when the output format changes on purpose):
     PYTHONPATH=src python tests/test_generator_goldens.py
@@ -25,6 +31,8 @@ import hashlib
 import json
 import os
 
+from conftest import _relabelled
+from hyperlie.errors import HyperlieError
 from hyperlie.generators import (
     CONSTANT_PRESETS,
     gen_coset_hypergroup,
@@ -36,8 +44,10 @@ from hyperlie.generators import (
     make_s3,
     preset_structure,
 )
-from hyperlie.interchange import serialize_structure
-from hyperlie.quotients import linear_oracle_partition
+from hyperlie.gf import classical_tables, get_gf
+from hyperlie.interchange import parse_structure, serialize_structure
+from hyperlie.quotients import detect_trivial, linear_oracle_partition
+from hyperlie.structures import FiniteLieHyperalgebra
 from reference_linear import linear_oracle_Sn
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "generator_goldens.json")
@@ -121,6 +131,56 @@ def oracle_partitions():
     return out
 
 
+def _partial_span(aa):
+    """1 a = 1 b = b over GF(2), so the span of the carrier from o never
+    reaches a; the bracket is zero but for [a, a] = aa."""
+    return parse_structure(json.dumps({
+        "kind": "lie_hyperalgebra", "elements": ["o", "a", "b"], "zero": "o",
+        "field": "trivial:F2",
+        "add": [[["o"], ["a"], ["b"]], [["a"], ["o"], ["o"]], [["b"], ["o"], ["o"]]],
+        "scalar": [[["o"], ["o"], ["o"]], [["o"], ["b"], ["b"]]],
+        "bracket": [[["o"], ["o"], ["o"]], [["o"], [aa], ["o"]], [["o"], ["o"], ["o"]]]}))
+
+
+def _self_bracket():
+    """GF(3) with the bilinear bracket [a, a] = a, which is not alternating."""
+    tables = classical_tables(get_gf(3), 1, [[1]])
+    masks = [[[1 << x for x in row] for row in t] for t in tables]
+    return FiniteLieHyperalgebra(gen_trivial_field(3), ["0", "a", "2a"], *masks)
+
+
+def premise_cases():
+    """case name -> algebra whose linear-oracle premise is pinned."""
+    gf9 = gen_trivial_from_lie(9, 1, {})
+    return {
+        **{name: preset_structure(name) for name in CONSTANT_PRESETS},
+        **{name: gen_trivial_from_lie(*args) for name, args in TRIVIAL_CASES.items()},
+        "GF(5)^2 [a,b]=b": gen_trivial_from_lie(5, 2, {(0, 1): (0, 1)}),
+        "m4": gen_orbit_quotient(*ORBIT_CASES["orbit q=7 dim=2 H=1,2,4"]),
+        "partial span [a,a]=a": _partial_span("a"),
+        "partial span [a,a]=o": _partial_span("o"),
+        "GF(3) [a,a]=a": _self_bracket(),
+        "GF(9)^1 1 and 2 swapped": _relabelled(gf9, [0, 2, 1, *range(3, 9)], range(9)),
+    }
+
+
+def premise_verdicts():
+    """case name -> detect_trivial's verdict and the linear oracle's
+    classes, or the name of the error it raises, at n = 1..3."""
+    out = {}
+    for name, L in premise_cases().items():
+        info = detect_trivial(L)
+        out[f"detect_trivial {name}"] = info and {
+            "field": info[0].size, "basis": [L.names[x] for x in info[1]]}
+        for n in (1, 2, 3):
+            try:
+                found = _classes(linear_oracle_partition(L, n))
+            except HyperlieError as exc:
+                found = type(exc).__name__
+            out[f"linear_oracle_partition {name} n={n}"] = found
+    return out
+
+
 def test_generator_output_matches_goldens():
     with open(GOLDEN_PATH, encoding="utf-8") as fh:
         goldens = json.load(fh)
@@ -139,8 +199,18 @@ def test_linear_oracle_matches_goldens():
         assert classes == goldens["oracle"][name], name
 
 
+def test_oracle_premise_matches_goldens():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    verdicts = premise_verdicts()
+    assert list(verdicts) == list(goldens["premise"])
+    for name, found in verdicts.items():
+        assert found == goldens["premise"][name], name
+
+
 if __name__ == "__main__":
-    goldens = {"structures": generator_digests(), "oracle": oracle_partitions()}
+    goldens = {"structures": generator_digests(), "oracle": oracle_partitions(),
+               "premise": premise_verdicts()}
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(goldens, fh, indent=1)
         fh.write("\n")
