@@ -1,6 +1,6 @@
 """Quotients by strongly regular partitions, classical structure checks,
 and the linear oracle, linear_oracle_partition, read on the element tables
-of an algebra that passes detect_trivial's premise."""
+of an algebra that FiniteLieAlgebra.validate accepts over a standard field."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .errors import (
     NotLie,
     NotWellDefined,
 )
-from .gf import FiniteField, canonical_order, classical_tables, is_prime, trusted_field
+from .gf import FiniteField, canonical_order, is_prime, trusted_field
 from .laws import (
     associativity,
     commutativity,
@@ -266,9 +266,10 @@ def detect_trivial(L: FiniteLieHyperalgebra):
     on its element tables, else None.
 
     field is gf.trusted_field's, with any labels on a prime field and only
-    GF(q)'s own tables otherwise. basis spans the carrier from zero; in its
-    coordinates L's tables must be classical_tables of the field and the
-    basis brackets, with an alternating bracket and Jacobi on basis triples.
+    GF(q)'s own tables otherwise; FiniteLieAlgebra.validate decides the rest.
+    Its axioms hold exactly when, in the coordinates of basis, the span of
+    the carrier from zero, L's tables are classical_tables of the field and
+    the basis brackets, with an alternating bracket and Jacobi on basis triples.
     """
     field = trusted_field(L.field) if L.is_trivial else None
     if field is None:
@@ -276,20 +277,11 @@ def detect_trivial(L: FiniteLieHyperalgebra):
     q = field.size
     if not is_prime(q) and canonical_order(field.add, field.mul) is None:
         return None
-    add, smul, br, z = L.add_elt, L.smul_elt, L.br_elt, L.zero
-    spanned = _span(add, smul, z, q, range(L.size))
-    if spanned is None or len(spanned[0]) != L.size:
+    try:
+        FiniteLieAlgebra(field, L.names, L.add_elt, L.smul_elt, L.br_elt).validate()
+    except NotLie:
         return None
-    elts, basis = spanned
-    coord = {e: u for u, e in enumerate(elts)}
-    tables = classical_tables(field, len(basis), [[coord[br[x][y]] for y in basis] for x in basis])
-    for table, rows, classical in zip((add, smul, br), (elts, range(q), elts), tables):
-        for r, row in zip(rows, classical):
-            if list(map(table[r].__getitem__, elts)) != list(map(elts.__getitem__, row)):
-                return None
-    if any(br[x][x] != z for x in elts) or next(jacobi(add, br, basis, z), None) is not None:
-        return None
-    return field, basis
+    return field, _span(L.add_elt, L.smul_elt, L.zero, q, range(L.size))[1]
 
 
 def linear_oracle_partition(L: FiniteLieHyperalgebra, n: int) -> Partition:
