@@ -85,12 +85,7 @@ def is_Sn_part(L: FiniteLieHyperalgebra, n: int, K: int,
     if K == 0:
         raise InternalInvariant("K must be non-empty")
     rel, _ = closed_relation(L, "Sn", n, bounds)
-    escaped = False
-    for x in iter_bits(K):
-        if rel.row(x) & ~K:
-            escaped = True
-            break
-    if not escaped:
+    if not any(rel.row(x) & ~K for x in iter_bits(K)):
         return SnPartVerdict(True, None, bounds)
     wit = _first_escape(sn_pair_levels(L, n, bounds), K)
     if wit is None:
