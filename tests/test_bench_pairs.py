@@ -1,6 +1,7 @@
 """tools/bench_pairs.py refuses a seed list it could not summarize,
-records one Tier-1 run per side, and runs both sides outside the checkout,
-the change from a copy of the working tree."""
+records one Tier-1 run per side and the src/ line count of each, and runs
+both sides outside the checkout, the change from a copy of the working
+tree."""
 
 import importlib.util
 import json
@@ -114,4 +115,6 @@ def test_the_change_runs_from_a_copy_of_the_working_tree(tmp_path, monkeypatch):
     assert str(repo) not in {parent[0], change[0]} and parent[0] != change[0]
     assert parent[1:] == (["engine.py"], "committed\n")
     assert change[1:] == (["engine.py", "new.py"], "edited\n")
-    assert json.loads(out.read_text())["change_dirty"]
+    doc = json.loads(out.read_text())
+    assert doc["change_dirty"]
+    assert doc["src_lines"] == {"parent": 1, "change": 2}

@@ -13,6 +13,8 @@ goes first, one process at a time. It then runs the Tier-1 tests once on
 each side, in the order the next seed would take (``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on PYTHONPATH), and
 records their wall seconds and passed and failed counts under ``tier1``.
+Next to it, ``src_lines`` holds each side's line count of every ``.py``
+file under its own ``src/``, the size measure the roadmap tracks.
 
 The output holds, per workload and end-to-end metric, each side's median
 and quartiles, the parent IQR, the number of pairs the change won (ties
@@ -82,6 +84,17 @@ def source_digest(*dirs) -> str:
             data = fh.read()
         digest.update(f"{path}\0{len(data)}\0".encode() + data)
     return digest.hexdigest()
+
+
+def src_lines(tree: str) -> int:
+    """Newlines in every .py file under tree's src/, as wc -l counts them."""
+    total = 0
+    for folder, _, files in os.walk(os.path.join(tree, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def parse_seeds(text: str):
@@ -183,6 +196,7 @@ def main(argv=None) -> int:
         extract(base_commit, base_tree)
         copy_worktree(change_tree)
         trees = {"parent": base_tree, "change": change_tree}
+        doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for i, seed in enumerate(args.seeds):
