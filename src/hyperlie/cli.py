@@ -116,8 +116,8 @@ def _oracle_for(structure, rel: str, n: int):
     """Reference partition for escalation, or None where none applies. The
     diagonal is exact for alpha on a field, and for L on a singleton-valued
     algebra, whose every expression value is a singleton. A and Sn:k take
-    the linear oracle where the tables pass its premise, detect_trivial,
-    outside characteristic 2."""
+    the linear oracle where detect_trivial's FiniteLieAlgebra.validate
+    accepts the tables over a standard field, outside characteristic 2."""
     if rel == "alpha":
         return None if trusted_field(structure) is None else Partition.diagonal(structure.size)
     L = structure
