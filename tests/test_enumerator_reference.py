@@ -23,6 +23,7 @@ import functools
 import math
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from hyperlie.generators import (
 )
 from hyperlie.relations import (
     ExpressionBounds,
+    _blocks,
     _leaf_map,
     _leaf_pool,
     _Owed,
@@ -382,6 +384,53 @@ def test_rectangle_levels_match_reference(case):
     if not ref.sums_ignore_order(table, t):
         t = _affordable_t(len(set(pairs)), t, False)
     assert _engine_levels(table, pairs, t) == ref.combine_levels(pairs, table, t)
+
+
+def _order_free_table(kind, n):
+    return [[_ORDER_FREE[kind](x, y, n) for y in range(n)] for x in range(n)]
+
+
+def _level_two_branches(pairs):
+    """Per block of level 1, whether combine_levels' cost rule folds it as a
+    rectangle at t = 2, where block i meets only the blocks from i on."""
+    right = _blocks(sorted(set(pairs)))
+    taken = []
+    for i, (Xs, Ys) in enumerate(right):
+        rest = right[i:]
+        su, sv = (sum(map(len, side)) for side in zip(*rest))
+        count = sum(len(Us) * len(Vs) for Us, Vs in rest)
+        taken.append(5 * len(rest) + len(Xs) * su + len(Ys) * sv < len(Xs) * len(Ys) * count)
+    return taken
+
+
+def test_fold_paths_match_reference():
+    # Z5: a singleton block before and three after a 3 x 3 rectangle, so
+    # level 2 folds some blocks as rectangles and some pair by pair
+    table = _order_free_table("cyclic", 5)
+    pairs = [(0b00001, 0b10000), *product((0b00011, 0b00101, 0b01001), (0b001, 0b010, 0b100)),
+             (0b10000, 0b01000), (0b10001, 0b00011), (0b10010, 0b11000)]
+    assert _level_two_branches(pairs) == [False, True, False, False, False]
+    assert _engine_levels(table, pairs, 3) == ref.combine_levels(pairs, table, 3)
+    # level 2 is the whole carrier twice, and so is every level after it
+    table = _order_free_table("total", 3)
+    pairs = [(0b001, 0b010), (0b010, 0b100), (0b100, 0b001)]
+    levels = _engine_levels(table, pairs, 4)
+    assert levels[1] == levels[2] == [(0b111, 0b111)] != levels[0]
+    assert levels == ref.combine_levels(pairs, table, 4)
+    # Z2: level 3 is level 1 again, but level 4 is level 2
+    table = _order_free_table("cyclic", 2)
+    levels = _engine_levels(table, [(0b10, 0b10)], 4)
+    assert levels == ref.combine_levels([(0b10, 0b10)], table, 4) == [[(2, 2)], [(1, 1)]] * 2
+
+
+def test_all_pairs_fold_matches_reference(ex2):
+    # A on the 27-element preset at 3,3,1,1: one 27 x 27 block, so level 2
+    # folds it with itself only and equals level 1
+    bounds = ExpressionBounds(3, 3, 1, 1)
+    pairs = summand_pair_family(ex2, bounds, (1 << ex2.size) - 1)
+    levels = combine_levels(pairs, ex2.add_ops, bounds.t, _sums_commute(ex2, bounds.t))
+    assert [len(lvl) for lvl in levels] == [729] * 3
+    assert levels == ref.combine_levels(pairs, ex2.add, bounds.t)
 
 
 @settings(max_examples=40, deadline=None)
