@@ -9,7 +9,9 @@ import hashlib
 import json
 import math
 import os
+import random
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -168,6 +170,37 @@ def test_transitive_closure_rejects_asymmetric():
     rel = BinaryRelation([0b011, 0b010, 0b100])
     with pytest.raises(NotSymmetric):
         transitive_closure(rel)
+
+
+def _seeded_rows(seed):
+    """Rows on 1-8 elements that repeat: drawn from a few masks, or x ~ y
+    when a random symmetric link joins the classes of x and y in a random
+    partition (symmetric), or that with one bit flipped (seldom symmetric)."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    if seed % 3 == 0:
+        values = [rng.randrange(1 << n) for _ in range(rng.randint(1, 3))]
+        return [rng.choice(values) for _ in range(n)]
+    class_of = [rng.randrange(3) for _ in range(n)]
+    link = [[False] * 3 for _ in range(3)]
+    for c, d in combinations_with_replacement(range(3), 2):
+        link[c][d] = link[d][c] = rng.random() < 0.5
+    rows = [sum(1 << y for y in range(n) if link[class_of[x]][class_of[y]]) for x in range(n)]
+    if seed % 3 == 2:
+        rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    return rows
+
+
+def test_is_symmetric_matches_the_per_pair_definition():
+    seen = Counter()
+    for seed in range(600):
+        rows = _seeded_rows(seed)
+        n = len(rows)
+        verdict = all(rows[y] >> x & 1 for x in range(n) for y in range(n) if rows[x] >> y & 1)
+        assert BinaryRelation(rows).is_symmetric() == verdict, rows
+        seen[verdict, len(set(rows)) < n] += 1
+    # both verdicts occur on rows that repeat, and asymmetry often
+    assert seen[True, True] >= 100 and seen[False, True] >= 100
 
 
 def test_partition_helpers():
