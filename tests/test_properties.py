@@ -310,23 +310,36 @@ def _premise_bases():
             *(_conjugated(*spec) for spec in _RANDOM_SPECS))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_oracle_premise_implies_the_axioms(data):
+def test_oracle_premise_implies_the_axioms():
     # the linear oracle's theorem holds on Lie algebras only, so
     # detect_trivial accepts exactly what passes the checker (every base is
     # over a prime field, so the field premise holds); one changed cell of
-    # the add, scalar or bracket table
-    L = data.draw(st.sampled_from(_premise_bases()))
-    tables = {"add": L.add, "smul": L.smul, "bracket": L.bracket}
-    kind = data.draw(st.sampled_from(sorted(tables)))
-    r = data.draw(st.integers(0, len(tables[kind]) - 1))
-    c = data.draw(st.integers(0, L.size - 1))
-    v = data.draw(st.integers(0, L.size - 1).filter(lambda v: 1 << v != tables[kind][r][c]))
-    tables = {k: [list(row) for row in t] for k, t in tables.items()}
-    tables[kind][r][c] = 1 << v
-    bad = FiniteLieHyperalgebra(L.field, L.names, **tables)
-    assert (detect_trivial(bad) is not None) == check_lie_hyperalgebra(bad).ok
+    # the add, scalar or bracket table, which refuses, or the field and the
+    # carrier relabelled, which keeps a Lie algebra; each run sees both
+    verdicts = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def premise_matches_checker(data):
+        L = data.draw(st.sampled_from(_premise_bases()))
+        tables = {"add": L.add, "smul": L.smul, "bracket": L.bracket}
+        kind = data.draw(st.sampled_from([*sorted(tables), "relabel"]))
+        if kind == "relabel":
+            bad = _relabelled(L, data.draw(st.permutations(range(L.field.size))),
+                              data.draw(st.permutations(range(L.size))))
+        else:
+            r = data.draw(st.integers(0, len(tables[kind]) - 1))
+            c = data.draw(st.integers(0, L.size - 1))
+            v = data.draw(st.integers(0, L.size - 1).filter(lambda v: 1 << v != tables[kind][r][c]))
+            tables = {k: [list(row) for row in t] for k, t in tables.items()}
+            tables[kind][r][c] = 1 << v
+            bad = FiniteLieHyperalgebra(L.field, L.names, **tables)
+        accepted = detect_trivial(bad) is not None
+        assert accepted == check_lie_hyperalgebra(bad).ok
+        verdicts.add(accepted)
+
+    premise_matches_checker()
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=20, deadline=None)
