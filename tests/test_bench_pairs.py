@@ -1,7 +1,7 @@
 """tools/bench_pairs.py refuses a seed list it could not summarize,
-records one Tier-1 run per side and the src/ line count of each, and runs
-both sides outside the checkout, the change from a copy of the working
-tree."""
+records one Tier-1 run per side and the src/ line count of each, records
+the layer metrics of one traced run per side and workload, and runs both
+sides outside the checkout, the change from a copy of the working tree."""
 
 import importlib.util
 import json
@@ -100,7 +100,7 @@ def test_the_change_runs_from_a_copy_of_the_working_tree(tmp_path, monkeypatch):
     (repo / "src" / "new.py").write_text("added\n")
     seen = []
 
-    def run_once(tree, command, workload, seed, seconds):
+    def run_once(tree, command, workload, seed, seconds, trace=0):
         src = os.path.join(tree, "src")
         seen.append((tree, sorted(os.listdir(src)), open(os.path.join(src, "engine.py")).read()))
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": 1.0}}
@@ -110,11 +110,63 @@ def test_the_change_runs_from_a_copy_of_the_working_tree(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "tier1_once", lambda tree: {"wall_s": 0.0, "passed": 0, "failed": 0})
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--seeds", "1-2", "--out", str(out)]) == 0
-    parent, change, change_again, parent_again = seen
+    parent, change, change_again, parent_again, *traced = seen
     assert parent[0] == parent_again[0] and change[0] == change_again[0]
+    assert [tree for tree, *_ in traced] == [parent[0], change[0]]
     assert str(repo) not in {parent[0], change[0]} and parent[0] != change[0]
     assert parent[1:] == (["engine.py"], "committed\n")
     assert change[1:] == (["engine.py", "new.py"], "edited\n")
     doc = json.loads(out.read_text())
     assert doc["change_dirty"]
     assert doc["src_lines"] == {"parent": 1, "change": 2}
+
+
+def test_one_traced_run_per_side_and_workload_gives_the_layers(tmp_path, monkeypatch):
+    # after each workload's untraced pairs, one traced run per side at the
+    # first seed; its *.self_s and *.pairs metrics, and no other, become
+    # that workload's layers, and it enters no summary
+    bench_pairs = _bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["run"], "run_seconds": 1, "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.1}]}))
+    calls = []
+
+    def run_once(tree, command, workload, seed, seconds, trace=0):
+        side = "parent" if os.path.exists(os.path.join(tree, "BASE")) else "change"
+        calls.append((workload, seed, side, trace))
+        cost = {"parent": 2.0, "change": 1.0}[side]
+        metrics = {"wall_s": 10.0 if trace else cost}
+        if trace:
+            metrics.update({"relations.combine_levels.self_s": cost / 4,
+                            "relations.combine_levels.pairs": 7,
+                            "relations.combine_levels.calls": 3, "trace.wall_s": cost})
+            if side == "change":
+                metrics["relations.new_layer.self_s"] = 0.5
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    def extract(rev, dest):
+        open(os.path.join(dest, "BASE"), "w").close()
+
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "source_digest", lambda *dirs: "")
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "tier1_once", lambda tree: {"wall_s": 0.0, "passed": 0, "failed": 0})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--seeds", "4,6,8", "--out", str(out)]) == 0
+    assert len(calls) == 16
+    for i, w in enumerate(("w1", "w2")):
+        block = calls[8 * i:8 * i + 8]
+        assert [(seed, side, trace) for _, seed, side, trace in block] == [
+            (4, "parent", 0), (4, "change", 0), (6, "change", 0), (6, "parent", 0),
+            (8, "parent", 0), (8, "change", 0), (4, "parent", 1), (4, "change", 1)]
+        assert {workload for workload, *_ in block} == {w}
+    doc = json.loads(out.read_text())
+    assert doc["layers"] == {w: {
+        "relations.combine_levels.pairs": {"parent": 7, "change": 7},
+        "relations.combine_levels.self_s": {"parent": 0.5, "change": 0.25},
+        "relations.new_layer.self_s": {"parent": None, "change": 0.5}} for w in ("w1", "w2")}
+    assert all(doc["workloads"][w]["metrics"]["wall_s"]["change_median"] == 1.0
+               for w in ("w1", "w2"))

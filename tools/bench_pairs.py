@@ -9,8 +9,12 @@ second one, so each side runs its own ``perfbench/`` on its own ``src/``
 from a fresh directory of its own. For every workload in BENCHMARK.json and
 every seed, the tool runs ``perfbench/run.py`` (untraced, for the
 benchmark's ``run_seconds``) once on each side, alternating which side
-goes first, one process at a time. It then runs the Tier-1 tests once on
-each side, in the order the next seed would take (``python -m pytest -q
+goes first, one process at a time. After a workload's pairs it runs one
+traced pass (``--trace 1``) on each side at the first seed and records
+each side's ``*.self_s`` and ``*.pairs`` layer metrics under ``layers``,
+as ``{workload: {metric: {parent, change}}}``, so that a saving can be
+located in a layer. It then runs the Tier-1 tests once on each side, in
+the order the next seed would take (``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on PYTHONPATH), and
 records their wall seconds and passed and failed counts under ``tier1``.
 Next to it, ``src_lines`` holds each side's line count of every ``.py``
@@ -110,10 +114,10 @@ def parse_seeds(text: str):
     return seeds
 
 
-def run_once(tree: str, command, workload: str, seed: int, seconds: float):
-    """The result object of one untraced benchmark run in tree."""
+def run_once(tree: str, command, workload: str, seed: int, seconds: float, trace: int = 0):
+    """The result object of one benchmark run in tree, traced if trace is 1."""
     out = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
-                          "--seconds", str(seconds), "--trace", "0"],
+                          "--seconds", str(seconds), "--trace", str(trace)],
                          cwd=tree, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
@@ -190,6 +194,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "quartile_method": "statistics.quantiles(n=4, method='inclusive')",
         "workloads": {},
+        "layers": {},
     }
     with (tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree,
           tempfile.TemporaryDirectory(prefix="bench-change-") as change_tree):
@@ -214,6 +219,12 @@ def main(argv=None) -> int:
                 "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in trees},
                 "runs": pairs,
             }
+            traced = {side: run_once(trees[side], bench["command"], workload, args.seeds[0],
+                                     seconds, trace=1)["metrics"] for side in sides_in_order(0)}
+            names = sorted({name for metrics in traced.values() for name in metrics
+                            if name.endswith((".self_s", ".pairs"))})
+            doc["layers"][workload] = {name: {side: traced[side].get(name) for side in trees}
+                                       for name in names}
         order = sides_in_order(len(args.seeds))
         doc["tier1"] = {"first": order[0]}
         for side in order:
